@@ -20,10 +20,7 @@ from .words import (
     geodesic_point,
     gromov_product,
     hat_projection,
-    check_projection,
-    invert,
     metric_length,
-    multiply,
     sphere_size,
     translation_length,
 )
@@ -46,7 +43,6 @@ from .measures import (
     WalkSpec,
     ahlfors_profile,
     critical_exponent,
-    green_context,
     green_metric_of_walk,
     harmonic_mass_mc,
     mc_first_passage,
@@ -69,6 +65,7 @@ from .representation import (
 from .asymptotics import (
     BudgetError,
     CoverError,
+    OrthCase,
     PairStepFunction,
     SweepReport,
     TestFunction,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -130,7 +130,6 @@ class ClassEntry:
 
     mass: Fraction
     rep: ReducedWord
-    count: int
 
 
 def sphere_classes(n: int, d: int, k: int) -> List[Tuple[Letters, Letters, int]]:
@@ -209,16 +208,15 @@ class ShadowPartition:
     rho: float
     h: float
     resolution: int
-    order: str = "canonical"
 
 
 class WeightFamily:
     """A probability weighting of an annulus.
 
     Uniform sphere weights stay implicit (the support would be |S_n|
-    words); shadow-partition weights carry their nonzero support as a
-    compact array plus exact per-element masses (integer multiples of the
-    squared grid-cell mass for the word metric).
+    words); every other family carries its nonzero support as parallel
+    lists of words and masses (Fractions for the word metric, floats
+    otherwise).
     """
 
     def __init__(
@@ -227,18 +225,14 @@ class WeightFamily:
         ctx: GroupContext,
         provenance,
         words: Optional[List[Letters]] = None,
-        numerators: Optional[np.ndarray] = None,
-        unit_sq: Optional[Fraction] = None,
-        float_masses: Optional[np.ndarray] = None,
+        masses: Optional[List] = None,
         annulus_size: Optional[int] = None,
     ):
         self.R = R
         self.ctx = ctx
         self.provenance = provenance
         self.words = words
-        self.numerators = numerators
-        self.unit_sq = unit_sq
-        self.float_masses = float_masses
+        self.masses = masses
         self.annulus_size = annulus_size
         self._class_cache: Dict[int, List[ClassEntry]] = {}
         self._index: Optional[Dict[Letters, int]] = None
@@ -251,7 +245,7 @@ class WeightFamily:
 
     @property
     def exact(self) -> bool:
-        return self.uniform or self.unit_sq is not None
+        return self.ctx.metric.kind == "word"
 
     def support_size(self) -> int:
         if self.uniform:
@@ -261,16 +255,12 @@ class WeightFamily:
     def total(self):
         if self.uniform:
             return Fraction(1)
-        if self.unit_sq is not None:
-            return int(self.numerators.sum()) * self.unit_sq
-        return float(self.float_masses.sum())
+        return sum(self.masses)
 
     def max_mass(self):
         if self.uniform:
             return Fraction(1, self.support_size())
-        if self.unit_sq is not None:
-            return int(self.numerators.max()) * self.unit_sq
-        return float(self.float_masses.max())
+        return max(self.masses)
 
     def mass_of(self, g: ReducedWord):
         if self.uniform:
@@ -281,23 +271,16 @@ class WeightFamily:
         i = self._index.get(g.letters)
         if i is None:
             return Fraction(0) if self.exact else 0.0
-        if self.unit_sq is not None:
-            return int(self.numerators[i]) * self.unit_sq
-        return float(self.float_masses[i])
+        return self.masses[i]
 
     def entries(self) -> Iterator[Tuple[ReducedWord, object]]:
         if self.uniform:
-            n = self.provenance.n
             mass = Fraction(1, self.support_size())
-            for g in enumerate_annulus(n, 0, self.ctx.metric):
+            for g in enumerate_annulus(self.provenance.n, 0, self.ctx.metric):
                 yield g, mass
             return
-        for i, w in enumerate(self.words):
-            g = ReducedWord(w, _reduced=True)
-            if self.unit_sq is not None:
-                yield g, int(self.numerators[i]) * self.unit_sq
-            else:
-                yield g, float(self.float_masses[i])
+        for w, mass in zip(self.words, self.masses):
+            yield ReducedWord(w, _reduced=True), mass
 
     # -- aggregation ------------------------------------------------------
 
@@ -315,25 +298,21 @@ class WeightFamily:
             size = self.support_size()
             if n < 2 * d:
                 for g in enumerate_annulus(n, 0, self.ctx.metric):
-                    out.append(ClassEntry(Fraction(1, size), g, 1))
+                    out.append(ClassEntry(Fraction(1, size), g))
             else:
                 for p, s, c in sphere_classes(n, d, k):
                     rep = ReducedWord(class_representative(p, s, n, k), _reduced=True)
-                    out.append(ClassEntry(Fraction(c, size), rep, c))
+                    out.append(ClassEntry(Fraction(c, size), rep))
         else:
-            buckets: Dict[Tuple, Tuple[int, Letters]] = {}
-            for i, w in enumerate(self.words):
+            buckets: Dict[Tuple, ClassEntry] = {}
+            for w, mass in zip(self.words, self.masses):
                 n = len(w)
                 key = (n, w) if n < 2 * d else (n, w[:d], w[n - d:])
-                num = int(self.numerators[i]) if self.numerators is not None else self.float_masses[i]
                 if key in buckets:
-                    total, rep, cnt = buckets[key]
-                    buckets[key] = (total + num, rep, cnt + 1)
+                    buckets[key].mass += mass
                 else:
-                    buckets[key] = (num, w, 1)
-            for key, (total, rep, cnt) in buckets.items():
-                mass = total * self.unit_sq if self.unit_sq is not None else total
-                out.append(ClassEntry(mass, ReducedWord(rep, _reduced=True), cnt))
+                    buckets[key] = ClassEntry(mass, ReducedWord(w, _reduced=True))
+            out = list(buckets.values())
         self._class_cache[d] = out
         return out
 
@@ -341,33 +320,22 @@ class WeightFamily:
         """Aggregated mass per (hat(g) prefix of depth d1, check(g) prefix
         of depth d2)."""
         table: Dict[Tuple[Letters, Letters], object] = {}
-
-        def add(key, mass):
-            table[key] = table.get(key, Fraction(0) if self.exact else 0.0) + mass
-
+        zero = Fraction(0) if self.exact else 0.0
         if self.uniform:
             n = self.provenance.n
             d = max(d1, d2, 1)
-            size = self.support_size()
             if n >= max(2 * d, d1 + d2):
+                size = self.support_size()
                 for p, s, c in sphere_classes(n, d, self.ctx.k):
-                    add((p[:d1], invert_letters(s)[:d2]), Fraction(c, size))
+                    key = (p[:d1], invert_letters(s)[:d2])
+                    table[key] = table.get(key, zero) + Fraction(c, size)
                 return table
-            for g in enumerate_annulus(n, 0, self.ctx.metric):
-                key = (
-                    hat_projection(g).prefix_letters(d1),
-                    hat_projection(~g).prefix_letters(d2),
-                )
-                add(key, Fraction(1, size))
-            return table
-        for i, w in enumerate(self.words):
-            g = ReducedWord(w, _reduced=True)
+        for g, mass in self.entries():
             key = (
                 hat_projection(g).prefix_letters(d1),
                 hat_projection(~g).prefix_letters(d2),
             )
-            mass = int(self.numerators[i]) * self.unit_sq if self.unit_sq is not None else float(self.float_masses[i])
-            add(key, mass)
+            table[key] = table.get(key, zero) + mass
         return table
 
 
@@ -435,32 +403,16 @@ def build_partition_weights(R, ctx: GroupContext, budget: int = 10_000_000) -> W
         raise BudgetError(f"partition grid {grid.size}^2 exceeds budget")
     metric = ctx.metric
     exact = metric.kind == "word"
-    mu = ps_measure(ctx)
     occupied = np.zeros((grid.size, grid.size), dtype=bool)
-
-    cell_masses: Optional[np.ndarray] = None
-    unit_sq: Optional[Fraction] = None
     if exact:
-        unit = Fraction(1, 2 * ctx.k) * Fraction(1, 2 * ctx.k - 1) ** (m - 1)
-        unit_sq = unit * unit
+        cell = Fraction(1, 2 * ctx.k) * Fraction(1, 2 * ctx.k - 1) ** (m - 1)
+        cell_sq = cell * cell
     else:
-        cell_masses = np.empty(grid.size, dtype=np.float64)
-
-        def fill(stem: Letters, mass: float):
-            if len(stem) == m:
-                cell_masses[grid.index_of(stem)] = mass
-                return
-            for s in canonical_letters(ctx.k):
-                if stem and s == -stem[-1]:
-                    continue
-                step = mu.pi0[s] if not stem else mu.trans[(stem[-1], s)]
-                fill(stem + (s,), mass * float(step))
-
-        fill((), 1.0)
+        mu = ps_measure(ctx)
+        cell_masses = np.array([mu.mass_letters(grid.unrank(i)) for i in range(grid.size)], dtype=np.float64)
 
     words: List[Letters] = []
-    numerators: List[int] = []
-    float_masses: List[float] = []
+    masses: List = []
     count = 0
     for g in enumerate_annulus(R, ctx.h, metric):
         count += 1
@@ -473,40 +425,20 @@ def build_partition_weights(R, ctx: GroupContext, budget: int = 10_000_000) -> W
         free = ~sub
         taken = int(free.sum())
         if taken:
+            words.append(g.letters)
             if exact:
-                words.append(g.letters)
-                numerators.append(taken)
+                masses.append(taken * cell_sq)
             else:
-                mass = float(np.outer(cell_masses[rlo:rhi], cell_masses[clo:chi])[free].sum())
-                words.append(g.letters)
-                float_masses.append(mass)
+                masses.append(float(np.outer(cell_masses[rlo:rhi], cell_masses[clo:chi])[free].sum()))
             sub[:] = True
     if not occupied.all():
         raise CoverError(
             f"shadows at R={R}, rho={ctx.rho}, h={ctx.h} do not cover; "
             "raise rho or h (renormalizing would fake the cover)"
         )
-    provenance = ShadowPartition(ctx.rho, ctx.h, m)
-    if exact:
-        fam = WeightFamily(
-            R,
-            ctx,
-            provenance,
-            words=words,
-            numerators=np.array(numerators, dtype=np.int64),
-            unit_sq=unit_sq,
-            annulus_size=count,
-        )
-        assert fam.total() == 1
-        return fam
-    return WeightFamily(
-        R,
-        ctx,
-        provenance,
-        words=words,
-        float_masses=np.array(float_masses, dtype=np.float64),
-        annulus_size=count,
-    )
+    fam = WeightFamily(R, ctx, ShadowPartition(ctx.rho, ctx.h, m), words, masses, annulus_size=count)
+    assert not exact or fam.total() == 1
+    return fam
 
 
 # -- boundary-pair observables and equidistribution ------------------------
@@ -572,19 +504,6 @@ def equidistribution_pairing(F: PairStepFunction, weights: WeightFamily, mu: Bou
 def equidistribution_error(F: PairStepFunction, weights: WeightFamily, mu: BoundaryMeasure):
     lhs, rhs = equidistribution_pairing(F, weights, mu)
     return abs(lhs - rhs)
-
-
-def rectangle_error_table(weights: WeightFamily, mu: BoundaryMeasure, depth: int) -> Dict[Tuple[Letters, Letters], object]:
-    """Errors |J'-mass - product mass| for every depth x depth rectangle."""
-    table = weights.pair_table(depth, depth)
-    out: Dict[Tuple[Letters, Letters], object] = {}
-    words = [w.letters for w in enumerate_annulus(depth, 0, MetricSpec.word(weights.ctx.k))]
-    for u in words:
-        mu_u = mu.mass_letters(u)
-        for v in words:
-            got = table.get((u, v), Fraction(0) if weights.exact else 0.0)
-            out[(u, v)] = abs(got - mu_u * mu.mass_letters(v))
-    return out
 
 
 def max_rectangle_error(weights: WeightFamily, mu: BoundaryMeasure, max_depth: int):
@@ -660,10 +579,6 @@ class TestFunction:
     def one(cls, k: int) -> "TestFunction":
         return cls(StepFunction.constant(Fraction(1), k))
 
-    @classmethod
-    def from_boundary(cls, sf: StepFunction) -> "TestFunction":
-        return cls(sf)
-
     def value_at_group(self, g: ReducedWord):
         base = self.boundary.value_at(hat_projection(g))
         extra = self.interior.get(g)
@@ -684,46 +599,8 @@ def phi_r(
     mu: BoundaryMeasure,
 ):
     """The orthogonality functional: the weighted annulus average of
-    f1(g) f2(g^-1) <pi~(g)v1, w1> conj(<pi~(g)v2, w2>).
-
-    Word metric: summed exactly over coefficient classes; the value lives
-    in Q(sqrt(omega)).  Other metrics iterate the explicit support.
-    """
-
-    def term(g: ReducedWord, with_interior: bool):
-        if with_interior:
-            a = f1.value_at_group(g)
-            b = f2.value_at_group(~g)
-        else:
-            a = f1.boundary.value_at(hat_projection(g))
-            b = f2.boundary.value_at(hat_projection(~g))
-        nc1 = normalized_coefficient(g, v1, w1, mu)
-        nc2 = normalized_coefficient(g, v2, w2, mu)
-        return a * b * nc1 * nc2
-
-    exact = mu.exact and weights.exact
-    total = QSqrt(0, 0, int(mu.omega)) if exact else 0.0
-    if weights.ctx.metric.kind == "word":
-        d = max(
-            1,
-            v1.depth(),
-            v2.depth(),
-            w1.depth(),
-            w2.depth(),
-            f1.depth(),
-            f2.depth(),
-        )
-        for entry in weights.class_entries(d):
-            total = total + entry.mass * term(entry.rep, with_interior=False)
-    else:
-        for g, mass in weights.entries():
-            total = total + mass * term(g, with_interior=False)
-    corrections = set(f1.interior) | {~g for g in f2.interior}
-    for g0 in corrections:
-        mass = weights.mass_of(g0)
-        if mass:
-            total = total + mass * (term(g0, True) - term(g0, False))
-    return total
+    f1(g) f2(g^-1) <pi~(g)v1, w1> conj(<pi~(g)v2, w2>)."""
+    return phi_r_pairs(f1, f2, [(v1, w1), (v2, w2)], weights, mu)[0][1]
 
 
 def phi_r_pairs(
@@ -738,10 +615,12 @@ def phi_r_pairs(
     Entry [i][j] is phi_r with (v1, w1) = pairs[i], (v2, w2) = pairs[j];
     the normalized coefficients are computed once per class per pair, so
     a full combination grid costs no more than one slot pair would.
-    Interior perturbations are not supported on this batched path.
+
+    Word metric: summed exactly over coefficient classes of the boundary
+    parts of f1 and f2; the value lives in Q(sqrt(omega)).  Other metrics
+    iterate the explicit support.  Interior perturbations are then added
+    as corrections at the finitely many group elements they touch.
     """
-    if f1.interior or f2.interior:
-        raise ValueError("batched phi requires interior-free test functions")
     d = max(
         1,
         f1.depth(),
@@ -751,6 +630,14 @@ def phi_r_pairs(
     exact = mu.exact and weights.exact
     zero = QSqrt(0, 0, int(mu.omega)) if exact else 0.0
     out: List[List[object]] = [[zero for _ in pairs] for _ in pairs]
+
+    def add(g: ReducedWord, factor) -> None:
+        ncs = [normalized_coefficient(g, v, w, mu) for v, w in pairs]
+        for i in range(len(pairs)):
+            row = out[i]
+            for j in range(len(pairs)):
+                row[j] = row[j] + factor * ncs[i] * ncs[j]
+
     if weights.ctx.metric.kind == "word":
         stream: Iterable[Tuple[object, ReducedWord]] = (
             (entry.mass, entry.rep) for entry in weights.class_entries(d)
@@ -758,14 +645,12 @@ def phi_r_pairs(
     else:
         stream = ((mass, g) for g, mass in weights.entries())
     for mass, g in stream:
-        a = f1.boundary.value_at(hat_projection(g))
-        b = f2.boundary.value_at(hat_projection(~g))
-        factor = mass * a * b
-        ncs = [normalized_coefficient(g, v, w, mu) for v, w in pairs]
-        for i in range(len(pairs)):
-            row = out[i]
-            for j in range(len(pairs)):
-                row[j] = row[j] + factor * ncs[i] * ncs[j]
+        add(g, mass * f1.boundary.value_at(hat_projection(g)) * f2.boundary.value_at(hat_projection(~g)))
+    for g0 in set(f1.interior) | {~g for g in f2.interior}:
+        mass = weights.mass_of(g0)
+        if mass:
+            base = f1.boundary.value_at(hat_projection(g0)) * f2.boundary.value_at(hat_projection(~g0))
+            add(g0, mass * (f1.value_at_group(g0) * f2.value_at_group(~g0) - base))
     return out
 
 
@@ -887,74 +772,89 @@ class SweepReport:
         }
 
 
+class OrthCase(NamedTuple):
+    """One Phi_R slot combination: (v1, w1) in the first slot, (v2, w2) in
+    the second."""
+
+    name: str
+    v1: StepFunction
+    w1: StepFunction
+    v2: StepFunction
+    w2: StepFunction
+
+
+_REL_FLOOR = Fraction(1, 16)  # relative errors of targets below this are taken against it
+
+
 def orthogonality_sweep(
     f1: TestFunction,
     f2: TestFunction,
-    v1: StepFunction,
-    v2: StepFunction,
-    w1: StepFunction,
-    w2: StepFunction,
+    cases: Sequence[OrthCase],
     grid: Sequence,
     ctx: GroupContext,
     mu: BoundaryMeasure,
     weights_kind: str = "sphere",
     budget: int = 10_000_000,
     tolerance: float = 0.05,
-    rel_floor: Fraction = Fraction(1, 16),
-) -> SweepReport:
-    """Phi_R along a grid against the theorem's limit, with decay fit
-    against the modulus-of-continuity reference rate eps/2."""
-    target = orthogonality_target(f1, f2, v1, v2, w1, w2, mu)
-    tgt_f = as_float(target)
-    values, values_exact, abs_errors, rel_errors = [], [], [], []
-    partial = False
-    spent = 0
-    used_grid = []
-    for R in grid:
-        cost = (
-            len(sphere_classes(R, 2, ctx.k)) if weights_kind == "sphere" and ctx.metric.kind == "word"
-            else sphere_size(int(math.ceil(float(R))), ctx.k)
+) -> List[SweepReport]:
+    """Phi_R of every case along a grid against the theorem's limit, one
+    report per case, with decay fits against the modulus-of-continuity
+    reference rate eps/2.
+
+    Slot pairs shared between cases are evaluated once: each radius costs
+    one phi_r_pairs call.  A BudgetError while building the weights stops
+    the sweep and marks every report partial (and not passed).
+    """
+    if weights_kind not in ("sphere", "shadow"):
+        raise ValueError(f"unknown weights kind {weights_kind!r}")
+    pairs: List[Tuple[StepFunction, StepFunction]] = []
+    seen: Dict[Tuple[int, int], int] = {}
+    slots: List[Tuple[int, int]] = []
+    for case in cases:
+        ij = []
+        for v, w in ((case.v1, case.w1), (case.v2, case.w2)):
+            key = (id(v), id(w))
+            if key not in seen:
+                seen[key] = len(pairs)
+                pairs.append((v, w))
+            ij.append(seen[key])
+        slots.append((ij[0], ij[1]))
+    targets = [orthogonality_target(f1, f2, c.v1, c.v2, c.w1, c.w2, mu) for c in cases]
+    reports = [
+        SweepReport(
+            name=case.name, param="R", grid=[], values=[], values_exact=[], targets=[], targets_exact=[],
+            abs_errors=[], rel_errors=[], reference_rate=float(ctx.epsilon) / 2.0,
         )
-        spent += cost
-        if spent > budget:
+        for case in cases
+    ]
+    partial = False
+    for R in grid:
+        try:
+            if weights_kind == "sphere":
+                weights = sphere_weights(R, ctx)
+            else:
+                weights = build_partition_weights(R, ctx, budget=budget)
+            table = phi_r_pairs(f1, f2, pairs, weights, mu)
+        except BudgetError:
             partial = True
             break
-        if weights_kind == "sphere":
-            weights = sphere_weights(R, ctx)
-        elif weights_kind == "shadow":
-            weights = build_partition_weights(R, ctx, budget=budget)
-        else:
-            raise ValueError(f"unknown weights kind {weights_kind!r}")
-        val = phi_r(f1, f2, v1, v2, w1, w2, weights, mu)
-        err = abs(val - target)
-        floor = rel_floor if abs(target) < rel_floor else abs(target)
-        rel = err / floor
-        used_grid.append(R)
-        values.append(as_float(val))
-        values_exact.append(exact_str(val))
-        abs_errors.append(as_float(err))
-        rel_errors.append(as_float(rel))
-    exponent, r2, window = fit_decay(used_grid, abs_errors)
-    passed = bool(rel_errors and rel_errors[-1] <= tolerance) and not partial
-    verdict = "PASS" if passed else "FAIL"
-    return SweepReport(
-        name="orthogonality",
-        param="R",
-        grid=used_grid,
-        values=values,
-        values_exact=values_exact,
-        targets=[tgt_f] * len(used_grid),
-        targets_exact=[exact_str(target)] * len(used_grid),
-        abs_errors=abs_errors,
-        rel_errors=rel_errors,
-        fitted_exponent=exponent,
-        fit_r2=r2,
-        fit_window=window,
-        reference_rate=float(ctx.epsilon) / 2.0,
-        verdict=verdict,
-        passed=passed,
-        partial=partial,
-    )
+        for (i, j), target, rep in zip(slots, targets, reports):
+            val = table[i][j]
+            err = abs(val - target)
+            floor = _REL_FLOOR if abs(target) < _REL_FLOOR else abs(target)
+            rep.grid.append(R)
+            rep.values.append(as_float(val))
+            rep.values_exact.append(exact_str(val))
+            rep.targets.append(as_float(target))
+            rep.targets_exact.append(exact_str(target))
+            rep.abs_errors.append(as_float(err))
+            rep.rel_errors.append(as_float(err / floor))
+    for rep in reports:
+        rep.fitted_exponent, rep.fit_r2, rep.fit_window = fit_decay(rep.grid, rep.abs_errors)
+        rep.partial = partial
+        rep.passed = bool(rep.rel_errors and rep.rel_errors[-1] <= tolerance) and not partial
+        rep.verdict = "PASS" if rep.passed else "FAIL"
+    return reports
 
 
 # -- annular rapid decay and GVB --------------------------------------------
@@ -1027,13 +927,15 @@ def rd_sweep(
     )
 
 
+_GVB_EXPONENT_BAND = (1.8, 2.2)  # growth exponents that count as "about 2"
+
+
 def gvb_growth(
     v: StepFunction,
     w: StepFunction,
     grid: Sequence[int],
     ctx: GroupContext,
     mu: BoundaryMeasure,
-    exponent_band: Tuple[float, float] = (1.8, 2.2),
 ) -> SweepReport:
     """q_n = sum_{S_n} <pi(g)v,w>^2 and its growth exponent in (1+n).
 
@@ -1052,7 +954,7 @@ def gvb_growth(
         ratios.append(as_float(q) / ((1 + n) ** 2 * scale))
     exponent, r2, window = fit_growth(list(grid), qs)
     growing = qs[-1] > 2.0 * qs[0]
-    in_band = exponent is not None and exponent_band[0] <= exponent <= exponent_band[1]
+    in_band = exponent is not None and _GVB_EXPONENT_BAND[0] <= exponent <= _GVB_EXPONENT_BAND[1]
     passed = bool(growing and in_band)
     verdict = "GVB fails" if passed else "inconclusive"
     return SweepReport(
@@ -1101,10 +1003,6 @@ def l2_norm_sq(phi: Dict[ReducedWord, object]):
     for val in phi.values():
         total = total + val * val
     return total
-
-
-def annulus_indicator(R, h, metric: MetricSpec) -> Dict[ReducedWord, object]:
-    return {g: Fraction(1) for g in enumerate_annulus(R, h, metric)}
 
 
 @dataclass

@@ -197,9 +197,6 @@ class Cylinder:
     def disjoint(self, other: "Cylinder") -> bool:
         return not self.contains(other) and not other.contains(self)
 
-    def sort_key(self):
-        return tuple(letter_key(s) for s in self.stem)
-
     def __str__(self) -> str:
         return "C_" + ("".join(letter_to_str(s) for s in self.stem) or "e")
 
@@ -255,10 +252,6 @@ class CylinderSet:
         return cls([Cylinder(())], k)
 
     @classmethod
-    def empty(cls, k: int) -> "CylinderSet":
-        return cls([], k)
-
-    @classmethod
     def of(cls, cylinder: Cylinder, k: int) -> "CylinderSet":
         return cls([cylinder], k)
 
@@ -272,9 +265,6 @@ class CylinderSet:
 
     def contains_point(self, xi: BoundaryPoint) -> bool:
         return any(c.contains_point(xi) for c in self.parts)
-
-    def union(self, other: "CylinderSet") -> "CylinderSet":
-        return CylinderSet(self.parts + other.parts, self.k)
 
     def complement(self) -> "CylinderSet":
         stems = {c.stem for c in self.parts}

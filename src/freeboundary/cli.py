@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -28,6 +29,7 @@ from . import __version__
 from .asymptotics import (
     BudgetError,
     CoverError,
+    OrthCase,
     TestFunction,
     build_partition_weights,
     check_shadow_cover,
@@ -35,17 +37,16 @@ from .asymptotics import (
     gvb_growth,
     max_rectangle_error,
     max_uniform_rectangle_error,
-    orthogonality_target,
-    phi_r_pairs,
+    orthogonality_sweep,
     rd_convolution_check,
     rd_sweep,
-    sphere_weights,
     _resolution_depth,
     fit_decay,
 )
 from .boundary import Cylinder
 from .measures import (
     WalkSpec,
+    _binomial_halfwidth,
     critical_exponent,
     green_metric_of_walk,
     mc_cylinder_counts,
@@ -88,8 +89,30 @@ def _parse_fraction(value, path: str) -> Fraction:
     raise ConfigError(path, f"expected a rational 'p/q' string or integer, got {type(value).__name__}")
 
 
+_TOP_KEYS = {
+    "schema_version", "group", "metric", "epsilon", "rho", "h", "grid", "weights", "depth",
+    "tolerance", "seed", "samples", "budget", "vectors", "functions", "cases", "walk", "v", "w",
+    "rho_max", "lower_band", "fiber_r_max", "triples", "trials", "ratio_cap",
+    "ancona_words", "ancona_max_len", "ancona_samples",
+}
+
+
+def _check_keys(spec, allowed, path: str) -> None:
+    """Refuse a non-object or any key outside ``allowed``, naming its field path."""
+    if not isinstance(spec, dict):
+        raise ConfigError(path, "expected an object")
+    for key in spec:
+        if key not in allowed:
+            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
+
+
+def _generator_keys(k: int) -> set:
+    return {letter_to_str(i) for i in range(1, k + 1)}
+
+
 def _parse_metric(cfg: dict, k: int) -> MetricSpec:
     spec = cfg.get("metric", {"kind": "word"})
+    _check_keys(spec, {"kind", "lengths", "walk"}, "metric")
     kind = spec.get("kind", "word")
     if kind == "word":
         return MetricSpec.word(k)
@@ -97,6 +120,7 @@ def _parse_metric(cfg: dict, k: int) -> MetricSpec:
         lengths_cfg = spec.get("lengths")
         if not isinstance(lengths_cfg, dict):
             raise ConfigError("metric.lengths", "weighted metric needs a lengths table")
+        _check_keys(lengths_cfg, _generator_keys(k), "metric.lengths")
         lengths = []
         for i in range(1, k + 1):
             key = letter_to_str(i)
@@ -113,6 +137,7 @@ def _parse_metric(cfg: dict, k: int) -> MetricSpec:
 def _parse_walk(spec, k: int, path: str) -> WalkSpec:
     if not isinstance(spec, dict):
         raise ConfigError(path, "walk needs a generator probability table")
+    _check_keys(spec, _generator_keys(k), path)
     probs = []
     for i in range(1, k + 1):
         key = letter_to_str(i)
@@ -128,6 +153,7 @@ def _parse_walk(spec, k: int, path: str) -> WalkSpec:
 def _parse_vector(spec, k: int, path: str) -> StepFunction:
     if not isinstance(spec, dict):
         raise ConfigError(path, "vector spec must be an object")
+    _check_keys(spec, {"constant", "cells"}, path)
     constant = _parse_fraction(spec.get("constant", 0), f"{path}.constant")
     cells = []
     for i, cell in enumerate(spec.get("cells", [])):
@@ -150,6 +176,7 @@ def _parse_vector(spec, k: int, path: str) -> StepFunction:
 def _parse_function(spec, k: int, path: str) -> TestFunction:
     if spec is None:
         return TestFunction.one(k)
+    _check_keys(spec, {"boundary", "interior"}, path)
     boundary = _parse_vector(spec.get("boundary", {"constant": 1}), k, f"{path}.boundary")
     interior = {}
     for word, value in spec.get("interior", {}).items():
@@ -161,7 +188,12 @@ class RunConfig:
     def __init__(self, raw: dict, path: Path):
         self.raw = raw
         self.path = path
+        _check_keys(raw, _TOP_KEYS, "")
+        version = raw.get("schema_version", SCHEMA_VERSION)
+        if version != SCHEMA_VERSION:
+            raise ConfigError("schema_version", f"unsupported version {version!r} (expected {SCHEMA_VERSION})")
         group = raw.get("group", {})
+        _check_keys(group, {"rank"}, "group")
         self.k = int(group.get("rank", 2))
         if self.k < 2:
             raise ConfigError("group.rank", "rank must be >= 2")
@@ -185,15 +217,19 @@ class RunConfig:
         self.seed = int(raw.get("seed", 0))
         self.samples = int(raw.get("samples", 100_000))
         self.budget = int(raw.get("budget", 10_000_000))
-        self.backend = raw.get("backend", "exact" if self.metric.kind == "word" else "float")
         self.vectors = {
             name: _parse_vector(spec, self.k, f"vectors.{name}")
             for name, spec in raw.get("vectors", {}).items()
         }
         functions = raw.get("functions", {})
+        _check_keys(functions, {"f1", "f2"}, "functions")
         self.f1 = _parse_function(functions.get("f1"), self.k, "functions.f1")
         self.f2 = _parse_function(functions.get("f2"), self.k, "functions.f2")
         self.cases = raw.get("cases", [])
+        if not isinstance(self.cases, list):
+            raise ConfigError("cases", "expected a list")
+        for i, case in enumerate(self.cases):
+            _check_keys(case, {"name", "v1", "w1", "v2", "w2"}, f"cases[{i}]")
         self.walk = _parse_walk(raw["walk"], self.k, "walk") if "walk" in raw else None
         self._one = StepFunction.constant(Fraction(1), self.k)
 
@@ -230,12 +266,30 @@ def _digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()[:24]
 
 
+@functools.lru_cache(maxsize=None)
+def _source_digest() -> str:
+    """sha256 over the package's module sources: cache entries written by
+    other code are misses.  Computed on first use, once per process."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
 class Cache:
+    """JSON entries under ``root``, keyed by the computation's inputs plus
+    the package version and source digest."""
+
     def __init__(self, root: Path, enabled: bool = True):
         self.root = root
         self.enabled = enabled
         self.hits = 0
         self.misses = 0
+
+    @staticmethod
+    def _stamp(key: dict) -> dict:
+        return {**key, "package_version": __version__, "source_sha256": _source_digest()}
 
     def _path(self, kind: str, key: dict) -> Path:
         return self.root / f"{kind}-{_digest(key)}.json"
@@ -244,6 +298,7 @@ class Cache:
         if not self.enabled:
             self.misses += 1
             return None
+        key = self._stamp(key)
         path = self._path(kind, key)
         try:
             entry = json.loads(path.read_text())
@@ -263,6 +318,7 @@ class Cache:
         if not self.enabled:
             return
         self.root.mkdir(parents=True, exist_ok=True)
+        key = self._stamp(key)
         path = self._path(kind, key)
         tmp = path.with_suffix(".tmp")
         tmp.write_text(json.dumps({"key": key, "payload": payload}, sort_keys=True, default=str))
@@ -537,67 +593,38 @@ def cmd_equidist(cfg: RunConfig, emit: Emitter) -> int:
 def cmd_orth(cfg: RunConfig, emit: Emitter) -> int:
     ctx = cfg.context()
     mu = ps_measure(ctx)
-    cases = cfg.cases or [{"v1": "one", "w1": "one", "v2": "one", "w2": "one"}]
-    resolved = []
-    for i, case in enumerate(cases):
-        try:
-            resolved.append(
-                (
-                    case.get("name", f"case{i}"),
-                    cfg.vector(case.get("v1", "one")),
-                    cfg.vector(case.get("w1", "one")),
-                    cfg.vector(case.get("v2", "one")),
-                    cfg.vector(case.get("w2", "one")),
-                )
-            )
-        except ConfigError:
-            raise
-    pairs = []
-    pair_index: Dict[int, Tuple[int, int]] = {}
-    seen: Dict[Tuple[int, int], int] = {}
-    for i, (_, v1, w1, v2, w2) in enumerate(resolved):
-        for slot, (v, w) in enumerate(((v1, w1), (v2, w2))):
-            key = (id(v), id(w))
-            if key not in seen:
-                seen[key] = len(pairs)
-                pairs.append((v, w))
-            pair_index[2 * i + slot] = seen[key]
-    rel_floor = Fraction(1, 16)
-    rows = []
-    finals: Dict[str, float] = {}
-    partial = False
+    cases = [
+        OrthCase(
+            case.get("name", f"case{i}"),
+            cfg.vector(case.get("v1", "one")),
+            cfg.vector(case.get("w1", "one")),
+            cfg.vector(case.get("v2", "one")),
+            cfg.vector(case.get("w2", "one")),
+        )
+        for i, case in enumerate(cfg.cases or [{}])
+    ]
     t0 = time.monotonic()
-    for R in cfg.grid:
-        try:
-            if cfg.weights_kind == "sphere":
-                weights = sphere_weights(R, ctx)
-            else:
-                weights = build_partition_weights(R, ctx, budget=cfg.budget)
-            grid_vals = phi_r_pairs(cfg.f1, cfg.f2, pairs, weights, mu)
-        except BudgetError:
-            partial = True
-            break
-        for i, (name, v1, w1, v2, w2) in enumerate(resolved):
-            value = grid_vals[pair_index[2 * i]][pair_index[2 * i + 1]]
-            target = orthogonality_target(cfg.f1, cfg.f2, v1, v2, w1, w2, mu)
-            err = abs(value - target)
-            floor = rel_floor if abs(target) < rel_floor else abs(target)
-            rel = as_float(err / floor)
-            rows.append(
-                {
-                    "case": name,
-                    "R": R,
-                    "value": repr(as_float(value)),
-                    "value_exact": exact_str(value),
-                    "target": repr(as_float(target)),
-                    "target_exact": exact_str(target),
-                    "abs_error": repr(as_float(err)),
-                    "rel_error": repr(rel),
-                }
-            )
-            finals[name] = rel
+    reports = orthogonality_sweep(
+        cfg.f1, cfg.f2, cases, cfg.grid, ctx, mu, weights_kind=cfg.weights_kind, budget=cfg.budget
+    )
     emit.timings["orth"] = time.monotonic() - t0
+    rows = [
+        {
+            "case": rep.name,
+            "R": R,
+            "value": repr(rep.values[i]),
+            "value_exact": rep.values_exact[i],
+            "target": repr(rep.targets[i]),
+            "target_exact": rep.targets_exact[i],
+            "abs_error": repr(rep.abs_errors[i]),
+            "rel_error": repr(rep.rel_errors[i]),
+        }
+        for i, R in enumerate(reports[0].grid)
+        for rep in reports
+    ]
     emit.write_csv("orth.csv", rows)
+    finals = {rep.name: rep.rel_errors[-1] for rep in reports if rep.rel_errors}
+    partial = reports[0].partial
     passed = bool(finals) and all(v <= cfg.tolerance for v in finals.values()) and not partial
     emit.write_json(
         "orth_summary.json",
@@ -721,7 +748,7 @@ def cmd_green(cfg: RunConfig, emit: Emitter) -> int:
     def mc_mass(stem) -> Tuple[float, float]:
         hits = sum(c for w, c in counts.items() if w[: len(stem)] == stem)
         est = hits / decided
-        return est, 1.96 * math.sqrt(max(est * (1 - est), 0.0) / decided)
+        return est, _binomial_halfwidth(est, decided)
 
     rows = []
     inside = 0
@@ -746,7 +773,7 @@ def cmd_green(cfg: RunConfig, emit: Emitter) -> int:
         )
     emit.write_csv("green_cylinders.csv", rows)
 
-    rng_words, anc_rows, anc_inside = _ancona_words(cfg, walk, fp, emit)
+    anc_rows, anc_inside = _ancona_words(cfg, walk, fp, emit)
     passed = inside == total and anc_inside == len(anc_rows) and undecided == 0
     emit.write_json(
         "green_summary.json",
@@ -809,7 +836,7 @@ def _ancona_words(cfg: RunConfig, walk: WalkSpec, fp, emit: Emitter):
         )
     emit.timings["mc_ancona"] = time.monotonic() - t0
     emit.write_csv("green_ancona.csv", rows)
-    return words, rows, inside
+    return rows, inside
 
 
 # -- entry point --------------------------------------------------------------
@@ -838,7 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, type=Path)
         p.add_argument("--out", type=Path, default=Path("out"))
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--budget", type=int, default=None)
         p.add_argument("--no-cache", action="store_true")
         p.add_argument("--seed", type=int, default=None)
@@ -848,9 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("--threads must be >= 1", file=sys.stderr)
-        return 1
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
@@ -860,8 +883,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg.budget = args.budget
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.threads > 1:
-        log.info("running sequentially (--threads accepted for compatibility)")
     cache = Cache(args.out / "cache", enabled=not args.no_cache)
     emit = Emitter(args.out, cfg, args.subcommand, cache)
     try:

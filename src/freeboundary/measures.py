@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .words import (
     ReducedWord,
     canonical_letters,
     common_prefix_letters,
+    enumerate_annulus,
 )
 
 
@@ -270,30 +271,15 @@ def ahlfors_profile(mu: BoundaryMeasure, depths: Sequence[int], epsilon: float =
     """
     m = mu.metric
     rows: List[AhlforsRow] = []
-
-    def scan(depth: int) -> Tuple[float, float, float]:
-        if depth == 0:
-            return 1.0, 1.0, 1.0
+    for d in depths:
         lo, hi = math.inf, -math.inf
         radius = -math.inf
-
-        def rec(stem: Letters, mass, length):
-            nonlocal lo, hi, radius
-            if len(stem) == depth:
-                ratio = float(mass) * math.exp(mu.alpha * float(length))
-                lo = min(lo, ratio)
-                hi = max(hi, ratio)
-                radius = max(radius, math.exp(-float(epsilon) * float(length)))
-                return
-            for s in allowed_children(stem, mu.k):
-                step = mu.pi0[s] if not stem else mu.trans[(stem[-1], s)]
-                rec(stem + (s,), mass * step, length + m.letter_length(s))
-
-        rec((), Fraction(1) if mu.exact else 1.0, 0)
-        return lo, hi, radius
-
-    for d in depths:
-        lo, hi, radius = scan(d)
+        for g in enumerate_annulus(d, 0, MetricSpec.word(mu.k)):
+            length = m.length_of(g.letters)
+            ratio = float(mu.mass_letters(g.letters)) * math.exp(mu.alpha * float(length))
+            lo = min(lo, ratio)
+            hi = max(hi, ratio)
+            radius = max(radius, math.exp(-float(epsilon) * float(length)))
         rows.append(AhlforsRow(d, radius, lo, hi))
     gmin = min(r.min_ratio for r in rows)
     gmax = max(r.max_ratio for r in rows)
@@ -423,10 +409,6 @@ def green_metric_of_walk(walk: WalkSpec) -> MetricSpec:
     return MetricSpec("green", walk.k, lengths, walk=walk)
 
 
-def green_context(walk: WalkSpec, epsilon: float = 1.0, rho: float = 1) -> GroupContext:
-    return GroupContext(green_metric_of_walk(walk), epsilon=epsilon, rho=rho)
-
-
 # -- Monte-Carlo harmonic measure ---------------------------------------
 
 
@@ -447,28 +429,26 @@ def _letters_and_cum(walk: WalkSpec) -> Tuple[np.ndarray, np.ndarray]:
     return arr, cum
 
 
-def sample_boundary_prefixes(
-    walk: WalkSpec,
-    depth: int,
-    samples: int,
-    seed: int,
-    margin: int = 20,
-    horizon: int = 10_000,
-) -> Tuple[np.ndarray, int]:
-    """First ``depth`` letters of the limiting boundary point for a batch
-    of trajectories.
+_PREFIX_MARGIN = 20  # letters past the prefix depth that decide a trajectory
+_PREFIX_HORIZON = 10_000
+_PASSAGE_MARGIN = 40  # letters past |g| that certify a first-passage miss
+_PASSAGE_HORIZON = 100_000
 
-    A trajectory is decided once its word length reaches depth + margin:
-    the chance of ever backtracking below ``depth`` afterwards is
-    exponentially small in ``margin``.  Trajectories still undecided at
-    the horizon are counted, never silently dropped.
+
+def _run_walks(
+    walk: WalkSpec, samples: int, seed: int, cap: int, horizon: int, target: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run a batch of trajectories from the identity, kept as reduced words.
+
+    A trajectory stops once its word has ``cap`` letters or, given a
+    ``target`` word, once it equals the target.  Every step draws one
+    uniform per running trajectory, in index order.  Returns the word
+    buffers, the word lengths and the mask of trajectories still running
+    after ``horizon`` steps.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     rng = np.random.default_rng(seed)
     letters, cum = _letters_and_cum(walk)
-    target = max(depth + margin, 1)
-    words = np.zeros((samples, target), dtype=np.int8)
+    words = np.zeros((samples, cap), dtype=np.int8)
     lens = np.zeros(samples, dtype=np.int64)
     active = np.ones(samples, dtype=bool)
     for _ in range(horizon):
@@ -485,17 +465,34 @@ def sample_boundary_prefixes(
         grow = idx[~cancel]
         words[grow, lens[grow]] = chosen[~cancel]
         lens[grow] += 1
-        active[idx[lens[idx] >= target]] = False
-    decided_mask = ~active
-    prefixes = words[decided_mask, :depth].copy()
-    return prefixes, int(active.sum())
+        if target is not None:
+            at_len = idx[lens[idx] == target.size]
+            if at_len.size:
+                active[at_len[np.all(words[at_len, : target.size] == target, axis=1)]] = False
+        active[idx[lens[idx] >= cap]] = False
+    return words, lens, active
 
 
-def mc_cylinder_counts(
-    walk: WalkSpec, depth: int, samples: int, seed: int, margin: int = 20, horizon: int = 10_000
-) -> Tuple[Dict[Letters, int], int, int]:
+def sample_boundary_prefixes(walk: WalkSpec, depth: int, samples: int, seed: int) -> Tuple[np.ndarray, int]:
+    """First ``depth`` letters of the limiting boundary point for a batch
+    of trajectories.
+
+    A trajectory is decided once its word length reaches depth +
+    _PREFIX_MARGIN: the chance of ever backtracking below ``depth``
+    afterwards is exponentially small in that margin.  Trajectories still
+    undecided after _PREFIX_HORIZON steps are counted, never silently
+    dropped.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    cap = max(depth + _PREFIX_MARGIN, 1)
+    words, _, active = _run_walks(walk, samples, seed, cap, _PREFIX_HORIZON)
+    return words[~active, :depth].copy(), int(active.sum())
+
+
+def mc_cylinder_counts(walk: WalkSpec, depth: int, samples: int, seed: int) -> Tuple[Dict[Letters, int], int, int]:
     """Counts of decided trajectories per depth-d boundary prefix."""
-    prefixes, undecided = sample_boundary_prefixes(walk, depth, samples, seed, margin, horizon)
+    prefixes, undecided = sample_boundary_prefixes(walk, depth, samples, seed)
     counts: Dict[Letters, int] = {}
     if depth == 0:
         return {(): prefixes.shape[0]}, prefixes.shape[0], undecided
@@ -511,72 +508,31 @@ def _binomial_halfwidth(p: float, n: int) -> float:
     return 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-def harmonic_mass_mc(
-    walk: WalkSpec,
-    c: Cylinder,
-    samples: int,
-    seed: int,
-    margin: int = 20,
-    horizon: int = 10_000,
-) -> MCEstimate:
+def harmonic_mass_mc(walk: WalkSpec, c: Cylinder, samples: int, seed: int) -> MCEstimate:
     """Monte-Carlo harmonic mass of a cylinder with a 95% binomial CI."""
     if c.is_all:
         return MCEstimate(1.0, 0.0, samples, samples, 0)
     depth = len(c.stem)
-    counts, decided, undecided = mc_cylinder_counts(walk, depth, samples, seed, margin, horizon)
+    counts, decided, undecided = mc_cylinder_counts(walk, depth, samples, seed)
     hits = counts.get(c.stem, 0)
     est = hits / decided if decided else math.nan
     return MCEstimate(est, _binomial_halfwidth(est, decided), samples, decided, undecided)
 
 
-def mc_first_passage(
-    walk: WalkSpec,
-    g: ReducedWord,
-    samples: int,
-    seed: int,
-    margin: int = 40,
-    horizon: int = 100_000,
-) -> MCEstimate:
+def mc_first_passage(walk: WalkSpec, g: ReducedWord, samples: int, seed: int) -> MCEstimate:
     """Monte-Carlo estimate of the first-passage probability F(e, g).
 
-    A trajectory is a certified miss once its word length reaches
-    |g| + margin: from there the hitting probability is below
-    max_s f_s^margin.
+    A trajectory is a hit when its word first equals g, and a certified
+    miss once its word length reaches |g| + _PASSAGE_MARGIN: from there
+    the hitting probability is below max_s f_s^_PASSAGE_MARGIN.
     """
     n = len(g)
     if n == 0:
         return MCEstimate(1.0, 0.0, samples, samples, 0)
-    rng = np.random.default_rng(seed)
-    letters, cum = _letters_and_cum(walk)
-    cap = n + margin
     target = np.array(g.letters, dtype=np.int8)
-    words = np.zeros((samples, cap), dtype=np.int8)
-    lens = np.zeros(samples, dtype=np.int64)
-    active = np.ones(samples, dtype=bool)
-    hit = np.zeros(samples, dtype=bool)
-    for _ in range(horizon):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        draws = rng.random(idx.size)
-        chosen = letters[np.searchsorted(cum, draws, side="right")]
-        l = lens[idx]
-        last = words[idx, np.maximum(l - 1, 0)]
-        cancel = (l > 0) & (chosen == -last)
-        shrink = idx[cancel]
-        lens[shrink] -= 1
-        grow = idx[~cancel]
-        words[grow, lens[grow]] = chosen[~cancel]
-        lens[grow] += 1
-        at_len = idx[lens[idx] == n]
-        if at_len.size:
-            matches = at_len[np.all(words[at_len, :n] == target, axis=1)]
-            if matches.size:
-                hit[matches] = True
-                active[matches] = False
-        done = idx[lens[idx] >= cap]
-        active[done] = False
+    words, lens, active = _run_walks(walk, samples, seed, n + _PASSAGE_MARGIN, _PASSAGE_HORIZON, target)
+    hits = int(((lens == n) & np.all(words[:, :n] == target, axis=1)).sum())
     decided = int((~active).sum())
     undecided = int(active.sum())
-    est = int(hit.sum()) / decided if decided else math.nan
+    est = hits / decided if decided else math.nan
     return MCEstimate(est, _binomial_halfwidth(est, decided), samples, decided, undecided)

@@ -93,9 +93,6 @@ class StepFunction:
                     cells.append((c1, v1 * v2))
         return StepFunction(cells, self.k, validate=False)
 
-    def scale(self, factor: Value) -> "StepFunction":
-        return StepFunction([(c, v * factor) for c, v in self.cells], self.k, validate=False)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{c}:{v}" for c, v in self.cells[:6])
         more = "..." if len(self.cells) > 6 else ""

@@ -44,10 +44,6 @@ class QSqrt:
         self.base = base
 
     @classmethod
-    def rational(cls, x: RationalLike, base: int = 3) -> "QSqrt":
-        return cls(x, 0, base)
-
-    @classmethod
     def root_power(cls, j: int, base: int = 3) -> "QSqrt":
         """sqrt(base)**j for any integer j, exactly."""
         half, odd = divmod(j, 2)
@@ -179,10 +175,6 @@ class QSqrt:
     def __float__(self) -> float:
         return float(self.p) + float(self.q) * math.sqrt(self.base)
 
-    def conjugate(self) -> "QSqrt":
-        # values are real; complex conjugation is the identity
-        return self
-
     def __repr__(self) -> str:
         return f"QSqrt({self.p!r}, {self.q!r}, base={self.base})"
 
@@ -194,8 +186,6 @@ class QSqrt:
 
 def as_float(x) -> float:
     """Render any scalar backend value as a float (reporting only)."""
-    if isinstance(x, QSqrt):
-        return float(x)
     return float(x)
 
 

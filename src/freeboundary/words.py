@@ -118,17 +118,6 @@ class ReducedWord:
         return ReducedWord(self.letters[:n], _reduced=True)
 
 
-IDENTITY = ReducedWord(())
-
-
-def multiply(u: ReducedWord, v: ReducedWord) -> ReducedWord:
-    return u * v
-
-
-def invert(u: ReducedWord) -> ReducedWord:
-    return ~u
-
-
 @dataclass(frozen=True)
 class MetricSpec:
     """A left-invariant metric on F_k: word, generator-weighted, or Green.
@@ -168,10 +157,6 @@ class MetricSpec:
         if self.kind == "word":
             return 1
         return self.lengths[abs(s) - 1]
-
-    @property
-    def is_exact(self) -> bool:
-        return self.kind == "word"
 
     @property
     def max_letter_length(self):
@@ -216,7 +201,7 @@ def gromov_product(x: ReducedWord, y: ReducedWord, m: MetricSpec):
     return m.length_of(x.letters[:c])
 
 
-def enumerate_annulus(R, h, m: MetricSpec, *, max_letters: Optional[int] = None) -> Iterator[ReducedWord]:
+def enumerate_annulus(R, h, m: MetricSpec) -> Iterator[ReducedWord]:
     """Stream all g with metric length in [R-h, R+h], in canonical order.
 
     Depth-first with pruning: a prefix longer than R+h cuts its branch.
@@ -226,15 +211,14 @@ def enumerate_annulus(R, h, m: MetricSpec, *, max_letters: Optional[int] = None)
     if hi < 0:
         return
     letters = canonical_letters(m.k)
-    if max_letters is None:
-        max_letters = int(math.floor(float(hi) / float(m.min_letter_length))) + 1
+    max_len = int(math.floor(float(hi) / float(m.min_letter_length))) + 1
 
     stack_letters: list[Letter] = []
 
     def walk(length) -> Iterator[ReducedWord]:
         if lo <= length <= hi:
             yield ReducedWord(tuple(stack_letters), _reduced=True)
-        if len(stack_letters) >= max_letters:
+        if len(stack_letters) >= max_len:
             return
         last = stack_letters[-1] if stack_letters else None
         for s in letters:
@@ -343,8 +327,3 @@ def hat_projection(g: ReducedWord):
     if g.is_identity():
         return BoundaryPoint((), (1,))
     return BoundaryPoint(g.letters, (g.letters[-1],))
-
-
-def check_projection(g: ReducedWord):
-    """hat(g^-1), written g-check in the boundary-pair (hat(g), check(g))."""
-    return hat_projection(~g)

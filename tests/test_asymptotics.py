@@ -10,6 +10,7 @@ from freeboundary import (
     CoverError,
     GroupContext,
     MetricSpec,
+    OrthCase,
     PairStepFunction,
     QSqrt,
     ReducedWord,
@@ -281,8 +282,8 @@ def test_quadrilinear_boundedness(word_ctx, word_mu, one, ind_a):
 
 def test_orthogonality_sweep_orthogonal_case(word_ctx, word_mu, one, ind_a, ind_b):
     f1 = f2 = TestFunction.one(2)
-    report = orthogonality_sweep(
-        f1, f2, ind_a, ind_b, one, one, [4, 8, 12], word_ctx, word_mu, tolerance=0.32
+    (report,) = orthogonality_sweep(
+        f1, f2, [OrthCase("orthogonal", ind_a, one, ind_b, one)], [4, 8, 12], word_ctx, word_mu, tolerance=0.32
     )
     assert report.targets_exact[0] == "0"
     assert report.values[-1] <= 0.02

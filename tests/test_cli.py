@@ -201,7 +201,38 @@ def test_manifest_digests_match(tmp_path):
         assert hashlib.sha256(data).hexdigest() == entry["sha256"]
 
 
-def test_threads_flag_validated(tmp_path):
+def test_unknown_config_keys_and_schema_version_rejected(tmp_path, capsys):
+    typo = write_config(tmp_path, "t.json", {**BASE, "tolerence": 0.01})
+    assert main(["spec", "--config", str(typo), "--out", str(tmp_path / "t")]) == 1
+    assert "config error: tolerence: unknown key" in capsys.readouterr().err
+    nested = write_config(
+        tmp_path,
+        "n.json",
+        {**BASE, "vectors": {"ca": {"cells": [["a", "1"]], "constnat": "1"}}},
+    )
+    assert main(["spec", "--config", str(nested), "--out", str(tmp_path / "t")]) == 1
+    assert "vectors.ca.constnat: unknown key" in capsys.readouterr().err
+    case = write_config(tmp_path, "c.json", {**BASE, "cases": [{"name": "x", "v3": "one"}]})
+    assert main(["orth", "--config", str(case), "--out", str(tmp_path / "t")]) == 1
+    assert "cases[0].v3: unknown key" in capsys.readouterr().err
+    future = write_config(tmp_path, "v2.json", {**BASE, "schema_version": 2})
+    assert main(["spec", "--config", str(future), "--out", str(tmp_path / "t")]) == 1
+    assert "schema_version" in capsys.readouterr().err
+    current = write_config(tmp_path, "v1.json", {**BASE, "schema_version": 1})
+    assert main(["spec", "--config", str(current), "--out", str(tmp_path / "t")]) == 0
+
+
+def test_cache_entry_from_other_code_is_a_miss(tmp_path, monkeypatch):
+    from freeboundary import cli
+
     cfg = write_config(tmp_path, "c.json", BASE)
-    assert main(["spec", "--config", str(cfg), "--out", str(tmp_path / "t"), "--threads", "0"]) == 1
-    assert main(["spec", "--config", str(cfg), "--out", str(tmp_path / "t"), "--threads", "4"]) == 0
+    out = tmp_path / "out"
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+    assert main(["xi", "--config", str(cfg), "--out", str(out)]) == 0
+    stale = (out / "xi.csv").read_bytes()
+    monkeypatch.undo()
+    assert main(["xi", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["cache"] == {"hits": 0, "misses": 1}
+    assert (out / "xi.csv").read_bytes() == stale
+    assert len(list((out / "cache").glob("xi-*.json"))) == 2

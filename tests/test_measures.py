@@ -24,7 +24,7 @@ from freeboundary import (
     solve_first_passage,
     translate_cylinder_set,
 )
-from freeboundary.measures import mc_cylinder_counts
+from freeboundary.measures import MCEstimate, mc_cylinder_counts
 from freeboundary.words import canonical_letters
 
 W = ReducedWord.from_str
@@ -307,3 +307,17 @@ def test_markov_rows_export(word_mu):
     rows = word_mu.markov_rows()
     assert len(rows) == 4
     assert rows[0]["initial"] == Fraction(1, 4)
+
+
+def test_mc_outputs_pinned():
+    # exact outputs of the seeded kernels: any change to the order of the
+    # random draws or to the stopping rules shows here bit for bit
+    walk = WalkSpec.simple(2)
+    est = mc_first_passage(walk, ReducedWord.from_str("ab"), 2000, seed=5)
+    assert est == MCEstimate(0.1145, 0.013955265379060335, 2000, 2000, 0)
+    counts, decided, undecided = mc_cylinder_counts(walk, 2, 2000, seed=5)
+    assert (decided, undecided) == (2000, 0)
+    assert counts == {
+        (-2, -2): 161, (-2, -1): 171, (-2, 1): 176, (-1, -2): 172, (-1, -1): 153, (-1, 2): 185,
+        (1, -2): 167, (1, 1): 168, (1, 2): 180, (2, -1): 148, (2, 1): 153, (2, 2): 166,
+    }

@@ -868,30 +868,27 @@ def sphere_sum_sq(v: StepFunction, w: StepFunction, n: int, mu: BoundaryMeasure,
     total = QSqrt(0, 0, int(mu.omega))
     if n == 0:
         coef = matrix_coefficient(ReducedWord(()), v, w, mu)
-        return _as_qsqrt(coef, mu) * _as_qsqrt(coef, mu)
+        return coef * coef
     if n < 2 * d:
         for g in enumerate_annulus(n, 0, ctx.metric):
-            coef = _as_qsqrt(matrix_coefficient(g, v, w, mu), mu)
+            coef = matrix_coefficient(g, v, w, mu)
             total = total + coef * coef
         return total
     for p, s, c in sphere_classes(n, d, ctx.k):
         rep = ReducedWord(class_representative(p, s, n, ctx.k), _reduced=True)
-        coef = _as_qsqrt(matrix_coefficient(rep, v, w, mu), mu)
+        coef = matrix_coefficient(rep, v, w, mu)
         total = total + c * (coef * coef)
     return total
 
 
-def _as_qsqrt(x, mu: BoundaryMeasure) -> QSqrt:
-    if isinstance(x, QSqrt):
-        return x
-    return QSqrt(x, 0, int(mu.omega))
+def _rd_ratio(total, n: int, scale: float) -> float:
+    return math.sqrt(as_float(total)) / ((1 + n) * math.sqrt(scale))
 
 
 def annular_rd_ratio(v: StepFunction, w: StepFunction, n: int, mu: BoundaryMeasure, ctx: GroupContext) -> float:
     """r_n = (sum_{S_n} <pi(g)v,w>^2)^(1/2) / ((1+n) ||v|| ||w||)."""
-    total = sphere_sum_sq(v, w, n, mu, ctx)
     scale = as_float(norm_sq(v, mu)) * as_float(norm_sq(w, mu))
-    return math.sqrt(as_float(total)) / ((1 + n) * math.sqrt(scale))
+    return _rd_ratio(sphere_sum_sq(v, w, n, mu, ctx), n, scale)
 
 
 def rd_sweep(
@@ -904,9 +901,11 @@ def rd_sweep(
 ) -> SweepReport:
     ratios = []
     sums_exact = []
+    scale = as_float(norm_sq(v, mu)) * as_float(norm_sq(w, mu))
     for n in grid:
-        ratios.append(annular_rd_ratio(v, w, n, mu, ctx))
-        sums_exact.append(exact_str(sphere_sum_sq(v, w, n, mu, ctx)))
+        total = sphere_sum_sq(v, w, n, mu, ctx)
+        ratios.append(_rd_ratio(total, n, scale))
+        sums_exact.append(exact_str(total))
     sup_r = max(ratios)
     band = [r for n, r in zip(grid, ratios) if n >= 2]
     inf_r = min(band) if band else min(ratios)

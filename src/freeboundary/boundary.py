@@ -308,25 +308,30 @@ class CylinderSet:
         return f"CylinderSet({self})"
 
 
-def translate_cylinder(g: ReducedWord, c: Cylinder, k: Optional[int] = None) -> CylinderSet:
-    """The set g*C_w, exactly.
+def cylinder_image(g: Letters, stem: Letters) -> Tuple[Letters, bool]:
+    """The set g*C_stem as (u, complemented): C_u, or its complement.
 
-    Let v = g*w.  If v is not a proper prefix of g the image is C_v;
+    Let v = g*stem.  If v is not a proper prefix of g the image is C_v;
     if it is (the stem cancels into g, including v = e != g) the image is
     the complement of C_u with u one letter of g past v; C_e maps to the
-    whole boundary.
+    whole boundary C_e.
     """
+    if not stem:
+        return (), False
+    v = multiply_letters(g, stem)
+    if len(v) < len(g) and g[: len(v)] == v:
+        return g[: len(v) + 1], True
+    return v, False
+
+
+def translate_cylinder(g: ReducedWord, c: Cylinder, k: Optional[int] = None) -> CylinderSet:
+    """The set g*C_w, exactly (shape from ``cylinder_image``)."""
     if k is None:
         k = max((abs(s) for s in g.letters + c.stem), default=2)
         k = max(k, 2)
-    if c.is_all:
-        return CylinderSet.whole(k)
-    v = multiply_letters(g.letters, c.stem)
-    gl = g.letters
-    if len(v) < len(gl) and gl[: len(v)] == v:
-        u = gl[: len(v) + 1]
-        return CylinderSet.of(Cylinder(u), k).complement()
-    return CylinderSet.of(Cylinder(v), k)
+    stem, complemented = cylinder_image(g.letters, c.stem)
+    image = CylinderSet.of(Cylinder(stem), k)
+    return image.complement() if complemented else image
 
 
 def translate_cylinder_set(g: ReducedWord, S: CylinderSet) -> CylinderSet:

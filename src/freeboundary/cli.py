@@ -433,10 +433,10 @@ def cmd_spec(cfg: RunConfig, emit: Emitter) -> int:
         "perron_vector": {letter_to_str(s): str(pd.vector[s]) for s in letters},
     }
     rows = []
-    for s in letters:
-        row = {"state": letter_to_str(s), "initial": str(pd.pi0[s])}
+    for entry in ps_measure(ctx).markov_rows():
+        row = {"state": letter_to_str(entry["state"]), "initial": str(entry["initial"])}
         for t in letters:
-            row[f"to_{letter_to_str(t)}"] = str(pd.trans.get((s, t), 0))
+            row[f"to_{letter_to_str(t)}"] = str(entry[("to", t)])
         rows.append(row)
     emit.write_csv("markov.csv", rows)
     emit.write_json("spec_summary.json", payload)

@@ -119,6 +119,9 @@ def critical_exponent(m: MetricSpec, tol: float = 1e-13) -> Tuple[float, PerronD
     return alpha, PerronData(alpha, math.exp(alpha), False, vector, pi0, trans, residual)
 
 
+_ONE = Fraction(1)  # shared unit mass: building a Fraction costs about 1 us per mass walk
+
+
 class BoundaryMeasure:
     """Cylinder-mass functional of a Markov measure on the tree boundary.
 
@@ -147,13 +150,20 @@ class BoundaryMeasure:
         self.label = label
         self._xi_cache: Dict[object, object] = {}
 
-    def mass_letters(self, stem: Letters):
-        if not stem:
-            return Fraction(1) if self.exact else 1.0
-        out = self.pi0[stem[0]]
-        for i in range(1, len(stem)):
-            out = out * self.trans[(stem[i - 1], stem[i])]
+    def prefix_masses(self, stem: Letters, start: int = 0, mass=None) -> list:
+        """mass(C_{stem[:j]}) for j = start..|stem|, one Markov factor per
+        letter; a walk from start > 0 resumes from mass = mass(C_{stem[:start]})."""
+        if start == 0:
+            mass = _ONE if self.exact else 1.0
+        out = [mass]
+        trans = self.trans
+        for i in range(start, len(stem)):
+            mass = mass * trans[(stem[i - 1], stem[i])] if i else self.pi0[stem[0]]
+            out.append(mass)
         return out
+
+    def mass_letters(self, stem: Letters):
+        return self.prefix_masses(stem)[-1]
 
     def mass(self, c: Cylinder):
         return self.mass_letters(c.stem)

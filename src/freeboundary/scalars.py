@@ -10,6 +10,7 @@ comparisons.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Union
@@ -18,6 +19,7 @@ RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "QSqrt"]
 
 
+@functools.lru_cache(maxsize=64)
 def _is_square(n: int) -> bool:
     r = math.isqrt(n)
     return r * r == n
@@ -35,8 +37,10 @@ class QSqrt:
     def __init__(self, p: RationalLike = 0, q: RationalLike = 0, base: int = 3) -> None:
         if base < 2:
             raise ValueError(f"base must be an integer >= 2, got {base}")
-        p = Fraction(p)
-        q = Fraction(q)
+        if type(p) is not Fraction:
+            p = Fraction(p)
+        if type(q) is not Fraction:
+            q = Fraction(q)
         if q and _is_square(base):
             p, q = p + q * math.isqrt(base), Fraction(0)
         self.p = p
@@ -80,6 +84,8 @@ class QSqrt:
         return (-self) + other
 
     def __mul__(self, other: ScalarLike) -> "QSqrt":
+        if isinstance(other, (int, Fraction)):
+            return QSqrt(self.p * other, self.q * other, self.base)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .words import (
     canonical_letters,
     enumerate_annulus,
     hat_projection,
-    invert_letters,
     sphere_size,
 )
 
@@ -128,7 +127,7 @@ class ClassEntry:
     """One aggregation class of a weight family: every member g shares the
     normalized coefficients of step vectors up to the stated depth."""
 
-    mass: Fraction
+    mass: object  # Fraction on the word metric, float otherwise
     rep: ReducedWord
 
 
@@ -142,6 +141,22 @@ def sphere_classes(n: int, d: int, k: int) -> List[Tuple[Letters, Letters, int]]
             if c:
                 out.append((pw.letters, sw.letters, c))
     return out
+
+
+def sphere_class_table(n: int, d: int, k: int) -> List[Tuple[int, ReducedWord]]:
+    """(count, representative) per coefficient class of the word sphere S_n
+    at depth d >= 1, for every n >= 0.
+
+    Below n = 2d the first and last d letters overlap, so every word of
+    S_n (the identity at n = 0) is its own class; from n = 2d on the
+    classes are the (prefix, suffix) pairs of sphere_classes.
+    """
+    if n < 2 * d:
+        return [(1, g) for g in enumerate_annulus(n, 0, MetricSpec.word(k))]
+    return [
+        (c, ReducedWord(class_representative(p, s, n, k), _reduced=True))
+        for p, s, c in sphere_classes(n, d, k)
+    ]
 
 
 # -- canonical depth-m indexing of the letter tree ------------------------
@@ -198,39 +213,25 @@ def _resolution_depth(R, ctx: GroupContext) -> int:
 # -- weight families -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UniformSphere:
-    n: int
-
-
-@dataclass(frozen=True)
-class ShadowPartition:
-    rho: float
-    h: float
-    resolution: int
-
-
 class WeightFamily:
     """A probability weighting of an annulus.
 
-    Uniform sphere weights stay implicit (the support would be |S_n|
-    words); every other family carries its nonzero support as parallel
-    lists of words and masses (Fractions for the word metric, floats
-    otherwise).
+    Uniform sphere weights stay implicit (``words is None``: the support
+    would be |S_n| words); every other family carries its nonzero support
+    as parallel lists of words and masses (Fractions for the word metric,
+    floats otherwise).  Consumers read the family through class_entries.
     """
 
     def __init__(
         self,
         R,
         ctx: GroupContext,
-        provenance,
         words: Optional[List[Letters]] = None,
         masses: Optional[List] = None,
         annulus_size: Optional[int] = None,
     ):
         self.R = R
         self.ctx = ctx
-        self.provenance = provenance
         self.words = words
         self.masses = masses
         self.annulus_size = annulus_size
@@ -241,16 +242,14 @@ class WeightFamily:
 
     @property
     def uniform(self) -> bool:
-        return isinstance(self.provenance, UniformSphere)
+        return self.words is None
 
     @property
     def exact(self) -> bool:
         return self.ctx.metric.kind == "word"
 
     def support_size(self) -> int:
-        if self.uniform:
-            return sphere_size(self.provenance.n, self.ctx.k)
-        return len(self.words)
+        return self.annulus_size if self.uniform else len(self.words)
 
     def total(self):
         if self.uniform:
@@ -264,8 +263,7 @@ class WeightFamily:
 
     def mass_of(self, g: ReducedWord):
         if self.uniform:
-            n = self.provenance.n
-            return Fraction(1, self.support_size()) if len(g) == n else Fraction(0)
+            return Fraction(1, self.support_size()) if len(g) == self.R else Fraction(0)
         if self._index is None:
             self._index = {w: i for i, w in enumerate(self.words)}
         i = self._index.get(g.letters)
@@ -276,7 +274,7 @@ class WeightFamily:
     def entries(self) -> Iterator[Tuple[ReducedWord, object]]:
         if self.uniform:
             mass = Fraction(1, self.support_size())
-            for g in enumerate_annulus(self.provenance.n, 0, self.ctx.metric):
+            for g in enumerate_annulus(self.R, 0, self.ctx.metric):
                 yield g, mass
             return
         for w, mass in zip(self.words, self.masses):
@@ -285,24 +283,25 @@ class WeightFamily:
     # -- aggregation ------------------------------------------------------
 
     def class_entries(self, d: int) -> List[ClassEntry]:
-        """Aggregated masses per coefficient class at depth d (word metric)."""
-        if self.ctx.metric.kind != "word":
-            raise ValueError("class aggregation is exact only for the word metric")
+        """Aggregated masses per coefficient class at depth d.
+
+        Members of a class share |g| and, once |g| >= 2d, their first and
+        last d letters; on the word metric that fixes every depth-d
+        normalized coefficient and both depth-d boundary prefixes.  Float
+        (weighted or Green) supports get one entry per support word, in
+        support order, so float sums keep their order.
+        """
         d = max(1, d)
         if d in self._class_cache:
             return self._class_cache[d]
-        k = self.ctx.k
-        out: List[ClassEntry] = []
         if self.uniform:
-            n = self.provenance.n
             size = self.support_size()
-            if n < 2 * d:
-                for g in enumerate_annulus(n, 0, self.ctx.metric):
-                    out.append(ClassEntry(Fraction(1, size), g))
-            else:
-                for p, s, c in sphere_classes(n, d, k):
-                    rep = ReducedWord(class_representative(p, s, n, k), _reduced=True)
-                    out.append(ClassEntry(Fraction(c, size), rep))
+            out = [
+                ClassEntry(Fraction(c, size), rep)
+                for c, rep in sphere_class_table(self.R, d, self.ctx.k)
+            ]
+        elif not self.exact:
+            out = [ClassEntry(mass, g) for g, mass in self.entries()]
         else:
             buckets: Dict[Tuple, ClassEntry] = {}
             for w, mass in zip(self.words, self.masses):
@@ -321,21 +320,12 @@ class WeightFamily:
         of depth d2)."""
         table: Dict[Tuple[Letters, Letters], object] = {}
         zero = Fraction(0) if self.exact else 0.0
-        if self.uniform:
-            n = self.provenance.n
-            d = max(d1, d2, 1)
-            if n >= max(2 * d, d1 + d2):
-                size = self.support_size()
-                for p, s, c in sphere_classes(n, d, self.ctx.k):
-                    key = (p[:d1], invert_letters(s)[:d2])
-                    table[key] = table.get(key, zero) + Fraction(c, size)
-                return table
-        for g, mass in self.entries():
+        for entry in self.class_entries(max(d1, d2, 1)):
             key = (
-                hat_projection(g).prefix_letters(d1),
-                hat_projection(~g).prefix_letters(d2),
+                hat_projection(entry.rep).prefix_letters(d1),
+                hat_projection(~entry.rep).prefix_letters(d2),
             )
-            table[key] = table.get(key, zero) + mass
+            table[key] = table.get(key, zero) + entry.mass
         return table
 
 
@@ -345,7 +335,7 @@ def sphere_weights(n: int, ctx: GroupContext) -> WeightFamily:
         raise ValueError("sphere weights require the word metric")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return WeightFamily(n, ctx, UniformSphere(n), annulus_size=sphere_size(n, ctx.k))
+    return WeightFamily(n, ctx, annulus_size=sphere_size(n, ctx.k))
 
 
 @dataclass
@@ -359,6 +349,35 @@ class CoverReport:
     annulus_size: int
 
 
+class _ShadowSweep:
+    """The annulus in canonical order over the occupancy grid of depth-m
+    cylinder pairs: iterating yields (g, rows, cols, sub) per element, sub
+    the grid block of its double shadow, and marks that block occupied
+    when the loop resumes."""
+
+    def __init__(self, R, ctx: GroupContext, budget: int, what: str):
+        self.R = R
+        self.ctx = ctx
+        self.budget = budget
+        self.grid = SphereGrid(ctx.k, _resolution_depth(R, ctx))
+        if self.grid.size**2 > 64 * budget:
+            raise BudgetError(f"{what} grid {self.grid.size}^2 exceeds budget")
+        self.occupied = np.zeros((self.grid.size, self.grid.size), dtype=bool)
+        self.count = 0
+
+    def __iter__(self) -> Iterator[Tuple[ReducedWord, Tuple[int, int], Tuple[int, int], np.ndarray]]:
+        for g in enumerate_annulus(self.R, self.ctx.h, self.ctx.metric):
+            self.count += 1
+            if self.count > self.budget:
+                raise BudgetError(f"annulus at R={self.R} exceeds budget {self.budget}")
+            rect = shadow_pair(g, self.ctx)
+            rlo, rhi = self.grid.interval(rect.first.stem)
+            clo, chi = self.grid.interval(rect.second.stem)
+            sub = self.occupied[rlo:rhi, clo:chi]
+            yield g, (rlo, rhi), (clo, chi), sub
+            sub[:] = True
+
+
 def check_shadow_cover(R, ctx: GroupContext, budget: int = 10_000_000) -> CoverReport:
     """Exact finite check that double shadows of the annulus cover the
     boundary square, at the canonical resolution depth.
@@ -366,26 +385,15 @@ def check_shadow_cover(R, ctx: GroupContext, budget: int = 10_000_000) -> CoverR
     Failure is a valid outcome (it calibrates rho and h); the witness is
     an uncovered rectangle of depth-m cylinders.
     """
-    m = _resolution_depth(R, ctx)
-    grid = SphereGrid(ctx.k, m)
-    if grid.size**2 > 64 * budget:
-        raise BudgetError(f"cover grid {grid.size}^2 exceeds budget")
-    occupied = np.zeros((grid.size, grid.size), dtype=bool)
-    count = 0
-    for g in enumerate_annulus(R, ctx.h, ctx.metric):
-        count += 1
-        if count > budget:
-            raise BudgetError(f"annulus at R={R} exceeds budget {budget}")
-        rect = shadow_pair(g, ctx)
-        rlo, rhi = grid.interval(rect.first.stem)
-        clo, chi = grid.interval(rect.second.stem)
-        occupied[rlo:rhi, clo:chi] = True
-    covered = bool(occupied.all())
+    sweep = _ShadowSweep(R, ctx, budget, "cover")
+    for _ in sweep:
+        pass
+    covered = bool(sweep.occupied.all())
     witness = None
     if not covered:
-        i, j = np.argwhere(~occupied)[0]
-        witness = CylinderRectangle(Cylinder(grid.unrank(int(i))), Cylinder(grid.unrank(int(j))))
-    return CoverReport(covered, witness, R, ctx.rho, ctx.h, m, count)
+        i, j = np.argwhere(~sweep.occupied)[0]
+        witness = CylinderRectangle(Cylinder(sweep.grid.unrank(int(i))), Cylinder(sweep.grid.unrank(int(j))))
+    return CoverReport(covered, witness, R, ctx.rho, ctx.h, sweep.grid.m, sweep.count)
 
 
 def build_partition_weights(R, ctx: GroupContext, budget: int = 10_000_000) -> WeightFamily:
@@ -397,15 +405,11 @@ def build_partition_weights(R, ctx: GroupContext, budget: int = 10_000_000) -> W
     word metric.  If any resolution cell stays unclaimed the cover has
     failed and the builder raises instead of renormalizing.
     """
-    m = _resolution_depth(R, ctx)
-    grid = SphereGrid(ctx.k, m)
-    if grid.size**2 > 64 * budget:
-        raise BudgetError(f"partition grid {grid.size}^2 exceeds budget")
-    metric = ctx.metric
-    exact = metric.kind == "word"
-    occupied = np.zeros((grid.size, grid.size), dtype=bool)
+    sweep = _ShadowSweep(R, ctx, budget, "partition")
+    grid = sweep.grid
+    exact = ctx.metric.kind == "word"
     if exact:
-        cell = Fraction(1, 2 * ctx.k) * Fraction(1, 2 * ctx.k - 1) ** (m - 1)
+        cell = Fraction(1, 2 * ctx.k) * Fraction(1, 2 * ctx.k - 1) ** (grid.m - 1)
         cell_sq = cell * cell
     else:
         mu = ps_measure(ctx)
@@ -413,15 +417,7 @@ def build_partition_weights(R, ctx: GroupContext, budget: int = 10_000_000) -> W
 
     words: List[Letters] = []
     masses: List = []
-    count = 0
-    for g in enumerate_annulus(R, ctx.h, metric):
-        count += 1
-        if count > budget:
-            raise BudgetError(f"annulus at R={R} exceeds budget {budget}")
-        rect = shadow_pair(g, ctx)
-        rlo, rhi = grid.interval(rect.first.stem)
-        clo, chi = grid.interval(rect.second.stem)
-        sub = occupied[rlo:rhi, clo:chi]
+    for g, (rlo, rhi), (clo, chi), sub in sweep:
         free = ~sub
         taken = int(free.sum())
         if taken:
@@ -430,13 +426,12 @@ def build_partition_weights(R, ctx: GroupContext, budget: int = 10_000_000) -> W
                 masses.append(taken * cell_sq)
             else:
                 masses.append(float(np.outer(cell_masses[rlo:rhi], cell_masses[clo:chi])[free].sum()))
-            sub[:] = True
-    if not occupied.all():
+    if not sweep.occupied.all():
         raise CoverError(
             f"shadows at R={R}, rho={ctx.rho}, h={ctx.h} do not cover; "
             "raise rho or h (renormalizing would fake the cover)"
         )
-    fam = WeightFamily(R, ctx, ShadowPartition(ctx.rho, ctx.h, m), words, masses, annulus_size=count)
+    fam = WeightFamily(R, ctx, words, masses, annulus_size=sweep.count)
     assert not exact or fam.total() == 1
     return fam
 
@@ -616,10 +611,10 @@ def phi_r_pairs(
     the normalized coefficients are computed once per class per pair, so
     a full combination grid costs no more than one slot pair would.
 
-    Word metric: summed exactly over coefficient classes of the boundary
-    parts of f1 and f2; the value lives in Q(sqrt(omega)).  Other metrics
-    iterate the explicit support.  Interior perturbations are then added
-    as corrections at the finitely many group elements they touch.
+    Summed over the weights' coefficient classes at the depth of the
+    vectors and of the boundary parts of f1 and f2; on the word metric the
+    value is exact in Q(sqrt(omega)).  Interior perturbations are then
+    added as corrections at the finitely many group elements they touch.
     """
     d = max(
         1,
@@ -638,14 +633,9 @@ def phi_r_pairs(
             for j in range(len(pairs)):
                 row[j] = row[j] + factor * ncs[i] * ncs[j]
 
-    if weights.ctx.metric.kind == "word":
-        stream: Iterable[Tuple[object, ReducedWord]] = (
-            (entry.mass, entry.rep) for entry in weights.class_entries(d)
-        )
-    else:
-        stream = ((mass, g) for g, mass in weights.entries())
-    for mass, g in stream:
-        add(g, mass * f1.boundary.value_at(hat_projection(g)) * f2.boundary.value_at(hat_projection(~g)))
+    for entry in weights.class_entries(d):
+        g = entry.rep
+        add(g, entry.mass * f1.boundary.value_at(hat_projection(g)) * f2.boundary.value_at(hat_projection(~g)))
     for g0 in set(f1.interior) | {~g for g in f2.interior}:
         mass = weights.mass_of(g0)
         if mass:
@@ -740,23 +730,6 @@ class SweepReport:
     passed: bool = True
     partial: bool = False
     extras: Dict[str, List] = field(default_factory=dict)
-
-    def rows(self) -> List[dict]:
-        out = []
-        for i, x in enumerate(self.grid):
-            row = {
-                self.param: x,
-                "value": self.values[i],
-                "value_exact": self.values_exact[i],
-                "target": self.targets[i],
-                "target_exact": self.targets_exact[i],
-                "abs_error": self.abs_errors[i],
-                "rel_error": self.rel_errors[i],
-            }
-            for key, col in self.extras.items():
-                row[key] = col[i]
-            out.append(row)
-        return out
 
     def summary(self) -> dict:
         return {
@@ -864,18 +837,8 @@ def sphere_sum_sq(v: StepFunction, w: StepFunction, n: int, mu: BoundaryMeasure,
     """sum over S_n of <pi(g)v, w>^2, exactly (word metric)."""
     if ctx.metric.kind != "word":
         raise ValueError("sphere sums require the word metric")
-    d = max(1, v.depth(), w.depth())
     total = QSqrt(0, 0, int(mu.omega))
-    if n == 0:
-        coef = matrix_coefficient(ReducedWord(()), v, w, mu)
-        return coef * coef
-    if n < 2 * d:
-        for g in enumerate_annulus(n, 0, ctx.metric):
-            coef = matrix_coefficient(g, v, w, mu)
-            total = total + coef * coef
-        return total
-    for p, s, c in sphere_classes(n, d, ctx.k):
-        rep = ReducedWord(class_representative(p, s, n, ctx.k), _reduced=True)
+    for c, rep in sphere_class_table(n, max(1, v.depth(), w.depth()), ctx.k):
         coef = matrix_coefficient(rep, v, w, mu)
         total = total + c * (coef * coef)
     return total

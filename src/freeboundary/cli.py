@@ -89,6 +89,18 @@ def _parse_fraction(value, path: str) -> Fraction:
     raise ConfigError(path, f"expected a rational 'p/q' string or integer, got {type(value).__name__}")
 
 
+def _parse_int(value, path: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(path, f"expected an integer, got {value!r}")
+
+
+def _parse_float(value, path: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(path, f"expected a number, got {value!r}")
+
+
 _TOP_KEYS = {
     "schema_version", "group", "metric", "epsilon", "rho", "h", "grid", "weights", "depth",
     "tolerance", "seed", "samples", "budget", "vectors", "functions", "cases", "walk", "v", "w",
@@ -179,8 +191,15 @@ def _parse_function(spec, k: int, path: str) -> TestFunction:
     _check_keys(spec, {"boundary", "interior"}, path)
     boundary = _parse_vector(spec.get("boundary", {"constant": 1}), k, f"{path}.boundary")
     interior = {}
-    for word, value in spec.get("interior", {}).items():
-        interior[ReducedWord.from_str(word)] = _parse_fraction(value, f"{path}.interior.{word}")
+    interior_spec = spec.get("interior", {})
+    if not isinstance(interior_spec, dict):
+        raise ConfigError(f"{path}.interior", "expected an object")
+    for word, value in interior_spec.items():
+        try:
+            g = ReducedWord.from_str(word)
+        except ValueError as exc:
+            raise ConfigError(f"{path}.interior.{word}", str(exc)) from None
+        interior[g] = _parse_fraction(value, f"{path}.interior.{word}")
     return TestFunction(boundary, interior)
 
 
@@ -194,7 +213,7 @@ class RunConfig:
             raise ConfigError("schema_version", f"unsupported version {version!r} (expected {SCHEMA_VERSION})")
         group = raw.get("group", {})
         _check_keys(group, {"rank"}, "group")
-        self.k = int(group.get("rank", 2))
+        self.k = _parse_int(group.get("rank", 2), "group.rank")
         if self.k < 2:
             raise ConfigError("group.rank", "rank must be >= 2")
         if self.k > 26:
@@ -204,23 +223,47 @@ class RunConfig:
         self.rho = _parse_fraction(raw.get("rho", 1), "rho")
         self.h = None if raw.get("h") is None else _parse_fraction(raw["h"], "h")
         grid = raw.get("grid", [4, 6, 8, 10, 12])
-        if not isinstance(grid, list) or not grid or any(
-            grid[i] >= grid[i + 1] for i in range(len(grid) - 1)
-        ):
+        if not isinstance(grid, list) or not grid:
+            raise ConfigError("grid", "grid must be a nonempty strictly increasing list")
+        for i, x in enumerate(grid):
+            _parse_float(x, f"grid[{i}]")
+        if any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):
             raise ConfigError("grid", "grid must be a nonempty strictly increasing list")
         self.grid = grid
         self.weights_kind = raw.get("weights", "sphere")
         if self.weights_kind not in ("sphere", "shadow"):
             raise ConfigError("weights", f"unknown weights kind {self.weights_kind!r}")
-        self.depth = int(raw.get("depth", 2))
-        self.tolerance = float(raw.get("tolerance", 0.05))
-        self.seed = int(raw.get("seed", 0))
-        self.samples = int(raw.get("samples", 100_000))
-        self.budget = int(raw.get("budget", 10_000_000))
+        self.depth = _parse_int(raw.get("depth", 2), "depth")
+        # absent: each subcommand applies its own default (orth 0.05, equidist 0.02)
+        self.tolerance = _parse_float(raw["tolerance"], "tolerance") if "tolerance" in raw else None
+        self.seed = _parse_int(raw.get("seed", 0), "seed")
+        self.samples = _parse_int(raw.get("samples", 100_000), "samples")
+        self.budget = _parse_int(raw.get("budget", 10_000_000), "budget")
+        self.rho_max = _parse_int(raw.get("rho_max", 3), "rho_max")
+        self.lower_band = _parse_float(raw.get("lower_band", 0.3), "lower_band")
+        self.fiber_r_max = _parse_int(raw.get("fiber_r_max", 6), "fiber_r_max")
+        self.trials = _parse_int(raw.get("trials", 3), "trials")
+        self.ratio_cap = _parse_float(raw.get("ratio_cap", 4.0), "ratio_cap")
+        self.ancona_words = _parse_int(raw.get("ancona_words", 20), "ancona_words")
+        self.ancona_max_len = _parse_int(raw.get("ancona_max_len", 6), "ancona_max_len")
+        self.ancona_samples = _parse_int(raw.get("ancona_samples", max(self.samples // 5, 10_000)), "ancona_samples")
+        triples = raw.get("triples", [[2, 2, 2], [2, 3, 3], [3, 3, 4]])
+        if not isinstance(triples, list):
+            raise ConfigError("triples", "expected a list")
+        self.triples = []
+        for i, t in enumerate(triples):
+            if not (isinstance(t, list) and len(t) == 3):
+                raise ConfigError(f"triples[{i}]", f"expected [R, R', R''], got {t!r}")
+            self.triples.append(tuple(_parse_int(x, f"triples[{i}][{j}]") for j, x in enumerate(t)))
+        vectors = raw.get("vectors", {})
+        if not isinstance(vectors, dict):
+            raise ConfigError("vectors", "expected an object")
         self.vectors = {
             name: _parse_vector(spec, self.k, f"vectors.{name}")
-            for name, spec in raw.get("vectors", {}).items()
+            for name, spec in vectors.items()
         }
+        self.v = raw.get("v", "one")
+        self.w = raw.get("w", "one")
         functions = raw.get("functions", {})
         _check_keys(functions, {"f1", "f2"}, "functions")
         self.f1 = _parse_function(functions.get("f1"), self.k, "functions.f1")
@@ -242,7 +285,7 @@ class RunConfig:
     def vector(self, name: str) -> StepFunction:
         if name in ("1", "one"):
             return self._one
-        if name not in self.vectors:
+        if not isinstance(name, str) or name not in self.vectors:
             raise ConfigError(f"vectors.{name}", "vector not defined")
         return self.vectors[name]
 
@@ -445,7 +488,7 @@ def cmd_spec(cfg: RunConfig, emit: Emitter) -> int:
     return 0
 
 
-def cmd_xi(cfg: RunConfig, emit: Emitter, cache: Cache) -> int:
+def cmd_xi(cfg: RunConfig, emit: Emitter) -> int:
     ctx = cfg.context()
     mu = ps_measure(ctx)
     n_max = int(cfg.grid[-1])
@@ -458,7 +501,7 @@ def cmd_xi(cfg: RunConfig, emit: Emitter, cache: Cache) -> int:
         "n_max": n_max,
     }
     t0 = time.monotonic()
-    payload = cache.get("xi", key)
+    payload = emit.cache.get("xi", key)
     if payload is None:
         if cfg.metric.kind != "word":
             raise ConfigError("metric.kind", "the xi table is indexed by length only for the word metric")
@@ -467,7 +510,7 @@ def cmd_xi(cfg: RunConfig, emit: Emitter, cache: Cache) -> int:
             xi = harish_chandra_length(n, mu)
             table.append({"n": n, "xi_exact": exact_str(xi), "xi": repr(as_float(xi))})
         payload = table
-        cache.put("xi", key, payload)
+        emit.cache.put("xi", key, payload)
     emit.timings["xi_table"] = time.monotonic() - t0
     rows = [
         {"n": entry["n"], "xi": entry["xi"], "xi_exact": entry["xi_exact"]}
@@ -487,14 +530,13 @@ def cmd_xi(cfg: RunConfig, emit: Emitter, cache: Cache) -> int:
     return 0
 
 
-def cmd_cover(cfg: RunConfig, emit: Emitter, cache: Cache) -> int:
-    rho_max = int(cfg.raw.get("rho_max", 3))
+def cmd_cover(cfg: RunConfig, emit: Emitter) -> int:
     rows = []
     ok = True
     for R in cfg.grid:
         minimal = None
         witness = ""
-        for rho in range(rho_max + 1):
+        for rho in range(cfg.rho_max + 1):
             key = {
                 "kind": "cover",
                 "k": cfg.k,
@@ -505,7 +547,7 @@ def cmd_cover(cfg: RunConfig, emit: Emitter, cache: Cache) -> int:
                 "h": str(cfg.h) if cfg.h is not None else "default",
                 "R": R,
             }
-            payload = cache.get("cover", key)
+            payload = emit.cache.get("cover", key)
             if payload is None:
                 ctx = GroupContext(
                     cfg.metric,
@@ -520,7 +562,7 @@ def cmd_cover(cfg: RunConfig, emit: Emitter, cache: Cache) -> int:
                     "resolution": rep.resolution,
                     "annulus_size": rep.annulus_size,
                 }
-                cache.put("cover", key, payload)
+                emit.cache.put("cover", key, payload)
             if payload["covered"]:
                 minimal = rho
                 break
@@ -535,7 +577,7 @@ def cmd_cover(cfg: RunConfig, emit: Emitter, cache: Cache) -> int:
         )
         ok = ok and minimal is not None
     emit.write_csv("cover.csv", rows)
-    emit.write_json("cover_summary.json", {"rows": rows, "rho_max": rho_max, "passed": ok})
+    emit.write_json("cover_summary.json", {"rows": rows, "rho_max": cfg.rho_max, "passed": ok})
     for row in rows:
         print(f"R={row['R']}: minimal covering rho = {row['minimal_rho']}")
     return 0 if ok else 2
@@ -544,7 +586,7 @@ def cmd_cover(cfg: RunConfig, emit: Emitter, cache: Cache) -> int:
 def cmd_equidist(cfg: RunConfig, emit: Emitter) -> int:
     ctx = cfg.context()
     mu = ps_measure(ctx)
-    tol = float(cfg.raw.get("tolerance", 0.02))
+    tol = 0.02 if cfg.tolerance is None else cfg.tolerance
     rows = []
     probe_errors = []
     t0 = time.monotonic()
@@ -591,6 +633,9 @@ def cmd_equidist(cfg: RunConfig, emit: Emitter) -> int:
 
 
 def cmd_orth(cfg: RunConfig, emit: Emitter) -> int:
+    if cfg.weights_kind == "sphere" and cfg.metric.kind != "word":
+        raise ConfigError("weights", "sphere weights require the word metric")
+    tol = 0.05 if cfg.tolerance is None else cfg.tolerance
     ctx = cfg.context()
     mu = ps_measure(ctx)
     cases = [
@@ -625,12 +670,12 @@ def cmd_orth(cfg: RunConfig, emit: Emitter) -> int:
     emit.write_csv("orth.csv", rows)
     finals = {rep.name: rep.rel_errors[-1] for rep in reports if rep.rel_errors}
     partial = reports[0].partial
-    passed = bool(finals) and all(v <= cfg.tolerance for v in finals.values()) and not partial
+    passed = bool(finals) and all(v <= tol for v in finals.values()) and not partial
     emit.write_json(
         "orth_summary.json",
         {
             "weights": cfg.weights_kind,
-            "tolerance": cfg.tolerance,
+            "tolerance": tol,
             "final_rel_errors": finals,
             "passed": passed,
             "partial": partial,
@@ -639,7 +684,7 @@ def cmd_orth(cfg: RunConfig, emit: Emitter) -> int:
     emit.write_plot_script("orth", "orth.csv", "R", "abs_error")
     emit.flags["partial"] = partial
     for name, rel in finals.items():
-        print(f"{name}: final rel error {rel:.6g} (tol {cfg.tolerance})")
+        print(f"{name}: final rel error {rel:.6g} (tol {tol})")
     if partial:
         return 3
     return 0 if passed else 2
@@ -648,11 +693,11 @@ def cmd_orth(cfg: RunConfig, emit: Emitter) -> int:
 def cmd_rd(cfg: RunConfig, emit: Emitter) -> int:
     ctx = cfg.context()
     mu = ps_measure(ctx)
-    v = cfg.vector(cfg.raw.get("v", "one"))
-    w = cfg.vector(cfg.raw.get("w", "one"))
+    v = cfg.vector(cfg.v)
+    w = cfg.vector(cfg.w)
     grid = [int(n) for n in cfg.grid]
     t0 = time.monotonic()
-    report = rd_sweep(v, w, grid, ctx, mu, lower_band=float(cfg.raw.get("lower_band", 0.3)))
+    report = rd_sweep(v, w, grid, ctx, mu, lower_band=cfg.lower_band)
     emit.timings["rd"] = time.monotonic() - t0
     rows = [
         {"n": n, "ratio": repr(report.values[i]), "sum_sq_exact": report.values_exact[i]}
@@ -670,37 +715,34 @@ def cmd_rd(cfg: RunConfig, emit: Emitter) -> int:
 
 def cmd_conv(cfg: RunConfig, emit: Emitter) -> int:
     ctx = cfg.context()
-    r_max = int(cfg.raw.get("fiber_r_max", 6))
     t0 = time.monotonic()
-    fibers = fiber_size_report(r_max, cfg.k)
+    fibers = fiber_size_report(cfg.fiber_r_max, cfg.k)
     emit.timings["fibers"] = time.monotonic() - t0
-    triples = [tuple(t) for t in cfg.raw.get("triples", [[2, 2, 2], [2, 3, 3], [3, 3, 4]])]
     t0 = time.monotonic()
-    check = rd_convolution_check(triples, ctx, trials=int(cfg.raw.get("trials", 3)), seed=cfg.seed, budget=cfg.budget)
+    check = rd_convolution_check(cfg.triples, ctx, trials=cfg.trials, seed=cfg.seed, budget=cfg.budget)
     emit.timings["random_trials"] = time.monotonic() - t0
-    cap = float(cfg.raw.get("ratio_cap", 4.0))
     rows = [
         {"defect_p": p, "max_fiber": fibers.max_by_defect[p], "bound": 1 if p == 0 else 2 * cfg.k * (2 * cfg.k - 1) ** (p - 1)}
         for p in sorted(fibers.max_by_defect)
     ]
     emit.write_csv("conv_fibers.csv", rows)
-    passed = fibers.extremal_ok and fibers.bound_ok and check.max_restricted_ratio <= cap
+    passed = fibers.extremal_ok and fibers.bound_ok and check.max_restricted_ratio <= cfg.ratio_cap
     emit.write_json(
         "conv_summary.json",
         {
-            "fiber_r_max": r_max,
+            "fiber_r_max": cfg.fiber_r_max,
             "extremal_fibers_all_one": fibers.extremal_ok,
             "fiber_bound_ok": fibers.bound_ok,
             "max_restricted_ratio": check.max_restricted_ratio,
             "max_full_ratio_over_1pR": check.max_full_ratio_over_1pR,
-            "ratio_cap": cap,
+            "ratio_cap": cfg.ratio_cap,
             "triples": [list(t) for t in check.grid],
             "passed": passed,
         },
     )
     print(
-        f"fibers exhaustive to R,R'<= {r_max}: extremal size-1 {fibers.extremal_ok}, bound {fibers.bound_ok}; "
-        f"max restricted conv ratio {check.max_restricted_ratio:.4f} (cap {cap})"
+        f"fibers exhaustive to R,R'<= {cfg.fiber_r_max}: extremal size-1 {fibers.extremal_ok}, bound {fibers.bound_ok}; "
+        f"max restricted conv ratio {check.max_restricted_ratio:.4f} (cap {cfg.ratio_cap})"
     )
     return 0 if passed else 2
 
@@ -708,8 +750,8 @@ def cmd_conv(cfg: RunConfig, emit: Emitter) -> int:
 def cmd_gvb(cfg: RunConfig, emit: Emitter) -> int:
     ctx = cfg.context()
     mu = ps_measure(ctx)
-    v = cfg.vector(cfg.raw.get("v", "one"))
-    w = cfg.vector(cfg.raw.get("w", "one"))
+    v = cfg.vector(cfg.v)
+    w = cfg.vector(cfg.w)
     grid = [int(n) for n in cfg.grid]
     t0 = time.monotonic()
     report = gvb_growth(v, w, grid, ctx, mu)
@@ -740,7 +782,7 @@ def cmd_green(cfg: RunConfig, emit: Emitter) -> int:
     alpha, pd = critical_exponent(metric)
     ctx = GroupContext(metric, epsilon=cfg.epsilon, rho=cfg.rho)
     mu = ps_measure(ctx)
-    depth = min(int(cfg.raw.get("depth", 2)), 4)
+    depth = min(cfg.depth, 4)
     t0 = time.monotonic()
     counts, decided, undecided = mc_cylinder_counts(walk, depth, cfg.samples, cfg.seed)
     emit.timings["mc_cylinders"] = time.monotonic() - t0
@@ -802,10 +844,8 @@ def _ancona_words(cfg: RunConfig, walk: WalkSpec, fp, emit: Emitter):
     rng = np.random.default_rng(cfg.seed + 1)
     letters = canonical_letters(cfg.k)
     words = []
-    count = int(cfg.raw.get("ancona_words", 20))
-    max_len = int(cfg.raw.get("ancona_max_len", 6))
-    while len(words) < count:
-        length = int(rng.integers(1, max_len + 1))
+    while len(words) < cfg.ancona_words:
+        length = int(rng.integers(1, cfg.ancona_max_len + 1))
         seq: List[int] = []
         for _ in range(length):
             options = [s for s in letters if not seq or s != -seq[-1]]
@@ -815,11 +855,10 @@ def _ancona_words(cfg: RunConfig, walk: WalkSpec, fp, emit: Emitter):
             words.append(w)
     rows = []
     inside = 0
-    samples = int(cfg.raw.get("ancona_samples", max(cfg.samples // 5, 10_000)))
     t0 = time.monotonic()
     for i, wl in enumerate(words):
         g = ReducedWord(wl, _reduced=True)
-        est = mc_first_passage(walk, g, samples, cfg.seed + 100 + i)
+        est = mc_first_passage(walk, g, cfg.ancona_samples, cfg.seed + 100 + i)
         product = 1.0
         for s in wl:
             product *= float(fp.values[s])
@@ -883,14 +922,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg.budget = args.budget
     if args.seed is not None:
         cfg.seed = args.seed
-    cache = Cache(args.out / "cache", enabled=not args.no_cache)
-    emit = Emitter(args.out, cfg, args.subcommand, cache)
+    emit = Emitter(args.out, cfg, args.subcommand, Cache(args.out / "cache", enabled=not args.no_cache))
     try:
-        handler = COMMANDS[args.subcommand]
-        if handler in (cmd_xi, cmd_cover):
-            code = handler(cfg, emit, cache)
-        else:
-            code = handler(cfg, emit)
+        code = COMMANDS[args.subcommand](cfg, emit)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

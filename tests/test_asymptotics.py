@@ -17,6 +17,7 @@ from freeboundary import (
     StepFunction,
     TestFunction,
     annular_rd_ratio,
+    apply_pi,
     build_partition_weights,
     check_shadow_cover,
     convolve,
@@ -26,6 +27,8 @@ from freeboundary import (
     fiber_size_report,
     gvb_growth,
     harish_chandra_length,
+    hat_projection,
+    inner_product,
     max_rectangle_error,
     max_uniform_rectangle_error,
     normalized_coefficient,
@@ -41,7 +44,6 @@ from freeboundary import (
     sphere_weights,
 )
 from freeboundary.asymptotics import (
-    ShadowPartition,
     SphereGrid,
     class_representative,
     sphere_classes,
@@ -112,8 +114,7 @@ def test_cover_check(word_ctx):
     rho0 = GroupContext(MetricSpec.word(2), rho=0)
     rep = check_shadow_cover(7, rho0)
     assert not rep.covered and rep.witness is not None
-    # parity gap: the witness rectangle is genuinely uncovered
-    assert check_shadow_cover(8, rho0).covered is False or True  # even case recorded below
+    assert not check_shadow_cover(8, rho0).covered
 
 
 def test_cover_minimal_rho_is_one(word_ctx):
@@ -127,7 +128,6 @@ def test_partition_weights_basic(word_ctx, word_mu):
     for R in (4, 6, 8, 10):
         wf = build_partition_weights(R, word_ctx)
         assert wf.total() == 1
-        assert isinstance(wf.provenance, ShadowPartition)
         assert wf.support_size() < wf.annulus_size  # eaten shadows dropped
         # condition (3): max mass comparable to 1/|A_R|
         assert float(wf.max_mass() * wf.annulus_size) <= 8.0
@@ -323,6 +323,38 @@ def test_sphere_sum_consistency(word_ctx, word_mu, one):
         total = sphere_sum_sq(one, one, n, word_mu, word_ctx)
         xi = harish_chandra_length(n, word_mu)
         assert total == sphere_size(n, 2) * xi * xi
+
+
+def _brute_pair_table(wf, d1, d2):
+    table = {}
+    for g, mass in wf.entries():
+        key = (hat_projection(g).prefix_letters(d1), hat_projection(~g).prefix_letters(d2))
+        table[key] = table.get(key, 0) + mass
+    return table
+
+
+def test_class_aggregation_matches_per_word_sums(word_ctx, word_mu):
+    # pair tables and sphere sums read the weights' class table; at depth
+    # d = 2 check them against per-word sums on both sides of |g| = 2d
+    d1, d2 = 1, 2
+    radii = (0, 1, 3, 4, 5)  # 0, 1, 2d-1, 2d, 2d+1
+    weighted_ctx = GroupContext(MetricSpec.weighted(2, [1, 2]), h=1)
+    for R in radii:
+        for wf in (sphere_weights(R, word_ctx), build_partition_weights(R, word_ctx)):
+            assert wf.pair_table(d1, d2) == _brute_pair_table(wf, d1, d2)
+        wf = build_partition_weights(R, weighted_ctx)
+        fast = wf.pair_table(d1, d2)
+        slow = _brute_pair_table(wf, d1, d2)
+        assert fast.keys() == slow.keys()
+        assert all(abs(fast[key] - slow[key]) < 1e-12 for key in slow)
+    v = StepFunction.from_pairs([("ab", Fraction(1)), ("B", Fraction(1, 2))], 2)
+    w = StepFunction.from_pairs([("a", Fraction(2)), ("bA", Fraction(1))], 2, constant=Fraction(1, 3))
+    for n in radii:
+        slow = QSqrt(0, 0, 3)
+        for g in enumerate_sphere(n, word_ctx.metric):
+            coef = inner_product(apply_pi(g, v, word_mu), w, word_mu)
+            slow = slow + coef * coef
+        assert sphere_sum_sq(v, w, n, word_mu, word_ctx) == slow
 
 
 def test_annular_rd_values(word_ctx, word_mu, one):

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from freeboundary.cli import main
 
 
@@ -236,3 +238,33 @@ def test_cache_entry_from_other_code_is_a_miss(tmp_path, monkeypatch):
     assert manifest["cache"] == {"hits": 0, "misses": 1}
     assert (out / "xi.csv").read_bytes() == stale
     assert len(list((out / "cache").glob("xi-*.json"))) == 2
+
+
+@pytest.mark.parametrize(
+    "subcommand, patch, path",
+    [
+        ("spec", {"depth": "x"}, "depth"),
+        ("cover", {"rho_max": "x"}, "rho_max"),
+        ("spec", {"group": {"rank": "x"}}, "group.rank"),
+        ("equidist", {"tolerance": "tight"}, "tolerance"),
+        ("conv", {"triples": [[2, 2]]}, "triples[0]"),
+        ("conv", {"triples": [[2, 2, 2.5]]}, "triples[0][2]"),
+        ("rd", {"grid": ["a", "b"]}, "grid[0]"),
+        ("green", {"ancona_words": [20]}, "ancona_words"),
+        ("orth", {"functions": {"f1": {"interior": {"a1": "1"}}}}, "functions.f1.interior.a1"),
+    ],
+)
+def test_bad_config_values_are_field_anchored(tmp_path, capsys, subcommand, patch, path):
+    cfg = write_config(tmp_path, "bad.json", {**BASE, **patch})
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"config error: {path}: " in capsys.readouterr().err
+
+
+def test_orth_sphere_weights_need_word_metric(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "w.json",
+        {**BASE, "metric": {"kind": "weighted", "lengths": {"a": "1", "b": "2"}}, "weights": "sphere"},
+    )
+    assert main(["orth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "config error: weights: sphere weights require the word metric" in capsys.readouterr().err

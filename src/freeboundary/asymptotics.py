@@ -213,6 +213,14 @@ def _resolution_depth(R, ctx: GroupContext) -> int:
 # -- weight families -------------------------------------------------------
 
 
+def _sum_by_key(items, zero) -> Dict:
+    """Masses summed per key, each sum taken in item order from zero."""
+    out: Dict = {}
+    for key, mass in items:
+        out[key] = out.get(key, zero) + mass
+    return out
+
+
 class WeightFamily:
     """A probability weighting of an annulus.
 
@@ -318,15 +326,11 @@ class WeightFamily:
     def pair_table(self, d1: int, d2: int) -> Dict[Tuple[Letters, Letters], object]:
         """Aggregated mass per (hat(g) prefix of depth d1, check(g) prefix
         of depth d2)."""
-        table: Dict[Tuple[Letters, Letters], object] = {}
-        zero = Fraction(0) if self.exact else 0.0
-        for entry in self.class_entries(max(d1, d2, 1)):
-            key = (
-                hat_projection(entry.rep).prefix_letters(d1),
-                hat_projection(~entry.rep).prefix_letters(d2),
-            )
-            table[key] = table.get(key, zero) + entry.mass
-        return table
+        keyed = (
+            ((hat_projection(e.rep).prefix_letters(d1), hat_projection(~e.rep).prefix_letters(d2)), e.mass)
+            for e in self.class_entries(max(d1, d2, 1))
+        )
+        return _sum_by_key(keyed, Fraction(0) if self.exact else 0.0)
 
 
 def sphere_weights(n: int, ctx: GroupContext) -> WeightFamily:
@@ -501,25 +505,44 @@ def equidistribution_error(F: PairStepFunction, weights: WeightFamily, mu: Bound
     return abs(lhs - rhs)
 
 
+def _table_rectangle_error(table: Dict[Tuple[Letters, Letters], object], d1: int, d2: int, mu: BoundaryMeasure, zero):
+    """Max |W(C_u x C_v) - mu(C_u) mu(C_v)| over the depth-(d1, d2)
+    rectangles, from the table of the nonzero masses W(C_u x C_v).
+
+    An absent rectangle has mass 0, so its error is mu(C_u) mu(C_v); on
+    the word metric every depth-d cylinder has mass 1/|S_d|.
+    """
+    word = MetricSpec.word(mu.k)  # mu(C_u) per stem u of depth d1 and of depth d2, each walked once
+    masses = {d: {w.letters: mu.mass_letters(w.letters) for w in enumerate_annulus(d, 0, word)} for d in {d1, d2}}
+    m1, m2 = masses[d1], masses[d2]
+    worst = zero
+    for (u, v), mass in table.items():
+        worst = max(worst, abs(mass - m1[u] * m2[v]))
+    if len(table) < len(m1) * len(m2):
+        if mu.metric.kind == "word":
+            worst = max(worst, Fraction(1, len(m1) * len(m2)))
+        else:
+            for u, mass_u in m1.items():
+                for v, mass_v in m2.items():
+                    if (u, v) not in table:
+                        worst = max(worst, mass_u * mass_v)
+    return worst
+
+
 def max_rectangle_error(weights: WeightFamily, mu: BoundaryMeasure, max_depth: int):
     """Max equidistribution error over all rectangles of depth <= max_depth
-    (both factors range over depths 0..max_depth independently)."""
+    (both factors range over depths 0..max_depth independently).
+
+    Every (d1, d2) table is a marginal of the one depth-max_depth pair
+    table, summed in its stored order.
+    """
     table = weights.pair_table(max_depth, max_depth)
-    worst = Fraction(0) if weights.exact else 0.0
-    k = weights.ctx.k
-    stems: List[Letters] = [()]
-    for d in range(1, max_depth + 1):
-        stems.extend(w.letters for w in enumerate_annulus(d, 0, MetricSpec.word(k)))
-    for u in stems:
-        mass_u = mu.mass_letters(u)
-        for v in stems:
-            got = Fraction(0) if weights.exact else 0.0
-            for (p1, p2), mass in table.items():
-                if p1[: len(u)] == u and p2[: len(v)] == v:
-                    got = got + mass
-            err = abs(got - mass_u * mu.mass_letters(v))
-            if err > worst:
-                worst = err
+    zero = Fraction(0) if weights.exact else 0.0
+    worst = zero
+    for d1 in range(max_depth + 1):
+        for d2 in range(max_depth + 1):
+            marginal = _sum_by_key((((p1[:d1], p2[:d2]), mass) for (p1, p2), mass in table.items()), zero)
+            worst = max(worst, _table_rectangle_error(marginal, d1, d2, mu, zero))
     return worst
 
 
@@ -530,30 +553,8 @@ def max_uniform_rectangle_error(weights: WeightFamily, mu: BoundaryMeasure, dept
     nonzero error on the tree: at or below the stem depth the greedy
     partition reproduces product masses exactly.
     """
-    tab = weights.pair_table(depth, depth)
-    k = weights.ctx.k
-    n_d = sphere_size(depth, k)
-    worst = Fraction(0) if weights.exact else 0.0
-    for (u, v), mass in tab.items():
-        err = abs(mass - mu.mass_letters(u) * mu.mass_letters(v))
-        if err > worst:
-            worst = err
-    if len(tab) < n_d * n_d:
-        if mu.metric.kind == "word":
-            cell = Fraction(1, 2 * k) * Fraction(1, 2 * k - 1) ** (depth - 1)
-            absent = cell * cell
-            if absent > worst:
-                worst = absent
-        else:
-            stems = [w.letters for w in enumerate_annulus(depth, 0, MetricSpec.word(k))]
-            for u in stems:
-                mu_u = mu.mass_letters(u)
-                for v in stems:
-                    if (u, v) not in tab:
-                        cand = mu_u * mu.mass_letters(v)
-                        if cand > worst:
-                            worst = cand
-    return worst
+    zero = Fraction(0) if weights.exact else 0.0
+    return _table_rectangle_error(weights.pair_table(depth, depth), depth, depth, mu, zero)
 
 
 # -- test functions and the orthogonality functional -----------------------
@@ -662,52 +663,43 @@ def orthogonality_target(
 # -- sweep reports and fits -------------------------------------------------
 
 
-def _loglinear_fit(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float, float]:
-    """Least squares y = a*x + b; returns (a, b, r2)."""
+def _top_half_fit(grid: Sequence, values: Sequence, x_of) -> Tuple[Optional[float], Optional[float], List[float]]:
+    """Least squares log(value) ~ a * x_of(point) + b over the top half of
+    the grid, skipping non-positive values (they are reported, not
+    fitted).  Returns (a, r2, window); (None, None, window) below two
+    points and a = r2 = nan when the window has a single x."""
+    xs, ys = [], []
+    for x, value in list(zip(grid, values))[len(grid) // 2:]:
+        fv = as_float(value)
+        if fv > 0:
+            xs.append(x_of(x))
+            ys.append(math.log(fv))
     n = len(xs)
+    if n < 2:
+        return None, None, xs
     xbar = sum(xs) / n
     ybar = sum(ys) / n
     sxx = sum((x - xbar) ** 2 for x in xs)
     sxy = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
     if sxx == 0:
-        return math.nan, ybar, math.nan
+        return math.nan, math.nan, xs
     a = sxy / sxx
     b = ybar - a * xbar
     ss_res = sum((y - (a * x + b)) ** 2 for x, y in zip(xs, ys))
     ss_tot = sum((y - ybar) ** 2 for y in ys)
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return a, b, r2
+    return a, 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot, xs
 
 
 def fit_decay(grid: Sequence[float], errors: Sequence[float]) -> Tuple[Optional[float], Optional[float], List[float]]:
     """Fit log(err) ~ -c * x over the top half of the grid, skipping exact
-    zeros (they are reported, not fitted).  Returns (c, r2, window)."""
-    half = len(grid) // 2
-    xs, ys = [], []
-    for x, e in list(zip(grid, errors))[half:]:
-        fe = as_float(e)
-        if fe > 0:
-            xs.append(float(x))
-            ys.append(math.log(fe))
-    if len(xs) < 2:
-        return None, None, xs
-    a, _, r2 = _loglinear_fit(xs, ys)
-    return -a, r2, xs
+    zeros.  Returns (c, r2, window)."""
+    a, r2, xs = _top_half_fit(grid, errors, float)
+    return (None if a is None else -a), r2, xs
 
 
 def fit_growth(grid: Sequence[int], values: Sequence[float]) -> Tuple[Optional[float], Optional[float], List[float]]:
     """Fit log(q) ~ beta * log(1+n) over the top half of the grid."""
-    half = len(grid) // 2
-    xs, ys = [], []
-    for n, q in list(zip(grid, values))[half:]:
-        fq = as_float(q)
-        if fq > 0:
-            xs.append(math.log(1.0 + n))
-            ys.append(math.log(fq))
-    if len(xs) < 2:
-        return None, None, xs
-    a, _, r2 = _loglinear_fit(xs, ys)
-    return a, r2, xs
+    return _top_half_fit(grid, values, lambda n: math.log(1.0 + n))
 
 
 @dataclass

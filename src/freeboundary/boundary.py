@@ -324,11 +324,8 @@ def cylinder_image(g: Letters, stem: Letters) -> Tuple[Letters, bool]:
     return v, False
 
 
-def translate_cylinder(g: ReducedWord, c: Cylinder, k: Optional[int] = None) -> CylinderSet:
-    """The set g*C_w, exactly (shape from ``cylinder_image``)."""
-    if k is None:
-        k = max((abs(s) for s in g.letters + c.stem), default=2)
-        k = max(k, 2)
+def translate_cylinder(g: ReducedWord, c: Cylinder, k: int) -> CylinderSet:
+    """The set g*C_w in F_k, exactly (shape from ``cylinder_image``)."""
     stem, complemented = cylinder_image(g.letters, c.stem)
     image = CylinderSet.of(Cylinder(stem), k)
     return image.complement() if complemented else image

@@ -47,7 +47,6 @@ from .boundary import Cylinder
 from .measures import (
     WalkSpec,
     _binomial_halfwidth,
-    critical_exponent,
     green_metric_of_walk,
     mc_cylinder_counts,
     mc_first_passage,
@@ -282,6 +281,13 @@ class RunConfig:
             kwargs["h"] = self.h
         return GroupContext(self.metric, **kwargs)
 
+    def sphere_radii(self) -> List[int]:
+        """The grid as word-sphere radii: each entry a JSON integer >= 0."""
+        for i, n in enumerate(self.grid):
+            if _parse_int(n, f"grid[{i}]") < 0:
+                raise ConfigError(f"grid[{i}]", f"expected a sphere radius >= 0, got {n}")
+        return self.grid
+
     def vector(self, name: str) -> StepFunction:
         if name in ("1", "one"):
             return self._one
@@ -491,7 +497,7 @@ def cmd_spec(cfg: RunConfig, emit: Emitter) -> int:
 def cmd_xi(cfg: RunConfig, emit: Emitter) -> int:
     ctx = cfg.context()
     mu = ps_measure(ctx)
-    n_max = int(cfg.grid[-1])
+    n_max = cfg.sphere_radii()[-1]
     key = {
         "kind": "xi",
         "k": cfg.k,
@@ -635,6 +641,7 @@ def cmd_equidist(cfg: RunConfig, emit: Emitter) -> int:
 def cmd_orth(cfg: RunConfig, emit: Emitter) -> int:
     if cfg.weights_kind == "sphere" and cfg.metric.kind != "word":
         raise ConfigError("weights", "sphere weights require the word metric")
+    grid = cfg.sphere_radii() if cfg.weights_kind == "sphere" else cfg.grid
     tol = 0.05 if cfg.tolerance is None else cfg.tolerance
     ctx = cfg.context()
     mu = ps_measure(ctx)
@@ -650,7 +657,7 @@ def cmd_orth(cfg: RunConfig, emit: Emitter) -> int:
     ]
     t0 = time.monotonic()
     reports = orthogonality_sweep(
-        cfg.f1, cfg.f2, cases, cfg.grid, ctx, mu, weights_kind=cfg.weights_kind, budget=cfg.budget
+        cfg.f1, cfg.f2, cases, grid, ctx, mu, weights_kind=cfg.weights_kind, budget=cfg.budget
     )
     emit.timings["orth"] = time.monotonic() - t0
     rows = [
@@ -695,7 +702,7 @@ def cmd_rd(cfg: RunConfig, emit: Emitter) -> int:
     mu = ps_measure(ctx)
     v = cfg.vector(cfg.v)
     w = cfg.vector(cfg.w)
-    grid = [int(n) for n in cfg.grid]
+    grid = cfg.sphere_radii()
     t0 = time.monotonic()
     report = rd_sweep(v, w, grid, ctx, mu, lower_band=cfg.lower_band)
     emit.timings["rd"] = time.monotonic() - t0
@@ -752,7 +759,7 @@ def cmd_gvb(cfg: RunConfig, emit: Emitter) -> int:
     mu = ps_measure(ctx)
     v = cfg.vector(cfg.v)
     w = cfg.vector(cfg.w)
-    grid = [int(n) for n in cfg.grid]
+    grid = cfg.sphere_radii()
     t0 = time.monotonic()
     report = gvb_growth(v, w, grid, ctx, mu)
     emit.timings["gvb"] = time.monotonic() - t0
@@ -779,7 +786,6 @@ def cmd_green(cfg: RunConfig, emit: Emitter) -> int:
     walk = cfg.walk or WalkSpec.simple(cfg.k)
     fp = solve_first_passage(walk)
     metric = green_metric_of_walk(walk)
-    alpha, pd = critical_exponent(metric)
     ctx = GroupContext(metric, epsilon=cfg.epsilon, rho=cfg.rho)
     mu = ps_measure(ctx)
     depth = min(cfg.depth, 4)
@@ -822,8 +828,8 @@ def cmd_green(cfg: RunConfig, emit: Emitter) -> int:
         {
             "first_passage_exact": fp.exact,
             "first_passage": {letter_to_str(s): str(fp.values[s]) for s in canonical_letters(cfg.k) if s > 0},
-            "green_alpha": alpha,
-            "green_alpha_minus_one": alpha - 1.0,
+            "green_alpha": ctx.alpha,
+            "green_alpha_minus_one": ctx.alpha - 1.0,
             "mc_samples": cfg.samples,
             "mc_undecided": undecided,
             "cylinders_inside_ci": f"{inside}/{total}",
@@ -832,7 +838,7 @@ def cmd_green(cfg: RunConfig, emit: Emitter) -> int:
         },
     )
     print(
-        f"first passage exact={fp.exact}; green alpha-1 = {alpha-1:.2e}; "
+        f"first passage exact={fp.exact}; green alpha-1 = {ctx.alpha-1:.2e}; "
         f"cylinders in CI {inside}/{total}; ancona in CI {anc_inside}/{len(anc_rows)}"
     )
     return 0 if passed else 2

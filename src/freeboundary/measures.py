@@ -68,19 +68,24 @@ def _spectral_radius(M: np.ndarray) -> float:
     return float(max(abs(np.linalg.eigvals(M))))
 
 
-def _perron_vector(M: np.ndarray, iters: int = 5000, tol: float = 1e-16) -> np.ndarray:
+_PERRON_ITERS = 5000  # power-iteration steps at most
+_PERRON_TOL = 1e-16  # sup-norm step size that stops the power iteration
+_BISECTION_TOL = 1e-13  # width of the final bracket of the critical exponent
+_FIRST_PASSAGE_TOL = 1e-15  # sup-norm step size that stops the first-passage iteration
+_FIRST_PASSAGE_MAX_ITER = 1_000_000
+
+
+def _perron_vector(M: np.ndarray) -> np.ndarray:
     u = np.ones(M.shape[0])
-    for _ in range(iters):
-        v = M @ u
-        v /= v.sum()
-        if np.max(np.abs(v - u)) < tol:
-            u = v
+    for _ in range(_PERRON_ITERS):
+        u, prev = M @ u, u
+        u /= u.sum()
+        if np.max(np.abs(u - prev)) < _PERRON_TOL:
             break
-        u = v
     return u
 
 
-def critical_exponent(m: MetricSpec, tol: float = 1e-13) -> Tuple[float, PerronData]:
+def critical_exponent(m: MetricSpec) -> Tuple[float, PerronData]:
     """The unique s with Perron eigenvalue of M(s) equal to 1, plus the
     induced Markov data.  Word metric: closed form alpha = log(2k-1)."""
     k = m.k
@@ -96,7 +101,7 @@ def critical_exponent(m: MetricSpec, tol: float = 1e-13) -> Tuple[float, PerronD
     min_len = float(m.min_letter_length)
     lo, hi = 0.0, math.log(2 * k - 1) / min_len
     # spectral radius is strictly decreasing in s; rho(lo) = 2k-1, rho(hi) <= 1
-    while hi - lo > tol:
+    while hi - lo > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if _spectral_radius(_transfer_matrix(m, mid)) >= 1.0:
             lo = mid
@@ -138,7 +143,6 @@ class BoundaryMeasure:
         pi0: Dict[Letter, Union[Fraction, float]],
         trans: Dict[Tuple[Letter, Letter], Union[Fraction, float]],
         exact: bool,
-        label: str = "ps",
     ) -> None:
         self.metric = metric
         self.k = metric.k
@@ -147,7 +151,6 @@ class BoundaryMeasure:
         self.pi0 = pi0
         self.trans = trans
         self.exact = exact
-        self.label = label
         self._xi_cache: Dict[object, object] = {}
 
     def prefix_masses(self, stem: Letters, start: int = 0, mass=None) -> list:
@@ -198,13 +201,13 @@ class BoundaryMeasure:
         return rows
 
     def __repr__(self) -> str:
-        return f"BoundaryMeasure({self.label}, {self.metric.kind}, k={self.k}, exact={self.exact})"
+        return f"BoundaryMeasure(ps, {self.metric.kind}, k={self.k}, exact={self.exact})"
 
 
 def ps_measure(ctx: GroupContext) -> BoundaryMeasure:
     """The normalized Patterson-Sullivan measure of the context's metric."""
     pd: PerronData = ctx.perron
-    return BoundaryMeasure(ctx.metric, ctx.alpha, ctx.omega, pd.pi0, pd.trans, pd.exact, label="ps")
+    return BoundaryMeasure(ctx.metric, ctx.alpha, ctx.omega, pd.pi0, pd.trans, pd.exact)
 
 
 def rn_derivative(g: ReducedWord, at, mu: BoundaryMeasure):
@@ -361,7 +364,7 @@ class FirstPassage:
         return self.values[s]
 
 
-def solve_first_passage(walk: WalkSpec, tol: float = 1e-15, max_iter: int = 1_000_000) -> FirstPassage:
+def solve_first_passage(walk: WalkSpec) -> FirstPassage:
     """Monotone fixed-point iteration from 0; the map is monotone and
     bounded by the minimal solution, so convergence is guaranteed.
 
@@ -373,9 +376,7 @@ def solve_first_passage(walk: WalkSpec, tol: float = 1e-15, max_iter: int = 1_00
     letters = canonical_letters(walk.k)
     p = {s: float(walk.prob(s)) for s in letters}
     f = {s: 0.0 for s in letters}
-    iterations = 0
-    while iterations < max_iter:
-        iterations += 1
+    for iterations in range(1, _FIRST_PASSAGE_MAX_ITER + 1):
         new = {}
         delta = 0.0
         for s in letters:
@@ -383,7 +384,7 @@ def solve_first_passage(walk: WalkSpec, tol: float = 1e-15, max_iter: int = 1_00
             new[s] = p[s] + f[s] * ret
             delta = max(delta, abs(new[s] - f[s]))
         f = new
-        if delta < tol:
+        if delta < _FIRST_PASSAGE_TOL:
             break
 
     residual = 0.0

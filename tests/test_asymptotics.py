@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -36,6 +37,7 @@ from freeboundary import (
     orthogonality_target,
     phi_r,
     phi_r_pairs,
+    ps_measure,
     rd_convolution_check,
     rd_sweep,
     shadow_pair,
@@ -45,6 +47,7 @@ from freeboundary import (
 )
 from freeboundary.asymptotics import (
     SphereGrid,
+    WeightFamily,
     class_representative,
     sphere_classes,
 )
@@ -178,6 +181,51 @@ def test_equidistribution_shadow_exactness(word_ctx, word_mu):
     assert max_rectangle_error(wf6, word_mu, 2) == 0
     # probing below the stem depth exposes the genuine error
     assert max_uniform_rectangle_error(wf6, word_mu, 3) > 0
+
+
+def _errors_by_depths(wf, mu, D):
+    # the worst single rectangle C_u x C_v per depth pair (|u|, |v|), |u|, |v| <= D,
+    # each error read from pair_table(|u|, |v|) through equidistribution_error
+    stems = {d: [g.letters for g in enumerate_sphere(d, MetricSpec.word(2))] for d in range(D + 1)}
+    wf.pair_table = functools.lru_cache(maxsize=None)(wf.pair_table)  # build each depth pair's table once
+    out = {}
+    for d1 in range(D + 1):
+        for d2 in range(D + 1):
+            out[d1, d2] = max(
+                equidistribution_error(PairStepFunction.rectangle(Cylinder(u), Cylinder(v), 2), wf, mu)
+                for u in stems[d1]
+                for v in stems[d2]
+            )
+    return out
+
+
+def test_rectangle_errors_match_every_rectangle(word_ctx, word_mu):
+    # max_rectangle_error reads marginals of one pair table; check both
+    # errors against the worst single rectangle at every depth pair,
+    # d1 != d2 included, up to depth D.  Small spheres and the R = 4 partitions leave cells of the
+    # depth-3 tables empty, and an empty cell's error is its full product
+    # mass: that is the worst error of S_2 at depth 1, of S_4 at depth 2
+    # and of the word sphere S_2 weighted on a non-word metric at depth 1
+    weighted_ctx = GroupContext(MetricSpec.weighted(2, [1, 2]), h=1)
+    weighted_mu = ps_measure(weighted_ctx)
+    s2 = [g.letters for g in enumerate_sphere(2, MetricSpec.word(2))]
+    cases = [
+        (sphere_weights(1, word_ctx), word_mu, 3),
+        (sphere_weights(2, word_ctx), word_mu, 3),
+        (sphere_weights(4, word_ctx), word_mu, 2),
+        (build_partition_weights(4, word_ctx), word_mu, 3),
+        (build_partition_weights(4, weighted_ctx), weighted_mu, 3),
+        (WeightFamily(2, weighted_ctx, s2, [1.0 / len(s2)] * len(s2)), weighted_mu, 3),
+    ]
+    for wf, mu, D in cases:
+        fast = {d: (max_rectangle_error(wf, mu, d), max_uniform_rectangle_error(wf, mu, d)) for d in range(D + 1)}
+        slow = _errors_by_depths(wf, mu, D)
+        for d in range(D + 1):
+            want = (max(e for (d1, d2), e in slow.items() if d1 <= d and d2 <= d), slow[d, d])
+            if wf.exact:
+                assert fast[d] == want
+            else:
+                assert all(abs(f - w) < 1e-12 for f, w in zip(fast[d], want))
 
 
 def test_phi_trivial_and_symmetry(word_ctx, word_mu, one, ind_a, ind_b):

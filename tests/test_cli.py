@@ -252,6 +252,15 @@ def test_cache_entry_from_other_code_is_a_miss(tmp_path, monkeypatch):
         ("rd", {"grid": ["a", "b"]}, "grid[0]"),
         ("green", {"ancona_words": [20]}, "ancona_words"),
         ("orth", {"functions": {"f1": {"interior": {"a1": "1"}}}}, "functions.f1.interior.a1"),
+        # word-sphere radii (rd, gvb, xi, sphere-weight orth) are integers >= 0
+        ("rd", {"grid": [1.5, 2.5, 3]}, "grid[0]"),
+        ("gvb", {"grid": [1.5, 2.5, 3]}, "grid[0]"),
+        ("xi", {"grid": [1.5, 2.5, 3]}, "grid[0]"),
+        ("rd", {"grid": [1, 2.5]}, "grid[1]"),
+        ("rd", {"grid": [-1, 2]}, "grid[0]"),
+        ("gvb", {"grid": [-1, 2]}, "grid[0]"),
+        ("xi", {"grid": [-1, 2]}, "grid[0]"),
+        ("orth", {"grid": [5.5, 6.5]}, "grid[0]"),
     ],
 )
 def test_bad_config_values_are_field_anchored(tmp_path, capsys, subcommand, patch, path):

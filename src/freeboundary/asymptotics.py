@@ -34,6 +34,7 @@ from .words import (
     Letters,
     MetricSpec,
     ReducedWord,
+    _hat_prefix,
     canonical_letters,
     enumerate_annulus,
     hat_projection,
@@ -327,7 +328,7 @@ class WeightFamily:
         """Aggregated mass per (hat(g) prefix of depth d1, check(g) prefix
         of depth d2)."""
         keyed = (
-            ((hat_projection(e.rep).prefix_letters(d1), hat_projection(~e.rep).prefix_letters(d2)), e.mass)
+            ((_hat_prefix(e.rep.letters, d1), _hat_prefix((~e.rep).letters, d2)), e.mass)
             for e in self.class_entries(max(d1, d2, 1))
         )
         return _sum_by_key(keyed, Fraction(0) if self.exact else 0.0)

@@ -349,28 +349,33 @@ class CylinderRectangle:
         return f"{self.first} x {self.second}"
 
 
+def _prefix_reaching(letters: Letters, t, m: MetricSpec) -> Letters:
+    """The shortest prefix of ``letters`` whose metric length reaches t."""
+    n = 0
+    length = 0
+    while length < t:
+        length += m.letter_length(letters[n])
+        n += 1
+    return letters[:n]
+
+
 def ball_cylinder(xi: BoundaryPoint, t, m: MetricSpec) -> Cylinder:
     """The visual ball B(xi, e^(-eps*t)) as a cylinder, exactly.
 
     The ball is the cylinder of the shortest prefix of xi whose metric
     length reaches t; nonpositive t gives the whole boundary.
     """
-    if t <= 0:
-        return Cylinder(())
-    n = 0
-    length = 0
-    while length < t:
-        length += m.letter_length(xi.letter_at(n))
-        n += 1
-    return Cylinder(xi.prefix_letters(n))
+    # every letter is at least min_letter_length long, so this many reach t
+    n = math.floor(t / m.min_letter_length) + 2
+    return Cylinder(_prefix_reaching(xi.prefix_letters(n), t, m))
 
 
 def shadow_pair(g: ReducedWord, ctx: GroupContext) -> CylinderRectangle:
     """The double shadow of g: visual balls of radius e^(-eps(|g|/2 - rho))
     around hat(g) and check(g), each exactly a cylinder.
 
-    For |g| < 2*rho the balls swallow the boundary and the degenerate
-    C_e x C_e rectangle is returned.
+    As rho >= 0 each stem is a prefix of g or of g^-1, read from its letters.
+    For |g| < 2*rho the balls swallow the boundary: C_e x C_e.
     """
     m = ctx.metric
     length = m.length_of(g.letters)
@@ -378,6 +383,5 @@ def shadow_pair(g: ReducedWord, ctx: GroupContext) -> CylinderRectangle:
         t = length / 2.0 - float(ctx.rho)
     else:
         t = Fraction(length, 2) - Fraction(ctx.rho)
-    gh = hat_projection(g)
-    gc = hat_projection(~g)
-    return CylinderRectangle(ball_cylinder(gh, t, m), ball_cylinder(gc, t, m))
+    first, second = (Cylinder(_prefix_reaching(w, t, m)) for w in (g.letters, (~g).letters))
+    return CylinderRectangle(first, second)

@@ -88,10 +88,17 @@ def _parse_fraction(value, path: str) -> Fraction:
     raise ConfigError(path, f"expected a rational 'p/q' string or integer, got {type(value).__name__}")
 
 
-def _parse_int(value, path: str) -> int:
+def _parse_int(value, path: str, low: Optional[int] = None) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
-        return value
+        return value if low is None else _at_least(value, low, path)
     raise ConfigError(path, f"expected an integer, got {value!r}")
+
+
+def _at_least(value, low, path: str):
+    """``value`` if it is >= low, else a ConfigError at ``path``."""
+    if value < low:
+        raise ConfigError(path, f"expected a value >= {low}, got {value}")
+    return value
 
 
 def _parse_float(value, path: str) -> float:
@@ -219,8 +226,10 @@ class RunConfig:
             raise ConfigError("group.rank", "text encoding supports ranks up to 26")
         self.metric = _parse_metric(raw, self.k)
         self.epsilon = _parse_fraction(raw.get("epsilon", 1), "epsilon")
-        self.rho = _parse_fraction(raw.get("rho", 1), "rho")
-        self.h = None if raw.get("h") is None else _parse_fraction(raw["h"], "h")
+        if self.epsilon <= 0:
+            raise ConfigError("epsilon", f"expected a value > 0, got {self.epsilon}")
+        self.rho = _at_least(_parse_fraction(raw.get("rho", 1), "rho"), 0, "rho")
+        self.h = None if raw.get("h") is None else _at_least(_parse_fraction(raw["h"], "h"), 0, "h")
         grid = raw.get("grid", [4, 6, 8, 10, 12])
         if not isinstance(grid, list) or not grid:
             raise ConfigError("grid", "grid must be a nonempty strictly increasing list")
@@ -232,20 +241,23 @@ class RunConfig:
         self.weights_kind = raw.get("weights", "sphere")
         if self.weights_kind not in ("sphere", "shadow"):
             raise ConfigError("weights", f"unknown weights kind {self.weights_kind!r}")
-        self.depth = _parse_int(raw.get("depth", 2), "depth")
+        # depth 0 holds only C_e x C_e, whose error is 0 for every weighting
+        self.depth = _parse_int(raw.get("depth", 2), "depth", low=1)
         # absent: each subcommand applies its own default (orth 0.05, equidist 0.02)
         self.tolerance = _parse_float(raw["tolerance"], "tolerance") if "tolerance" in raw else None
         self.seed = _parse_int(raw.get("seed", 0), "seed")
-        self.samples = _parse_int(raw.get("samples", 100_000), "samples")
+        self.samples = _parse_int(raw.get("samples", 100_000), "samples", low=1)
         self.budget = _parse_int(raw.get("budget", 10_000_000), "budget")
-        self.rho_max = _parse_int(raw.get("rho_max", 3), "rho_max")
+        self.rho_max = _parse_int(raw.get("rho_max", 3), "rho_max", low=0)
         self.lower_band = _parse_float(raw.get("lower_band", 0.3), "lower_band")
-        self.fiber_r_max = _parse_int(raw.get("fiber_r_max", 6), "fiber_r_max")
-        self.trials = _parse_int(raw.get("trials", 3), "trials")
+        self.fiber_r_max = _parse_int(raw.get("fiber_r_max", 6), "fiber_r_max", low=1)
+        self.trials = _parse_int(raw.get("trials", 3), "trials", low=1)
         self.ratio_cap = _parse_float(raw.get("ratio_cap", 4.0), "ratio_cap")
-        self.ancona_words = _parse_int(raw.get("ancona_words", 20), "ancona_words")
-        self.ancona_max_len = _parse_int(raw.get("ancona_max_len", 6), "ancona_max_len")
-        self.ancona_samples = _parse_int(raw.get("ancona_samples", max(self.samples // 5, 10_000)), "ancona_samples")
+        self.ancona_words = _parse_int(raw.get("ancona_words", 20), "ancona_words", low=0)
+        self.ancona_max_len = _parse_int(raw.get("ancona_max_len", 6), "ancona_max_len", low=1)
+        self.ancona_samples = _parse_int(
+            raw.get("ancona_samples", max(self.samples // 5, 10_000)), "ancona_samples", low=1
+        )
         triples = raw.get("triples", [[2, 2, 2], [2, 3, 3], [3, 3, 4]])
         if not isinstance(triples, list):
             raise ConfigError("triples", "expected a list")
@@ -253,7 +265,7 @@ class RunConfig:
         for i, t in enumerate(triples):
             if not (isinstance(t, list) and len(t) == 3):
                 raise ConfigError(f"triples[{i}]", f"expected [R, R', R''], got {t!r}")
-            self.triples.append(tuple(_parse_int(x, f"triples[{i}][{j}]") for j, x in enumerate(t)))
+            self.triples.append(tuple(_parse_int(x, f"triples[{i}][{j}]", low=0) for j, x in enumerate(t)))
         vectors = raw.get("vectors", {})
         if not isinstance(vectors, dict):
             raise ConfigError("vectors", "expected an object")
@@ -275,8 +287,8 @@ class RunConfig:
         self.walk = _parse_walk(raw["walk"], self.k, "walk") if "walk" in raw else None
         self._one = StepFunction.constant(Fraction(1), self.k)
 
-    def context(self) -> GroupContext:
-        kwargs = dict(epsilon=self.epsilon, rho=self.rho)
+    def context(self, rho: Optional[Fraction] = None) -> GroupContext:
+        kwargs = dict(epsilon=self.epsilon, rho=self.rho if rho is None else rho)
         if self.h is not None:
             kwargs["h"] = self.h
         return GroupContext(self.metric, **kwargs)
@@ -284,8 +296,7 @@ class RunConfig:
     def sphere_radii(self) -> List[int]:
         """The grid as word-sphere radii: each entry a JSON integer >= 0."""
         for i, n in enumerate(self.grid):
-            if _parse_int(n, f"grid[{i}]") < 0:
-                raise ConfigError(f"grid[{i}]", f"expected a sphere radius >= 0, got {n}")
+            _parse_int(n, f"grid[{i}]", low=0)
         return self.grid
 
     def vector(self, name: str) -> StepFunction:
@@ -555,13 +566,7 @@ def cmd_cover(cfg: RunConfig, emit: Emitter) -> int:
             }
             payload = emit.cache.get("cover", key)
             if payload is None:
-                ctx = GroupContext(
-                    cfg.metric,
-                    epsilon=cfg.epsilon,
-                    rho=Fraction(rho),
-                    **({"h": cfg.h} if cfg.h is not None else {}),
-                )
-                rep = check_shadow_cover(R, ctx, budget=cfg.budget)
+                rep = check_shadow_cover(R, cfg.context(rho=Fraction(rho)), budget=cfg.budget)
                 payload = {
                     "covered": rep.covered,
                     "witness": str(rep.witness) if rep.witness else "",
@@ -783,12 +788,14 @@ def cmd_gvb(cfg: RunConfig, emit: Emitter) -> int:
 
 
 def cmd_green(cfg: RunConfig, emit: Emitter) -> int:
+    depth = cfg.depth
+    if depth > 4:
+        raise ConfigError("depth", f"green tabulates cylinders of depth <= 4, got {depth}")
     walk = cfg.walk or WalkSpec.simple(cfg.k)
     fp = solve_first_passage(walk)
     metric = green_metric_of_walk(walk)
     ctx = GroupContext(metric, epsilon=cfg.epsilon, rho=cfg.rho)
     mu = ps_measure(ctx)
-    depth = min(cfg.depth, 4)
     t0 = time.monotonic()
     counts, decided, undecided = mc_cylinder_counts(walk, depth, cfg.samples, cfg.seed)
     emit.timings["mc_cylinders"] = time.monotonic() - t0

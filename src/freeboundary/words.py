@@ -111,9 +111,6 @@ class ReducedWord:
     def __invert__(self) -> "ReducedWord":
         return ReducedWord(invert_letters(self.letters), _reduced=True)
 
-    def is_identity(self) -> bool:
-        return not self.letters
-
     def prefix(self, n: int) -> "ReducedWord":
         return ReducedWord(self.letters[:n], _reduced=True)
 
@@ -302,6 +299,8 @@ class GroupContext:
     def __post_init__(self):
         if self.h is None:
             self.h = 0 if self.metric.kind == "word" else float(self.metric.max_letter_length) + 1
+        if self.epsilon <= 0 or self.rho < 0 or self.h < 0:
+            raise ValueError(f"need epsilon > 0, rho >= 0, h >= 0; got {self.epsilon}, {self.rho}, {self.h}")
         from .measures import critical_exponent  # deferred: measures imports words
 
         self.alpha, self.perron = critical_exponent(self.metric)
@@ -316,6 +315,11 @@ class GroupContext:
         return float(self.alpha) / float(self.epsilon)
 
 
+def _hat_prefix(letters: Letters, n: int) -> Letters:
+    """The first n letters of hat(g) (see hat_projection), g given by its letters."""
+    return letters[:n] + (letters[-1:] or (1,)) * (n - len(letters))
+
+
 def hat_projection(g: ReducedWord):
     """Canonical boundary extension: repeat the last letter of g forever.
 
@@ -324,6 +328,4 @@ def hat_projection(g: ReducedWord):
     """
     from .boundary import BoundaryPoint
 
-    if g.is_identity():
-        return BoundaryPoint((), (1,))
-    return BoundaryPoint(g.letters, (g.letters[-1],))
+    return BoundaryPoint(g.letters, g.letters[-1:] or (1,))

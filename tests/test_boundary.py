@@ -12,6 +12,7 @@ from freeboundary import (
     MetricSpec,
     ReducedWord,
     boundary_gromov,
+    enumerate_annulus,
     hat_projection,
     retract,
     shadow_pair,
@@ -19,6 +20,7 @@ from freeboundary import (
     visual_distance,
 )
 from freeboundary.boundary import ball_cylinder, translate_cylinder
+from freeboundary.measures import WalkSpec, green_metric_of_walk
 from freeboundary.words import canonical_letters
 
 W = ReducedWord.from_str
@@ -201,6 +203,47 @@ def test_shadow_contains_its_center():
         g = ReducedWord(tuple(letters), _reduced=True)
         rect = shadow_pair(g, ctx)
         assert rect.contains_pair(hat_projection(g), hat_projection(~g))
+
+
+def _ball_by_definition(xi, t, m):
+    """B(xi, e^(-eps*t)) is the set of eta with (xi, eta) >= t: the cylinder
+    of the shortest prefix u of xi with metric length |u| >= t."""
+    n = 0
+    while m.length_of(xi.prefix_letters(n)) < t:
+        n += 1
+    return Cylinder(xi.prefix_letters(n))
+
+
+@pytest.mark.parametrize(
+    "metric, r_max",
+    [
+        (MetricSpec.word(2), 6),
+        (MetricSpec.word(3), 4),
+        (MetricSpec.weighted(2, [1, Fraction(4, 3)]), 4),
+        (MetricSpec.weighted(2, [1, 2]), 5),
+        (green_metric_of_walk(WalkSpec.from_generator_probs([Fraction(1, 5), Fraction(3, 10)])), 5),
+    ],
+    ids=["word2", "word3", "weighted_4_3", "weighted_2", "green"],
+)
+def test_shadow_pair_is_the_ball_pair_of_hat_and_check(metric, r_max):
+    """shadow_pair cuts g and g^-1 directly; the oracle cuts the boundary
+    points hat(g) and check(g), both through ball_cylinder and from the
+    definition, with the same t (floats included) and exact equality."""
+    for rho in (0, Fraction(1, 2), 1, 3):
+        ctx = GroupContext(metric, rho=rho)
+        for R in range(r_max + 1):
+            for g in enumerate_annulus(R, ctx.h, metric):
+                length = metric.length_of(g.letters)
+                t = length / 2.0 - float(rho) if metric.kind == "green" else Fraction(length, 2) - rho
+                rect = shadow_pair(g, ctx)
+                for cyl, xi in ((rect.first, hat_projection(g)), (rect.second, hat_projection(~g))):
+                    assert cyl == ball_cylinder(xi, t, metric) == _ball_by_definition(xi, t, metric), (g, rho)
+
+
+@pytest.mark.parametrize("kwargs", [{"rho": -1}, {"rho": Fraction(-1, 2)}, {"h": -1}, {"epsilon": 0}, {"epsilon": -1}])
+def test_context_refuses_out_of_range_parameters(kwargs):
+    with pytest.raises(ValueError):
+        GroupContext(MetricSpec.word(2), **kwargs)
 
 
 def test_ball_cylinder_weighted_rounding():

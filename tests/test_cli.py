@@ -261,6 +261,19 @@ def test_cache_entry_from_other_code_is_a_miss(tmp_path, monkeypatch):
         ("gvb", {"grid": [-1, 2]}, "grid[0]"),
         ("xi", {"grid": [-1, 2]}, "grid[0]"),
         ("orth", {"grid": [5.5, 6.5]}, "grid[0]"),
+        # range rules: each of these used to run, pass vacuously or crash
+        ("equidist", {"depth": -1}, "depth"),
+        ("orth", {"weights": "shadow", "grid": [4], "rho": "-3"}, "rho"),
+        ("equidist", {"rho": "-1"}, "rho"),
+        ("equidist", {"h": "-1"}, "h"),
+        ("cover", {"rho_max": -1}, "rho_max"),
+        ("spec", {"epsilon": 0}, "epsilon"),
+        ("spec", {"epsilon": "-1"}, "epsilon"),
+        ("conv", {"fiber_r_max": -2}, "fiber_r_max"),
+        ("conv", {"trials": 0}, "trials"),
+        ("conv", {"triples": [[-1, 1, 1]]}, "triples[0][0]"),
+        ("green", {"samples": 0}, "samples"),
+        ("green", {"depth": 7}, "depth"),
     ],
 )
 def test_bad_config_values_are_field_anchored(tmp_path, capsys, subcommand, patch, path):

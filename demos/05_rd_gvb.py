@@ -39,7 +39,7 @@ c = convolve(s1, s1)
 print(f"1_S1 * 1_S1 = 4 delta_e + 1_S2 (support {len(c)}), ||.||_2^2 = "
       f"{sum(v * v for v in c.values())}")
 fibers = fiber_size_report(4, 2)
-print(f"fibers (exhaustive to R,R'<=4): extremal size 1 = {fibers.extremal_ok}, "
+print(f"fibers (class census to R,R'<=4): extremal size 1 = {fibers.extremal_ok}, "
       f"max by defect {fibers.max_by_defect}")
 
 print("\n== good vector bound fails: q_n unbounded with exponent ~ 2 ==")

@@ -853,7 +853,6 @@ def rd_sweep(
     grid: Sequence[int],
     ctx: GroupContext,
     mu: BoundaryMeasure,
-    lower_band: float = 0.3,
 ) -> SweepReport:
     ratios = []
     sums_exact = []
@@ -865,7 +864,7 @@ def rd_sweep(
     sup_r = max(ratios)
     band = [r for n, r in zip(grid, ratios) if n >= 2]
     inf_r = min(band) if band else min(ratios)
-    passed = inf_r >= lower_band and math.isfinite(sup_r)
+    passed = inf_r >= _RD_LOWER_BAND and math.isfinite(sup_r)
     return SweepReport(
         name="annular-rd",
         param="n",
@@ -882,6 +881,7 @@ def rd_sweep(
     )
 
 
+_RD_LOWER_BAND = 0.3  # inf of r_n over n >= 2 that counts as bounded below
 _GVB_EXPONENT_BAND = (1.8, 2.2)  # growth exponents that count as "about 2"
 
 
@@ -965,40 +965,37 @@ class FiberReport:
     max_by_defect: Dict[int, int]  # p -> max fiber size over |g| = R+R'-2p
     extremal_ok: bool              # fiber size exactly 1 whenever p = 0
     bound_ok: bool                 # max fiber at defect p <= 2k(2k-1)^(p-1)
-    pairs_checked: List[Tuple[int, int]]
+
+
+def _fiber_bound(p: int, k: int) -> int:
+    """Haagerup's bound on the fiber size at defect p."""
+    return 1 if p == 0 else 2 * k * (2 * k - 1) ** (p - 1)
+
+
+def _fiber_count(R: int, Rp: int, p: int, k: int) -> int:
+    """|{x in S_R : |x^-1 g| = R'}| for each g with |g| = n = R + R' - 2p:
+    the x sharing exactly j = R - p letters with g, i.e. the words of S_R on
+    g's first j letters less those on its first j+1 (none once j is R or n)."""
+    n, j, q = R + Rp - 2 * p, R - p, 2 * k - 1
+    on_prefix = sphere_size(R, k) if j == 0 else q ** (R - j)
+    return on_prefix - (q ** (R - j - 1) if j < min(R, n) else 0)
 
 
 def fiber_size_report(r_max: int, k: int) -> FiberReport:
-    """Exhaustive forward-product census of the fibers
-    {x in S_R : x^-1 g in S_R'}: counts of g = x z over S_R x S_R'."""
-    metric = MetricSpec.word(k)
-    spheres = {
-        r: [g.letters for g in enumerate_annulus(r, 0, metric)] for r in range(1, r_max + 1)
-    }
-    from .words import multiply_letters
-
+    """Census of the fibers {x in S_R : x^-1 g in S_R'} for R, R' <= r_max,
+    one common-prefix class count per defect p = (R + R' - |g|)/2."""
     max_by_defect: Dict[int, int] = {}
     extremal_ok = True
-    pairs = []
     for R in range(1, r_max + 1):
         for Rp in range(1, r_max + 1):
-            pairs.append((R, Rp))
-            counts: Dict[Letters, int] = {}
-            for x in spheres[R]:
-                for z in spheres[Rp]:
-                    g = multiply_letters(x, z)
-                    counts[g] = counts.get(g, 0) + 1
-            for g, c in counts.items():
-                p = (R + Rp - len(g)) // 2
+            for p in range(min(R, Rp) + 1):
+                c = _fiber_count(R, Rp, p, k)
                 if p == 0 and c != 1:
                     extremal_ok = False
                 if c > max_by_defect.get(p, 0):
                     max_by_defect[p] = c
-    bound_ok = all(
-        c <= (2 * k * (2 * k - 1) ** (p - 1) if p >= 1 else 1)
-        for p, c in max_by_defect.items()
-    )
-    return FiberReport(max_by_defect, extremal_ok, bound_ok, pairs)
+    bound_ok = all(c <= _fiber_bound(p, k) for p, c in max_by_defect.items())
+    return FiberReport(max_by_defect, extremal_ok, bound_ok)
 
 
 @dataclass

@@ -40,6 +40,7 @@ from .asymptotics import (
     orthogonality_sweep,
     rd_convolution_check,
     rd_sweep,
+    _fiber_bound,
     _resolution_depth,
     fit_decay,
 )
@@ -67,6 +68,7 @@ from .words import (
 log = logging.getLogger("freeboundary")
 
 SCHEMA_VERSION = 1
+_CONV_RATIO_CAP = 4.0  # largest restricted convolution norm ratio that passes
 
 
 class ConfigError(ValueError):
@@ -110,7 +112,7 @@ def _parse_float(value, path: str) -> float:
 _TOP_KEYS = {
     "schema_version", "group", "metric", "epsilon", "rho", "h", "grid", "weights", "depth",
     "tolerance", "seed", "samples", "budget", "vectors", "functions", "cases", "walk", "v", "w",
-    "rho_max", "lower_band", "fiber_r_max", "triples", "trials", "ratio_cap",
+    "rho_max", "fiber_r_max", "triples", "trials",
     "ancona_words", "ancona_max_len", "ancona_samples",
 }
 
@@ -234,7 +236,7 @@ class RunConfig:
         if not isinstance(grid, list) or not grid:
             raise ConfigError("grid", "grid must be a nonempty strictly increasing list")
         for i, x in enumerate(grid):
-            _parse_float(x, f"grid[{i}]")
+            _at_least(_parse_float(x, f"grid[{i}]"), 0, f"grid[{i}]")
         if any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):
             raise ConfigError("grid", "grid must be a nonempty strictly increasing list")
         self.grid = grid
@@ -245,14 +247,12 @@ class RunConfig:
         self.depth = _parse_int(raw.get("depth", 2), "depth", low=1)
         # absent: each subcommand applies its own default (orth 0.05, equidist 0.02)
         self.tolerance = _parse_float(raw["tolerance"], "tolerance") if "tolerance" in raw else None
-        self.seed = _parse_int(raw.get("seed", 0), "seed")
+        self.seed = _parse_int(raw.get("seed", 0), "seed", low=0)
         self.samples = _parse_int(raw.get("samples", 100_000), "samples", low=1)
         self.budget = _parse_int(raw.get("budget", 10_000_000), "budget")
         self.rho_max = _parse_int(raw.get("rho_max", 3), "rho_max", low=0)
-        self.lower_band = _parse_float(raw.get("lower_band", 0.3), "lower_band")
         self.fiber_r_max = _parse_int(raw.get("fiber_r_max", 6), "fiber_r_max", low=1)
         self.trials = _parse_int(raw.get("trials", 3), "trials", low=1)
-        self.ratio_cap = _parse_float(raw.get("ratio_cap", 4.0), "ratio_cap")
         self.ancona_words = _parse_int(raw.get("ancona_words", 20), "ancona_words", low=0)
         self.ancona_max_len = _parse_int(raw.get("ancona_max_len", 6), "ancona_max_len", low=1)
         self.ancona_samples = _parse_int(
@@ -294,9 +294,9 @@ class RunConfig:
         return GroupContext(self.metric, **kwargs)
 
     def sphere_radii(self) -> List[int]:
-        """The grid as word-sphere radii: each entry a JSON integer >= 0."""
+        """The grid as word-sphere radii: each entry a JSON integer."""
         for i, n in enumerate(self.grid):
-            _parse_int(n, f"grid[{i}]", low=0)
+            _parse_int(n, f"grid[{i}]")
         return self.grid
 
     def vector(self, name: str) -> StepFunction:
@@ -709,7 +709,7 @@ def cmd_rd(cfg: RunConfig, emit: Emitter) -> int:
     w = cfg.vector(cfg.w)
     grid = cfg.sphere_radii()
     t0 = time.monotonic()
-    report = rd_sweep(v, w, grid, ctx, mu, lower_band=cfg.lower_band)
+    report = rd_sweep(v, w, grid, ctx, mu)
     emit.timings["rd"] = time.monotonic() - t0
     rows = [
         {"n": n, "ratio": repr(report.values[i]), "sum_sq_exact": report.values_exact[i]}
@@ -734,11 +734,11 @@ def cmd_conv(cfg: RunConfig, emit: Emitter) -> int:
     check = rd_convolution_check(cfg.triples, ctx, trials=cfg.trials, seed=cfg.seed, budget=cfg.budget)
     emit.timings["random_trials"] = time.monotonic() - t0
     rows = [
-        {"defect_p": p, "max_fiber": fibers.max_by_defect[p], "bound": 1 if p == 0 else 2 * cfg.k * (2 * cfg.k - 1) ** (p - 1)}
+        {"defect_p": p, "max_fiber": fibers.max_by_defect[p], "bound": _fiber_bound(p, cfg.k)}
         for p in sorted(fibers.max_by_defect)
     ]
     emit.write_csv("conv_fibers.csv", rows)
-    passed = fibers.extremal_ok and fibers.bound_ok and check.max_restricted_ratio <= cfg.ratio_cap
+    passed = fibers.extremal_ok and fibers.bound_ok and check.max_restricted_ratio <= _CONV_RATIO_CAP
     emit.write_json(
         "conv_summary.json",
         {
@@ -747,14 +747,14 @@ def cmd_conv(cfg: RunConfig, emit: Emitter) -> int:
             "fiber_bound_ok": fibers.bound_ok,
             "max_restricted_ratio": check.max_restricted_ratio,
             "max_full_ratio_over_1pR": check.max_full_ratio_over_1pR,
-            "ratio_cap": cfg.ratio_cap,
+            "ratio_cap": _CONV_RATIO_CAP,
             "triples": [list(t) for t in check.grid],
             "passed": passed,
         },
     )
     print(
-        f"fibers exhaustive to R,R'<= {cfg.fiber_r_max}: extremal size-1 {fibers.extremal_ok}, bound {fibers.bound_ok}; "
-        f"max restricted conv ratio {check.max_restricted_ratio:.4f} (cap {cfg.ratio_cap})"
+        f"fibers by class census to R,R'<= {cfg.fiber_r_max}: extremal size-1 {fibers.extremal_ok}, bound {fibers.bound_ok}; "
+        f"max restricted conv ratio {check.max_restricted_ratio:.4f} (cap {_CONV_RATIO_CAP})"
     )
     return 0 if passed else 2
 
@@ -928,13 +928,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg.seed = _parse_int(args.seed, "seed", low=0)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     if args.budget is not None:
         cfg.budget = args.budget
-    if args.seed is not None:
-        cfg.seed = args.seed
     emit = Emitter(args.out, cfg, args.subcommand, Cache(args.out / "cache", enabled=not args.no_cache))
     try:
         code = COMMANDS[args.subcommand](cfg, emit)

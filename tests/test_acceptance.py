@@ -399,7 +399,7 @@ def test_criterion_9_convolution_bounds(ctx):
     report(
         9,
         ok,
-        f"exhaustive fibers R,R'<=6: extremal size 1, defect bound ok; "
+        f"class-census fibers R,R'<=6: extremal size 1, defect bound ok; "
         f"random-trial ratios restricted {check.max_restricted_ratio:.3f}, "
         f"full/(1+R) {check.max_full_ratio_over_1pR:.3f} (cap 4.0); {elapsed:.0f}s",
     )

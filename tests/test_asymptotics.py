@@ -48,9 +48,11 @@ from freeboundary import (
 from freeboundary.asymptotics import (
     SphereGrid,
     WeightFamily,
+    _fiber_count,
     class_representative,
     sphere_classes,
 )
+from freeboundary.words import multiply_letters
 
 W = ReducedWord.from_str
 
@@ -443,6 +445,43 @@ def test_convolution_budget():
     s3 = {g: Fraction(1) for g in enumerate_sphere(3, MetricSpec.word(2))}
     with pytest.raises(BudgetError):
         convolve(s3, s3, budget=10)
+
+
+def _product_fibers(r_max, k):
+    """Reference census: multiply every pair of S_R x S_R' and count each
+    product g.  Returns {(R, R'): {g: count}} and the report fields."""
+    spheres = {r: [g.letters for g in enumerate_sphere(r, MetricSpec.word(k))] for r in range(1, r_max + 1)}
+    counts = {}
+    max_by_defect = {}
+    extremal_ok = True
+    for R in range(1, r_max + 1):
+        for Rp in range(1, r_max + 1):
+            fibers = counts[R, Rp] = {}
+            for x in spheres[R]:
+                for z in spheres[Rp]:
+                    g = multiply_letters(x, z)
+                    fibers[g] = fibers.get(g, 0) + 1
+            for g, c in fibers.items():
+                p = (R + Rp - len(g)) // 2
+                if p == 0 and c != 1:
+                    extremal_ok = False
+                max_by_defect[p] = max(c, max_by_defect.get(p, 0))
+    bound_ok = all(c <= (1 if p == 0 else 2 * k * (2 * k - 1) ** (p - 1)) for p, c in max_by_defect.items())
+    return counts, max_by_defect, extremal_ok, bound_ok
+
+
+@pytest.mark.parametrize("k, r_max", [(2, 4), (3, 3), (4, 2)])
+def test_fiber_class_census_matches_product_loop(k, r_max):
+    counts, max_by_defect, extremal_ok, bound_ok = _product_fibers(r_max, k)
+    for (R, Rp), fibers in counts.items():
+        for g, c in fibers.items():
+            assert c == _fiber_count(R, Rp, (R + Rp - len(g)) // 2, k), (R, Rp, g)
+        for p in range(min(R, Rp) + 1):
+            n = R + Rp - 2 * p
+            assert sum(1 for g in fibers if len(g) == n) == sphere_size(n, k), (R, Rp, p)
+    report = fiber_size_report(r_max, k)
+    assert report.max_by_defect == max_by_defect
+    assert (report.extremal_ok, report.bound_ok) == (extremal_ok, bound_ok)
 
 
 def test_fiber_report_small():

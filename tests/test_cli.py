@@ -217,6 +217,10 @@ def test_unknown_config_keys_and_schema_version_rejected(tmp_path, capsys):
     case = write_config(tmp_path, "c.json", {**BASE, "cases": [{"name": "x", "v3": "one"}]})
     assert main(["orth", "--config", str(case), "--out", str(tmp_path / "t")]) == 1
     assert "cases[0].v3: unknown key" in capsys.readouterr().err
+    for key, value in (("lower_band", 0.3), ("ratio_cap", 4.0)):
+        retired = write_config(tmp_path, "r.json", {**BASE, key: value})
+        assert main(["conv", "--config", str(retired), "--out", str(tmp_path / "t")]) == 1
+        assert f"config error: {key}: unknown key" in capsys.readouterr().err
     future = write_config(tmp_path, "v2.json", {**BASE, "schema_version": 2})
     assert main(["spec", "--config", str(future), "--out", str(tmp_path / "t")]) == 1
     assert "schema_version" in capsys.readouterr().err
@@ -274,12 +278,23 @@ def test_cache_entry_from_other_code_is_a_miss(tmp_path, monkeypatch):
         ("conv", {"triples": [[-1, 1, 1]]}, "triples[0][0]"),
         ("green", {"samples": 0}, "samples"),
         ("green", {"depth": 7}, "depth"),
+        ("green", {"seed": -1}, "seed"),
+        # every grid entry is >= 0, whatever the subcommand
+        ("cover", {"grid": [-3, -2]}, "grid[0]"),
+        ("equidist", {"grid": [-3, -2]}, "grid[0]"),
+        ("orth", {"weights": "shadow", "grid": [-1, 2]}, "grid[0]"),
     ],
 )
 def test_bad_config_values_are_field_anchored(tmp_path, capsys, subcommand, patch, path):
     cfg = write_config(tmp_path, "bad.json", {**BASE, **patch})
     assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert f"config error: {path}: " in capsys.readouterr().err
+
+
+def test_negative_seed_flag_is_field_anchored(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", BASE)
+    assert main(["green", "--config", str(cfg), "--out", str(tmp_path / "o"), "--seed", "-1"]) == 1
+    assert "config error: seed: " in capsys.readouterr().err
 
 
 def test_orth_sphere_weights_need_word_metric(tmp_path, capsys):

@@ -63,6 +63,7 @@ from .words import (
     canonical_letters,
     enumerate_annulus,
     letter_to_str,
+    sphere_size,
 )
 
 log = logging.getLogger("freeboundary")
@@ -249,7 +250,7 @@ class RunConfig:
         self.tolerance = _parse_float(raw["tolerance"], "tolerance") if "tolerance" in raw else None
         self.seed = _parse_int(raw.get("seed", 0), "seed", low=0)
         self.samples = _parse_int(raw.get("samples", 100_000), "samples", low=1)
-        self.budget = _parse_int(raw.get("budget", 10_000_000), "budget")
+        self.budget = _parse_int(raw.get("budget", 10_000_000), "budget", low=1)
         self.rho_max = _parse_int(raw.get("rho_max", 3), "rho_max", low=0)
         self.fiber_r_max = _parse_int(raw.get("fiber_r_max", 6), "fiber_r_max", low=1)
         self.trials = _parse_int(raw.get("trials", 3), "trials", low=1)
@@ -791,6 +792,7 @@ def cmd_green(cfg: RunConfig, emit: Emitter) -> int:
     depth = cfg.depth
     if depth > 4:
         raise ConfigError("depth", f"green tabulates cylinders of depth <= 4, got {depth}")
+    _check_ancona_words(cfg)
     walk = cfg.walk or WalkSpec.simple(cfg.k)
     fp = solve_first_passage(walk)
     metric = green_metric_of_walk(walk)
@@ -849,6 +851,21 @@ def cmd_green(cfg: RunConfig, emit: Emitter) -> int:
         f"cylinders in CI {inside}/{total}; ancona in CI {anc_inside}/{len(anc_rows)}"
     )
     return 0 if passed else 2
+
+
+def _check_ancona_words(cfg: RunConfig) -> None:
+    """Refuse more Ancona words than there are distinct reduced words of
+    1..ancona_max_len letters, which the word draw would never finish."""
+    distinct = 0
+    for n in range(1, cfg.ancona_max_len + 1):
+        distinct += sphere_size(n, cfg.k)
+        if distinct >= cfg.ancona_words:
+            return
+    raise ConfigError(
+        "ancona_words",
+        f"only {distinct} distinct reduced words have 1..{cfg.ancona_max_len} letters at rank {cfg.k}, "
+        f"got {cfg.ancona_words}",
+    )
 
 
 def _ancona_words(cfg: RunConfig, walk: WalkSpec, fp, emit: Emitter):
@@ -930,11 +947,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = _parse_int(args.seed, "seed", low=0)
+        if args.budget is not None:
+            cfg.budget = _parse_int(args.budget, "budget", low=1)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    if args.budget is not None:
-        cfg.budget = args.budget
     emit = Emitter(args.out, cfg, args.subcommand, Cache(args.out / "cache", enabled=not args.no_cache))
     try:
         code = COMMANDS[args.subcommand](cfg, emit)

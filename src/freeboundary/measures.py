@@ -452,36 +452,74 @@ def _run_walks(
     """Run a batch of trajectories from the identity, kept as reduced words.
 
     A trajectory stops once its word has ``cap`` letters or, given a
-    ``target`` word, once it equals the target.  Every step draws one
-    uniform per running trajectory, in index order.  Returns the word
-    buffers, the word lengths and the mask of trajectories still running
-    after ``horizon`` steps.
+    ``target`` word, once it equals the target.  Returns the word buffers,
+    the word lengths and the mask of trajectories still running after
+    ``horizon`` steps; letters past a word's length are stale.
+
+    Draw order: every step draws one uniform per running trajectory, in
+    index order, and the letter is the number of inner thresholds of the
+    cumulative step law at or below the draw (``searchsorted(side="right")``,
+    as the last threshold is 1.0).  Any change to this order changes every
+    seeded estimate.
+
+    Layout: trajectory i owns row i of a (samples, cap + 1) int8 buffer,
+    at flat offset ``base = i * (cap + 1)``.  Column 0 is a zero sentinel
+    and the word's letters sit in columns 1..len, so the last letter is
+    ``flat[base + len]`` (0 for the empty word, which no letter cancels),
+    and a step writes its letter to ``flat[base + len + 1]`` whether it
+    grows the word or cancels a letter (then the write lands past the new
+    length).  The running trajectories' base, length, last letter and,
+    given a target, common-prefix length with the target are held in
+    compact arrays in index order (int32 offsets while the buffer has
+    fewer than 2^31 cells), compacted only on steps where some trajectory
+    stops.
     """
     rng = np.random.default_rng(seed)
     letters, cum = _letters_and_cum(walk)
-    words = np.zeros((samples, cap), dtype=np.int8)
-    lens = np.zeros(samples, dtype=np.int64)
-    active = np.ones(samples, dtype=bool)
+    thresholds = cum[:-1]
+    width = cap + 1
+    index = np.int32 if samples * width <= np.iinfo(np.int32).max else np.int64
+    words = np.zeros((samples, width), dtype=np.int8)
+    flat = words.reshape(-1)
+    lens = np.zeros(samples, dtype=index)
+    active = np.zeros(samples, dtype=bool)
+    base = np.arange(0, samples * width, width, dtype=index)
+    length = np.zeros(samples, dtype=index)
+    last = np.zeros(samples, dtype=np.int8)
+    if target is not None:
+        n = target.size
+        padded = np.zeros(width, dtype=np.int8)  # 0 past the target matches no letter
+        padded[:n] = target
+        agree = np.zeros(samples, dtype=index)
     for _ in range(horizon):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+        if base.size == 0:
             break
-        draws = rng.random(idx.size)
-        chosen = letters[np.searchsorted(cum, draws, side="right")]
-        l = lens[idx]
-        last = words[idx, np.maximum(l - 1, 0)]
-        cancel = (l > 0) & (chosen == -last)
-        shrink = idx[cancel]
-        lens[shrink] -= 1
-        grow = idx[~cancel]
-        words[grow, lens[grow]] = chosen[~cancel]
-        lens[grow] += 1
+        draws = rng.random(base.size)
+        pick = (draws >= thresholds[0]).view(np.int8).copy()
+        for c in thresholds[1:]:
+            pick += (draws >= c).view(np.int8)
+        chosen = letters.take(pick)
+        cancel = chosen == -last
+        flat[base + length + 1] = chosen
         if target is not None:
-            at_len = idx[lens[idx] == target.size]
-            if at_len.size:
-                active[at_len[np.all(words[at_len, : target.size] == target, axis=1)]] = False
-        active[idx[lens[idx] >= cap]] = False
-    return words, lens, active
+            # a cancelling letter never extends the agreement: the target is reduced
+            agree += (agree == length) & (chosen == padded.take(length))
+        length += 1
+        length -= 2 * cancel.view(np.int8)  # a cancel takes back the step and the cancelled letter
+        last = flat.take(base + length)
+        stop = length >= cap
+        if target is not None:
+            np.minimum(agree, length, out=agree)
+            stop |= agree == n  # only at length n: a longer word on the target passed through it
+        if stop.any():
+            lens[base[stop] // width] = length[stop]
+            keep = ~stop
+            base, length, last = base[keep], length[keep], last[keep]
+            if target is not None:
+                agree = agree[keep]
+    lens[base // width] = length
+    active[base // width] = True
+    return words[:, 1:], lens, active
 
 
 def sample_boundary_prefixes(walk: WalkSpec, depth: int, samples: int, seed: int) -> Tuple[np.ndarray, int]:
@@ -502,15 +540,19 @@ def sample_boundary_prefixes(walk: WalkSpec, depth: int, samples: int, seed: int
 
 
 def mc_cylinder_counts(walk: WalkSpec, depth: int, samples: int, seed: int) -> Tuple[Dict[Letters, int], int, int]:
-    """Counts of decided trajectories per depth-d boundary prefix."""
+    """Counts of decided trajectories per depth-d boundary prefix, keys in
+    lexicographic order of their letters."""
     prefixes, undecided = sample_boundary_prefixes(walk, depth, samples, seed)
-    counts: Dict[Letters, int] = {}
+    decided = prefixes.shape[0]
     if depth == 0:
-        return {(): prefixes.shape[0]}, prefixes.shape[0], undecided
-    uniq, cnt = np.unique(prefixes, axis=0, return_counts=True)
-    for row, c in zip(uniq, cnt):
-        counts[tuple(int(x) for x in row)] = int(c)
-    return counts, prefixes.shape[0], undecided
+        return {(): decided}, decided, undecided
+    rows = prefixes[np.lexsort(prefixes.T[::-1])]
+    first = np.ones(decided, dtype=bool)  # the rows that open a run of equal prefixes
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    starts = np.flatnonzero(first)
+    sizes = np.diff(starts, append=decided)
+    counts = {tuple(row): c for row, c in zip(rows[starts].tolist(), sizes.tolist())}
+    return counts, decided, undecided
 
 
 def _binomial_halfwidth(p: float, n: int) -> float:
@@ -541,8 +583,8 @@ def mc_first_passage(walk: WalkSpec, g: ReducedWord, samples: int, seed: int) ->
     if n == 0:
         return MCEstimate(1.0, 0.0, samples, samples, 0)
     target = np.array(g.letters, dtype=np.int8)
-    words, lens, active = _run_walks(walk, samples, seed, n + _PASSAGE_MARGIN, _PASSAGE_HORIZON, target)
-    hits = int(((lens == n) & np.all(words[:, :n] == target, axis=1)).sum())
+    _, lens, active = _run_walks(walk, samples, seed, n + _PASSAGE_MARGIN, _PASSAGE_HORIZON, target)
+    hits = int(((lens == n) & ~active).sum())  # every other stop is at n + _PASSAGE_MARGIN letters
     decided = int((~active).sum())
     undecided = int(active.sum())
     est = hits / decided if decided else math.nan

@@ -283,6 +283,12 @@ def test_cache_entry_from_other_code_is_a_miss(tmp_path, monkeypatch):
         ("cover", {"grid": [-3, -2]}, "grid[0]"),
         ("equidist", {"grid": [-3, -2]}, "grid[0]"),
         ("orth", {"weights": "shadow", "grid": [-1, 2]}, "grid[0]"),
+        # budget >= 1, whatever the subcommand consults it for
+        ("cover", {"grid": [2, 3], "budget": -5}, "budget"),
+        ("rd", {"budget": 0}, "budget"),
+        # no more Ancona words than distinct reduced words: 4 of one letter, 16 of one or two at k = 2
+        ("green", {"ancona_max_len": 1, "ancona_words": 5}, "ancona_words"),
+        ("green", {"ancona_max_len": 2, "ancona_words": 17}, "ancona_words"),
     ],
 )
 def test_bad_config_values_are_field_anchored(tmp_path, capsys, subcommand, patch, path):
@@ -295,6 +301,18 @@ def test_negative_seed_flag_is_field_anchored(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", BASE)
     assert main(["green", "--config", str(cfg), "--out", str(tmp_path / "o"), "--seed", "-1"]) == 1
     assert "config error: seed: " in capsys.readouterr().err
+
+
+def test_ancona_words_up_to_the_reduced_word_count_are_accepted(tmp_path):
+    from freeboundary.cli import RunConfig, _check_ancona_words
+
+    _check_ancona_words(RunConfig({**BASE, "ancona_max_len": 2, "ancona_words": 16}, tmp_path / "c.json"))
+
+
+def test_negative_budget_flag_is_field_anchored(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", BASE)
+    assert main(["rd", "--config", str(cfg), "--out", str(tmp_path / "o"), "--budget", "-5"]) == 1
+    assert "config error: budget: " in capsys.readouterr().err
 
 
 def test_orth_sphere_weights_need_word_metric(tmp_path, capsys):

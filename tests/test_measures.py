@@ -2,7 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from freeboundary import (
     Cylinder,
@@ -24,7 +27,13 @@ from freeboundary import (
     solve_first_passage,
     translate_cylinder_set,
 )
-from freeboundary.measures import MCEstimate, mc_cylinder_counts
+from freeboundary.measures import (
+    MCEstimate,
+    _letters_and_cum,
+    _run_walks,
+    mc_cylinder_counts,
+    sample_boundary_prefixes,
+)
 from freeboundary.words import canonical_letters
 
 W = ReducedWord.from_str
@@ -321,3 +330,100 @@ def test_mc_outputs_pinned():
         (-2, -2): 161, (-2, -1): 171, (-2, 1): 176, (-1, -2): 172, (-1, -1): 153, (-1, 2): 185,
         (1, -2): 167, (1, 1): 168, (1, 2): 180, (2, -1): 148, (2, 1): 153, (2, 2): 166,
     }
+
+
+def _reference_walks(walk, samples, seed, cap, horizon, target=None):
+    """Oracle for ``_run_walks``: the same draw order, over full-width
+    gathers, a searchsorted letter pick and a full-row compare with the
+    target."""
+    rng = np.random.default_rng(seed)
+    letters, cum = _letters_and_cum(walk)
+    words = np.zeros((samples, cap), dtype=np.int8)
+    lens = np.zeros(samples, dtype=np.int64)
+    active = np.ones(samples, dtype=bool)
+    for _ in range(horizon):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        draws = rng.random(idx.size)
+        chosen = letters[np.searchsorted(cum, draws, side="right")]
+        l = lens[idx]
+        last = words[idx, np.maximum(l - 1, 0)]
+        cancel = (l > 0) & (chosen == -last)
+        shrink = idx[cancel]
+        lens[shrink] -= 1
+        grow = idx[~cancel]
+        words[grow, lens[grow]] = chosen[~cancel]
+        lens[grow] += 1
+        if target is not None:
+            at_len = idx[lens[idx] == target.size]
+            if at_len.size:
+                active[at_len[np.all(words[at_len, : target.size] == target, axis=1)]] = False
+        active[idx[lens[idx] >= cap]] = False
+    return words, lens, active
+
+
+def _assert_same_walks(got, want):
+    (got_words, got_lens, got_active), (want_words, want_lens, want_active) = got, want
+    assert got_lens.tolist() == want_lens.tolist()
+    assert got_active.tolist() == want_active.tolist()
+    for i, n in enumerate(want_lens.tolist()):
+        assert got_words[i, :n].tolist() == want_words[i, :n].tolist(), i
+
+
+@st.composite
+def walk_batches(draw):
+    """(walk, samples, seed, cap, horizon, target) at ranks 2..4 with
+    asymmetric step laws, no target or one of 1..5 letters."""
+    k = draw(st.integers(2, 4))
+    weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    walk = WalkSpec.from_generator_probs([Fraction(x, 2 * sum(weights)) for x in weights])
+    letters = canonical_letters(k)
+    target = []
+    for _ in range(draw(st.integers(0, 5))):
+        target.append(draw(st.sampled_from([s for s in letters if not target or s != -target[-1]])))
+    cap = len(target) + draw(st.integers(1, 8))
+    samples = draw(st.integers(1, 300))
+    horizon = draw(st.integers(1, 60))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return walk, samples, seed, cap, horizon, (np.array(target, dtype=np.int8) if target else None)
+
+
+ASYMMETRIC_3 = WalkSpec.from_generator_probs([Fraction(1, 8), Fraction(1, 6), Fraction(5, 24)])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(walk_batches())
+@example((ASYMMETRIC_3, 1, 4, 20, 10_000, None))  # one sample
+@example((ASYMMETRIC_3, 1, 4, 41, 10_000, np.array([1, -2], dtype=np.int8)))
+@example((ASYMMETRIC_3, 200, 9, 1, 10_000, None))  # cap = 1: every trajectory stops at its first step
+@example((ASYMMETRIC_3, 500, 3, 4, 6, None))  # horizon too short: undecided trajectories stay
+@example((ASYMMETRIC_3, 500, 3, 41, 3, np.array([3], dtype=np.int8)))
+def test_walk_kernel_matches_reference(batch):
+    walk, samples, seed, cap, horizon, target = batch
+    _assert_same_walks(
+        _run_walks(walk, samples, seed, cap, horizon, target),
+        _reference_walks(walk, samples, seed, cap, horizon, target),
+    )
+
+
+@pytest.mark.parametrize("cap, horizon, target", [(4, 6, None), (41, 3, (3,))])
+def test_walk_kernel_reports_undecided(cap, horizon, target):
+    target = None if target is None else np.array(target, dtype=np.int8)
+    got = _run_walks(ASYMMETRIC_3, 500, 3, cap, horizon, target)
+    assert got[2].any() and not got[2].all()
+    _assert_same_walks(got, _reference_walks(ASYMMETRIC_3, 500, 3, cap, horizon, target))
+
+
+@pytest.mark.parametrize("depth", range(5))
+@pytest.mark.parametrize("walk", [WalkSpec.from_generator_probs([Fraction(1, 5), Fraction(3, 10)]), ASYMMETRIC_3])
+def test_mc_cylinder_counts_match_unique_oracle(walk, depth):
+    counts, decided, undecided = mc_cylinder_counts(walk, depth, 3000, seed=depth)
+    prefixes, want_undecided = sample_boundary_prefixes(walk, depth, 3000, seed=depth)
+    if depth:
+        uniq, cnt = np.unique(prefixes, axis=0, return_counts=True)
+        want = {tuple(int(x) for x in row): int(c) for row, c in zip(uniq, cnt)}
+    else:
+        want = {(): prefixes.shape[0]}
+    assert list(counts.items()) == list(want.items())
+    assert (decided, undecided) == (prefixes.shape[0], want_undecided)

@@ -38,6 +38,7 @@ from .words import (
     canonical_letters,
     enumerate_annulus,
     hat_projection,
+    invert_letters,
     sphere_size,
 )
 
@@ -263,6 +264,9 @@ class WeightFamily:
     def total(self):
         if self.uniform:
             return Fraction(1)
+        if self.exact:  # one exact sum over a common denominator
+            den = math.lcm(*(m.denominator for m in self.masses))
+            return Fraction(sum(m.numerator * (den // m.denominator) for m in self.masses), den)
         return sum(self.masses)
 
     def max_mass(self):
@@ -354,6 +358,15 @@ class CoverReport:
     annulus_size: int
 
 
+def _resolution_grid(R, ctx: GroupContext, budget: int, what: str) -> SphereGrid:
+    """The depth-m cylinder index of the shadow sweeps, refused when its
+    cell pairs exceed 64 * budget."""
+    grid = SphereGrid(ctx.k, _resolution_depth(R, ctx))
+    if grid.size**2 > 64 * budget:
+        raise BudgetError(f"{what} grid {grid.size}^2 exceeds budget")
+    return grid
+
+
 class _ShadowSweep:
     """The annulus in canonical order over the occupancy grid of depth-m
     cylinder pairs: iterating yields (g, rows, cols, sub) per element, sub
@@ -364,9 +377,7 @@ class _ShadowSweep:
         self.R = R
         self.ctx = ctx
         self.budget = budget
-        self.grid = SphereGrid(ctx.k, _resolution_depth(R, ctx))
-        if self.grid.size**2 > 64 * budget:
-            raise BudgetError(f"{what} grid {self.grid.size}^2 exceeds budget")
+        self.grid = _resolution_grid(R, ctx, budget, what)
         self.occupied = np.zeros((self.grid.size, self.grid.size), dtype=bool)
         self.count = 0
 
@@ -383,13 +394,9 @@ class _ShadowSweep:
             sub[:] = True
 
 
-def check_shadow_cover(R, ctx: GroupContext, budget: int = 10_000_000) -> CoverReport:
-    """Exact finite check that double shadows of the annulus cover the
-    boundary square, at the canonical resolution depth.
-
-    Failure is a valid outcome (it calibrates rho and h); the witness is
-    an uncovered rectangle of depth-m cylinders.
-    """
+def _sweep_cover(R, ctx: GroupContext, budget: int) -> CoverReport:
+    """check_shadow_cover by the dense sweep; the witness is the first
+    uncovered cell in row-major order."""
     sweep = _ShadowSweep(R, ctx, budget, "cover")
     for _ in sweep:
         pass
@@ -401,15 +408,15 @@ def check_shadow_cover(R, ctx: GroupContext, budget: int = 10_000_000) -> CoverR
     return CoverReport(covered, witness, R, ctx.rho, ctx.h, sweep.grid.m, sweep.count)
 
 
-def build_partition_weights(R, ctx: GroupContext, budget: int = 10_000_000) -> WeightFamily:
-    """Greedy shadow-partition weights: sweep the annulus in canonical
-    order, give each element the product mass of the not-yet-claimed part
-    of its double shadow, claim it.
+def _cover_error(R, ctx: GroupContext) -> CoverError:
+    return CoverError(
+        f"shadows at R={R}, rho={ctx.rho}, h={ctx.h} do not cover; "
+        "raise rho or h (renormalizing would fake the cover)"
+    )
 
-    Masses are exact (integer multiples of the squared cell mass) for the
-    word metric.  If any resolution cell stays unclaimed the cover has
-    failed and the builder raises instead of renormalizing.
-    """
+
+def _sweep_partition(R, ctx: GroupContext, budget: int) -> WeightFamily:
+    """build_partition_weights by the dense sweep."""
     sweep = _ShadowSweep(R, ctx, budget, "partition")
     grid = sweep.grid
     exact = ctx.metric.kind == "word"
@@ -432,12 +439,130 @@ def build_partition_weights(R, ctx: GroupContext, budget: int = 10_000_000) -> W
             else:
                 masses.append(float(np.outer(cell_masses[rlo:rhi], cell_masses[clo:chi])[free].sum()))
     if not sweep.occupied.all():
-        raise CoverError(
-            f"shadows at R={R}, rho={ctx.rho}, h={ctx.h} do not cover; "
-            "raise rho or h (renormalizing would fake the cover)"
-        )
+        raise _cover_error(R, ctx)
     fam = WeightFamily(R, ctx, words, masses, annulus_size=sweep.count)
     assert not exact or fam.total() == 1
+    return fam
+
+
+# -- the word sphere by stem-pair classes -----------------------------------
+#
+# For g in S_n the double shadow is C_p x C_q with p = g[:a] and
+# q = (g^-1)[:a] at the one stem depth a = max(0, ceil(n/2 - rho)) (the
+# cuts of shadow_pair at t = n/2 - rho), and a < m, the grid depth.  So the
+# occupancy grid is a union of whole (p, q) blocks, one per pair in
+# S_a x S_a that occurs, and the greedy sweep gives each block to the
+# first word of its class.
+
+
+def _sphere_radius(R, ctx: GroupContext) -> Optional[int]:
+    """R as an int when the annulus at R is the word sphere S_R (word
+    metric, h = 0, R a whole number >= 0); None sends the caller to the
+    dense sweep."""
+    if ctx.metric.kind == "word" and ctx.h == 0 and R >= 0 and float(R).is_integer():
+        return int(R)
+    return None
+
+
+def _first_absent_pair(n: int, stems: List[Letters], k: int) -> Optional[Tuple[Letters, Letters]]:
+    """The first (p, q) of S_a x S_a in canonical order (p, then q) that no
+    g in S_n has as (g[:a], (g^-1)[:a]); None when every pair occurs.
+
+    g ends in s = q^-1.  When 2a <= n, (p, s) occurs iff
+    count_prefix_suffix(p, s, n, k) > 0, which depends on p[-1] and s[0]
+    only; when 2a > n, p and s overlap in 2a - n letters of g.
+    """
+    a = len(stems[0])
+    if a == 0:
+        return None  # the single empty pair, and S_n is never empty
+    if 2 * a > n:
+        occurs = lambda p, s: p[n - a:] == s[: 2 * a - n]
+    else:
+        letters = canonical_letters(k)
+        absent = {
+            (x, y) for x in letters for y in letters if not count_prefix_suffix((x,), (y,), n - 2 * a + 2, k)
+        }
+        if not absent:
+            return None
+        occurs = lambda p, s: (p[-1], s[0]) not in absent
+    for p in stems:
+        for q in stems:
+            if not occurs(p, invert_letters(q)):
+                return p, q
+    return None
+
+
+def _stem_pairs(
+    n: int, R, ctx: GroupContext, budget: int, what: str
+) -> Tuple[SphereGrid, List[Letters], Optional[Tuple[Letters, Letters]]]:
+    """(grid, S_a in canonical order, first absent pair) for the word
+    sphere S_n.  The dense sweep's budget refusals are checked from the
+    sizes; no grid is allocated."""
+    grid = _resolution_grid(R, ctx, budget, what)
+    if sphere_size(n, ctx.k) > budget:
+        raise BudgetError(f"annulus at R={R} exceeds budget {budget}")
+    a = max(0, math.ceil(Fraction(n, 2) - Fraction(ctx.rho)))
+    stems = [w.letters for w in enumerate_annulus(a, 0, ctx.metric)]
+    return grid, stems, _first_absent_pair(n, stems, ctx.k)
+
+
+def _class_representatives(n: int, stems: List[Letters], k: int) -> List[Letters]:
+    """class_representative(p, s, n, k) for every (p, s) in S_a x S_a,
+    a >= 1 and 2a <= n, in canonical word order."""
+    a = len(stems[0])
+    letters = canonical_letters(k)
+    rank = {s: i for i, s in enumerate(letters)}
+    # the middle letters depend on the junction letters p[-1] and s[0] only
+    mids = {(x, y): class_representative((x,), (y,), n - 2 * a + 2, k)[1:-1] for x in letters for y in letters}
+    # so does the order of the tails after p
+    tails = {
+        x: sorted((mids[x, s[0]] + s for s in stems), key=lambda t: [rank[c] for c in t]) for x in letters
+    }
+    return [p + t for p in stems for t in tails[p[-1]]]
+
+
+def check_shadow_cover(R, ctx: GroupContext, budget: int = 10_000_000) -> CoverReport:
+    """Exact finite check that double shadows of the annulus cover the
+    boundary square, at the canonical resolution depth.
+
+    Failure is a valid outcome (it calibrates rho and h); the witness is
+    the first uncovered rectangle of depth-m cylinders in row-major order.
+    Word spheres are decided by their stem-pair classes, every other
+    annulus by the dense sweep.
+    """
+    n = _sphere_radius(R, ctx)
+    if n is None:
+        return _sweep_cover(R, ctx, budget)
+    grid, _, absent = _stem_pairs(n, R, ctx, budget, "cover")
+    witness = None
+    if absent is not None:
+        # a missing block's first cell: each stem extended to the grid depth
+        witness = CylinderRectangle(*(Cylinder(grid.unrank(grid.interval(stem)[0])) for stem in absent))
+    return CoverReport(absent is None, witness, R, ctx.rho, ctx.h, grid.m, sphere_size(n, ctx.k))
+
+
+def build_partition_weights(R, ctx: GroupContext, budget: int = 10_000_000) -> WeightFamily:
+    """Greedy shadow-partition weights: sweep the annulus in canonical
+    order, give each element the product mass of the not-yet-claimed part
+    of its double shadow, claim it.
+
+    Masses are exact for the word metric.  On a word sphere the family is
+    the first word of each stem-pair class, with mass |S_a|^-2 each.  If
+    any resolution cell stays unclaimed the cover has failed and the
+    builder raises instead of renormalizing.
+    """
+    n = _sphere_radius(R, ctx)
+    if n is None:
+        return _sweep_partition(R, ctx, budget)
+    _, stems, absent = _stem_pairs(n, R, ctx, budget, "partition")
+    if absent is not None:
+        raise _cover_error(R, ctx)
+    if stems == [()]:
+        words = [next(enumerate_annulus(n, 0, ctx.metric)).letters]
+    else:
+        words = _class_representatives(n, stems, ctx.k)
+    fam = WeightFamily(R, ctx, words, [Fraction(1, len(stems) ** 2)] * len(words), annulus_size=sphere_size(n, ctx.k))
+    assert fam.total() == 1
     return fam
 
 

@@ -58,6 +58,7 @@ from .representation import StepFunction, harish_chandra_length
 from .scalars import as_float, exact_str
 from .words import (
     GroupContext,
+    Letters,
     MetricSpec,
     ReducedWord,
     canonical_letters,
@@ -788,6 +789,16 @@ def cmd_gvb(cfg: RunConfig, emit: Emitter) -> int:
     return 0 if report.passed else 2
 
 
+def _prefix_totals(counts: Dict[Letters, int]) -> Dict[Letters, int]:
+    """Per stem, the total count of the keys it is a prefix of, in one
+    pass: each key adds its count to every one of its prefixes."""
+    totals: Dict[Letters, int] = {}
+    for w, c in counts.items():
+        for i in range(len(w) + 1):
+            totals[w[:i]] = totals.get(w[:i], 0) + c
+    return totals
+
+
 def cmd_green(cfg: RunConfig, emit: Emitter) -> int:
     depth = cfg.depth
     if depth > 4:
@@ -802,9 +813,10 @@ def cmd_green(cfg: RunConfig, emit: Emitter) -> int:
     counts, decided, undecided = mc_cylinder_counts(walk, depth, cfg.samples, cfg.seed)
     emit.timings["mc_cylinders"] = time.monotonic() - t0
 
+    hits = _prefix_totals(counts)
+
     def mc_mass(stem) -> Tuple[float, float]:
-        hits = sum(c for w, c in counts.items() if w[: len(stem)] == stem)
-        est = hits / decided
+        est = hits.get(stem, 0) / decided
         return est, _binomial_halfwidth(est, decided)
 
     rows = []

@@ -46,9 +46,12 @@ from freeboundary import (
     sphere_weights,
 )
 from freeboundary.asymptotics import (
+    CoverReport,
     SphereGrid,
     WeightFamily,
     _fiber_count,
+    _sweep_cover,
+    _sweep_partition,
     class_representative,
     sphere_classes,
 )
@@ -127,6 +130,43 @@ def test_cover_minimal_rho_is_one(word_ctx):
     for R in (4, 6, 7, 9):
         assert not check_shadow_cover(R, GroupContext(MetricSpec.word(2), rho=0)).covered
         assert check_shadow_cover(R, GroupContext(MetricSpec.word(2), rho=1)).covered
+
+
+def _outcome(fn, R, ctx, budget):
+    """A cover report or weight family as comparable fields, or the error raised."""
+    try:
+        out = fn(R, ctx, budget)
+    except (BudgetError, CoverError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, CoverReport):
+        return (out.covered, str(out.witness), out.R, out.rho, out.h, out.resolution, out.annulus_size)
+    return (out.R, out.words, out.masses, out.annulus_size, out.support_size())
+
+
+def _assert_matches_sweep(R, ctx, budget=10_000_000):
+    assert _outcome(check_shadow_cover, R, ctx, budget) == _outcome(_sweep_cover, R, ctx, budget)
+    assert _outcome(build_partition_weights, R, ctx, budget) == _outcome(_sweep_partition, R, ctx, budget)
+
+
+@pytest.mark.parametrize("rho", [0, Fraction(1, 2), 1, Fraction(3, 2), 2, 3], ids=lambda r: f"rho{float(r)}")
+@pytest.mark.parametrize("k, r_max", [(2, 9), (3, 6)], ids=["k2", "k3"])
+def test_stem_pair_classes_match_dense_sweep(k, r_max, rho):
+    # word spheres take the stem-pair class path; the dense sweep is the
+    # oracle for covers, witnesses, partitions and CoverError alike
+    ctx = GroupContext(MetricSpec.word(k), rho=rho)
+    for R in range(r_max + 1):
+        _assert_matches_sweep(R, ctx)
+
+
+def test_dense_contexts_and_budgets_match_sweep(word_ctx):
+    # h > 0 and non-integer radii stay on the dense sweep; whole floats
+    # and budget refusals agree with it too
+    for R in (3, 4, 5):
+        _assert_matches_sweep(R, GroupContext(MetricSpec.word(2), rho=1, h=1))
+    for R in (Fraction(11, 2), 5.5, 6.0):
+        _assert_matches_sweep(R, word_ctx)
+    _assert_matches_sweep(12, word_ctx, budget=1000)  # grid refusal
+    _assert_matches_sweep(8, word_ctx, budget=2000)  # annulus refusal
 
 
 def test_partition_weights_basic(word_ctx, word_mu):

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from freeboundary.cli import main
+from freeboundary.cli import _prefix_totals, main
+from freeboundary.measures import WalkSpec, mc_cylinder_counts
+from freeboundary.words import MetricSpec, enumerate_annulus
 
 
 def write_config(tmp_path: Path, name: str, payload: dict) -> Path:
@@ -189,6 +191,16 @@ def test_green_subcommand(tmp_path):
     assert code in (0, 2)  # CI containment is statistics; exactness is asserted above
     assert (out / "green_cylinders.csv").exists()
     assert (out / "green_ancona.csv").exists()
+
+
+def test_green_prefix_totals_match_the_scan():
+    # the one-pass stem totals equal the per-stem scan over every key
+    counts, _, _ = mc_cylinder_counts(WalkSpec.simple(3), 4, 5_000, seed=7)
+    totals = _prefix_totals(counts)
+    stems = [()] + [g.letters for d in range(1, 5) for g in enumerate_annulus(d, 0, MetricSpec.word(3))]
+    assert set(totals) <= set(stems)
+    for stem in stems:
+        assert totals.get(stem, 0) == sum(c for w, c in counts.items() if w[: len(stem)] == stem)
 
 
 def test_manifest_digests_match(tmp_path):

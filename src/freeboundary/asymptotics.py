@@ -38,7 +38,6 @@ from .words import (
     canonical_letters,
     enumerate_annulus,
     hat_projection,
-    invert_letters,
     sphere_size,
 )
 
@@ -91,37 +90,29 @@ def _mat_mul(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
     ]
 
 
-def count_prefix_suffix(prefix: Letters, suffix: Letters, n: int, k: int) -> int:
-    """Number of reduced words of length n with the given first and last
-    letters (disjoint segments, n >= len(prefix) + len(suffix))."""
-    m = n - len(prefix) - len(suffix)
-    if m < 0:
-        raise ValueError("segments overlap")
-    if m == 0:
-        return 1 if prefix[-1] != -suffix[0] else 0
-    power = _adjacency_power(k, m)
-    row = power[_letter_index(prefix[-1], k)]
-    letters = canonical_letters(k)
-    return sum(row[_letter_index(y, k)] for y in letters if y != -suffix[0])
+def _junctions(m: int, k: int) -> Dict[Tuple[int, int], Tuple[int, Letters]]:
+    """{(x, y): (count, u)} over the junction letters x, y of the reduced
+    words x u y with |u| = m >= 0: their number A^(m+1)[x][y], and the
+    canonically first middle u.
 
-
-def class_representative(prefix: Letters, suffix: Letters, n: int, k: int) -> Letters:
-    m = n - len(prefix) - len(suffix)
-    if m == 0:
-        return prefix + suffix
+    That u is a^(m-1) b: a is the first letter other than x^-1, and b the
+    first other than y^-1 and the inverse of its predecessor (a, or x when
+    m = 1).  For m >= 1 every count is positive, as A^2 > 0 for k >= 2.
+    """
     letters = canonical_letters(k)
-    mid: List[int] = []
-    prev = prefix[-1]
-    for i in range(m):
-        for cand in letters:
-            if cand == -prev:
-                continue
-            if i == m - 1 and cand == -suffix[0]:
-                continue
-            mid.append(cand)
-            prev = cand
-            break
-    return prefix + tuple(mid) + suffix
+    power = _adjacency_power(k, m + 1)
+    out = {}
+    for x in letters:
+        a = next(c for c in letters if c != -x)
+        prev = a if m >= 2 else x
+        for y in letters:
+            count = power[_letter_index(x, k)][_letter_index(y, k)]
+            if m == 0:
+                out[x, y] = (count, ())
+            else:
+                b = next(c for c in letters if c != -prev and c != -y)
+                out[x, y] = (count, (a,) * (m - 1) + (b,))
+    return out
 
 
 @dataclass
@@ -133,32 +124,29 @@ class ClassEntry:
     rep: ReducedWord
 
 
-def sphere_classes(n: int, d: int, k: int) -> List[Tuple[Letters, Letters, int]]:
-    """(prefix, suffix, count) classes of S_n at depth d, n >= 2d >= 2."""
-    out = []
-    spheres = list(enumerate_annulus(d, 0, MetricSpec.word(k)))
-    for pw in spheres:
-        for sw in spheres:
-            c = count_prefix_suffix(pw.letters, sw.letters, n, k)
-            if c:
-                out.append((pw.letters, sw.letters, c))
-    return out
-
-
 def sphere_class_table(n: int, d: int, k: int) -> List[Tuple[int, ReducedWord]]:
     """(count, representative) per coefficient class of the word sphere S_n
-    at depth d >= 1, for every n >= 0.
+    at depth d >= 1, for every n >= 0, in canonical order of the
+    representatives, each the first word of its class.
 
     Below n = 2d the first and last d letters overlap, so every word of
-    S_n (the identity at n = 0) is its own class; from n = 2d on the
-    classes are the (prefix, suffix) pairs of sphere_classes.
+    S_n (the identity at n = 0) is its own class.  From n = 2d on the
+    classes are the pairs (p, s) of S_d x S_d whose junction (p[-1], s[0])
+    has a positive count in _junctions(n - 2d, k); that entry gives the
+    class size and the middle of its first word.
     """
+    word = MetricSpec.word(k)
     if n < 2 * d:
-        return [(1, g) for g in enumerate_annulus(n, 0, MetricSpec.word(k))]
-    return [
-        (c, ReducedWord(class_representative(p, s, n, k), _reduced=True))
-        for p, s, c in sphere_classes(n, d, k)
-    ]
+        return [(1, g) for g in enumerate_annulus(n, 0, word)]
+    stems = [w.letters for w in enumerate_annulus(d, 0, word)]
+    junctions = _junctions(n - 2 * d, k)
+    rank = {s: i for i, s in enumerate(canonical_letters(k))}
+    # the tails after p depend on p[-1] only, so they are sorted once per letter
+    tails = {}
+    for x in canonical_letters(k):
+        found = [(c, u + s) for s in stems for c, u in (junctions[x, s[0]],) if c]
+        tails[x] = sorted(found, key=lambda t: [rank[c] for c in t[1]])
+    return [(c, ReducedWord(p + t, _reduced=True)) for p in stems for c, t in tails[p[-1]]]
 
 
 # -- canonical depth-m indexing of the letter tree ------------------------
@@ -369,9 +357,11 @@ def _resolution_grid(R, ctx: GroupContext, budget: int, what: str) -> SphereGrid
 
 class _ShadowSweep:
     """The annulus in canonical order over the occupancy grid of depth-m
-    cylinder pairs: iterating yields (g, rows, cols, sub) per element, sub
-    the grid block of its double shadow, and marks that block occupied
-    when the loop resumes."""
+    cylinder pairs: iterating yields (g, rows, cols, sub, taken) per
+    element whose double shadow still has unclaimed cells, sub the grid
+    block of that shadow and taken its unclaimed count, and claims the
+    block when the loop resumes.  Once every cell is claimed the rest of
+    the annulus is only counted."""
 
     def __init__(self, R, ctx: GroupContext, budget: int, what: str):
         self.R = R
@@ -380,18 +370,28 @@ class _ShadowSweep:
         self.grid = _resolution_grid(R, ctx, budget, what)
         self.occupied = np.zeros((self.grid.size, self.grid.size), dtype=bool)
         self.count = 0
+        self.claimed = 0
 
-    def __iter__(self) -> Iterator[Tuple[ReducedWord, Tuple[int, int], Tuple[int, int], np.ndarray]]:
+    @property
+    def full(self) -> bool:
+        return self.claimed == self.occupied.size
+
+    def __iter__(self) -> Iterator[Tuple[ReducedWord, Tuple[int, int], Tuple[int, int], np.ndarray, int]]:
         for g in enumerate_annulus(self.R, self.ctx.h, self.ctx.metric):
             self.count += 1
             if self.count > self.budget:
                 raise BudgetError(f"annulus at R={self.R} exceeds budget {self.budget}")
+            if self.full:
+                continue
             rect = shadow_pair(g, self.ctx)
             rlo, rhi = self.grid.interval(rect.first.stem)
             clo, chi = self.grid.interval(rect.second.stem)
             sub = self.occupied[rlo:rhi, clo:chi]
-            yield g, (rlo, rhi), (clo, chi), sub
-            sub[:] = True
+            taken = sub.size - int(np.count_nonzero(sub))
+            if taken:
+                yield g, (rlo, rhi), (clo, chi), sub, taken
+                sub[:] = True
+                self.claimed += taken
 
 
 def _sweep_cover(R, ctx: GroupContext, budget: int) -> CoverReport:
@@ -400,7 +400,7 @@ def _sweep_cover(R, ctx: GroupContext, budget: int) -> CoverReport:
     sweep = _ShadowSweep(R, ctx, budget, "cover")
     for _ in sweep:
         pass
-    covered = bool(sweep.occupied.all())
+    covered = sweep.full
     witness = None
     if not covered:
         i, j = np.argwhere(~sweep.occupied)[0]
@@ -429,16 +429,13 @@ def _sweep_partition(R, ctx: GroupContext, budget: int) -> WeightFamily:
 
     words: List[Letters] = []
     masses: List = []
-    for g, (rlo, rhi), (clo, chi), sub in sweep:
-        free = ~sub
-        taken = int(free.sum())
-        if taken:
-            words.append(g.letters)
-            if exact:
-                masses.append(taken * cell_sq)
-            else:
-                masses.append(float(np.outer(cell_masses[rlo:rhi], cell_masses[clo:chi])[free].sum()))
-    if not sweep.occupied.all():
+    for g, (rlo, rhi), (clo, chi), sub, taken in sweep:
+        words.append(g.letters)
+        if exact:
+            masses.append(taken * cell_sq)
+        else:
+            masses.append(float(np.outer(cell_masses[rlo:rhi], cell_masses[clo:chi])[~sub].sum()))
+    if not sweep.full:
         raise _cover_error(R, ctx)
     fam = WeightFamily(R, ctx, words, masses, annulus_size=sweep.count)
     assert not exact or fam.total() == 1
@@ -452,7 +449,14 @@ def _sweep_partition(R, ctx: GroupContext, budget: int) -> WeightFamily:
 # cuts of shadow_pair at t = n/2 - rho), and a < m, the grid depth.  So the
 # occupancy grid is a union of whole (p, q) blocks, one per pair in
 # S_a x S_a that occurs, and the greedy sweep gives each block to the
-# first word of its class.
+# first word of its class (p, q^-1): the depth-a sphere class table.
+#
+# Every pair occurs iff a = 0 or 2a < n.  For 2a < n the junction gap
+# n - 2a >= 1 has only positive counts in _junctions.  Otherwise the pair
+# (1^a, 1^a) is missing: g would have to start with 1^a and end with
+# (-1)^a, an empty junction (1, -1) at 2a = n and a clash on the overlap
+# at 2a > n.  It is the first pair in canonical order, so the first
+# uncovered cell is the grid's first, (C_{1^m}, C_{1^m}).
 
 
 def _sphere_radius(R, ctx: GroupContext) -> Optional[int]:
@@ -464,61 +468,15 @@ def _sphere_radius(R, ctx: GroupContext) -> Optional[int]:
     return None
 
 
-def _first_absent_pair(n: int, stems: List[Letters], k: int) -> Optional[Tuple[Letters, Letters]]:
-    """The first (p, q) of S_a x S_a in canonical order (p, then q) that no
-    g in S_n has as (g[:a], (g^-1)[:a]); None when every pair occurs.
-
-    g ends in s = q^-1.  When 2a <= n, (p, s) occurs iff
-    count_prefix_suffix(p, s, n, k) > 0, which depends on p[-1] and s[0]
-    only; when 2a > n, p and s overlap in 2a - n letters of g.
-    """
-    a = len(stems[0])
-    if a == 0:
-        return None  # the single empty pair, and S_n is never empty
-    if 2 * a > n:
-        occurs = lambda p, s: p[n - a:] == s[: 2 * a - n]
-    else:
-        letters = canonical_letters(k)
-        absent = {
-            (x, y) for x in letters for y in letters if not count_prefix_suffix((x,), (y,), n - 2 * a + 2, k)
-        }
-        if not absent:
-            return None
-        occurs = lambda p, s: (p[-1], s[0]) not in absent
-    for p in stems:
-        for q in stems:
-            if not occurs(p, invert_letters(q)):
-                return p, q
-    return None
-
-
-def _stem_pairs(
-    n: int, R, ctx: GroupContext, budget: int, what: str
-) -> Tuple[SphereGrid, List[Letters], Optional[Tuple[Letters, Letters]]]:
-    """(grid, S_a in canonical order, first absent pair) for the word
-    sphere S_n.  The dense sweep's budget refusals are checked from the
-    sizes; no grid is allocated."""
+def _stem_depth(n: int, R, ctx: GroupContext, budget: int, what: str) -> Tuple[SphereGrid, int, bool]:
+    """(grid, stem depth a, covered) for the word sphere S_n.  The dense
+    sweep's budget refusals are checked from the sizes; no grid is
+    allocated."""
     grid = _resolution_grid(R, ctx, budget, what)
     if sphere_size(n, ctx.k) > budget:
         raise BudgetError(f"annulus at R={R} exceeds budget {budget}")
     a = max(0, math.ceil(Fraction(n, 2) - Fraction(ctx.rho)))
-    stems = [w.letters for w in enumerate_annulus(a, 0, ctx.metric)]
-    return grid, stems, _first_absent_pair(n, stems, ctx.k)
-
-
-def _class_representatives(n: int, stems: List[Letters], k: int) -> List[Letters]:
-    """class_representative(p, s, n, k) for every (p, s) in S_a x S_a,
-    a >= 1 and 2a <= n, in canonical word order."""
-    a = len(stems[0])
-    letters = canonical_letters(k)
-    rank = {s: i for i, s in enumerate(letters)}
-    # the middle letters depend on the junction letters p[-1] and s[0] only
-    mids = {(x, y): class_representative((x,), (y,), n - 2 * a + 2, k)[1:-1] for x in letters for y in letters}
-    # so does the order of the tails after p
-    tails = {
-        x: sorted((mids[x, s[0]] + s for s in stems), key=lambda t: [rank[c] for c in t]) for x in letters
-    }
-    return [p + t for p in stems for t in tails[p[-1]]]
+    return grid, a, a == 0 or 2 * a < n
 
 
 def check_shadow_cover(R, ctx: GroupContext, budget: int = 10_000_000) -> CoverReport:
@@ -527,18 +485,16 @@ def check_shadow_cover(R, ctx: GroupContext, budget: int = 10_000_000) -> CoverR
 
     Failure is a valid outcome (it calibrates rho and h); the witness is
     the first uncovered rectangle of depth-m cylinders in row-major order.
-    Word spheres are decided by their stem-pair classes, every other
-    annulus by the dense sweep.
+    Word spheres are decided by their stem depth, every other annulus by
+    the dense sweep.
     """
     n = _sphere_radius(R, ctx)
     if n is None:
         return _sweep_cover(R, ctx, budget)
-    grid, _, absent = _stem_pairs(n, R, ctx, budget, "cover")
-    witness = None
-    if absent is not None:
-        # a missing block's first cell: each stem extended to the grid depth
-        witness = CylinderRectangle(*(Cylinder(grid.unrank(grid.interval(stem)[0])) for stem in absent))
-    return CoverReport(absent is None, witness, R, ctx.rho, ctx.h, grid.m, sphere_size(n, ctx.k))
+    grid, _, covered = _stem_depth(n, R, ctx, budget, "cover")
+    first = Cylinder(grid.unrank(0))
+    witness = None if covered else CylinderRectangle(first, first)
+    return CoverReport(covered, witness, R, ctx.rho, ctx.h, grid.m, sphere_size(n, ctx.k))
 
 
 def build_partition_weights(R, ctx: GroupContext, budget: int = 10_000_000) -> WeightFamily:
@@ -547,21 +503,23 @@ def build_partition_weights(R, ctx: GroupContext, budget: int = 10_000_000) -> W
     of its double shadow, claim it.
 
     Masses are exact for the word metric.  On a word sphere the family is
-    the first word of each stem-pair class, with mass |S_a|^-2 each.  If
-    any resolution cell stays unclaimed the cover has failed and the
-    builder raises instead of renormalizing.
+    the first word of each stem-pair class, the sphere class table at the
+    stem depth a, with mass |S_a|^-2 each.  If any resolution cell stays
+    unclaimed the cover has failed and the builder raises instead of
+    renormalizing.
     """
     n = _sphere_radius(R, ctx)
     if n is None:
         return _sweep_partition(R, ctx, budget)
-    _, stems, absent = _stem_pairs(n, R, ctx, budget, "partition")
-    if absent is not None:
+    _, a, covered = _stem_depth(n, R, ctx, budget, "partition")
+    if not covered:
         raise _cover_error(R, ctx)
-    if stems == [()]:
+    if a == 0:
         words = [next(enumerate_annulus(n, 0, ctx.metric)).letters]
     else:
-        words = _class_representatives(n, stems, ctx.k)
-    fam = WeightFamily(R, ctx, words, [Fraction(1, len(stems) ** 2)] * len(words), annulus_size=sphere_size(n, ctx.k))
+        words = [rep.letters for _, rep in sphere_class_table(n, a, ctx.k)]
+    mass = Fraction(1, sphere_size(a, ctx.k) ** 2)
+    fam = WeightFamily(R, ctx, words, [mass] * len(words), annulus_size=sphere_size(n, ctx.k))
     assert fam.total() == 1
     return fam
 
@@ -832,13 +790,13 @@ def fit_growth(grid: Sequence[int], values: Sequence[float]) -> Tuple[Optional[f
 class SweepReport:
     name: str
     param: str
-    grid: List
-    values: List[float]
-    values_exact: List[str]
-    targets: List[float]
-    targets_exact: List[str]
-    abs_errors: List[float]
-    rel_errors: List[float]
+    grid: List = field(default_factory=list)
+    values: List[float] = field(default_factory=list)
+    values_exact: List[str] = field(default_factory=list)
+    targets: List[float] = field(default_factory=list)
+    targets_exact: List[str] = field(default_factory=list)
+    abs_errors: List[float] = field(default_factory=list)
+    rel_errors: List[float] = field(default_factory=list)
     fitted_exponent: Optional[float] = None
     fit_r2: Optional[float] = None
     fit_window: List[float] = field(default_factory=list)
@@ -911,13 +869,7 @@ def orthogonality_sweep(
             ij.append(seen[key])
         slots.append((ij[0], ij[1]))
     targets = [orthogonality_target(f1, f2, c.v1, c.v2, c.w1, c.w2, mu) for c in cases]
-    reports = [
-        SweepReport(
-            name=case.name, param="R", grid=[], values=[], values_exact=[], targets=[], targets_exact=[],
-            abs_errors=[], rel_errors=[], reference_rate=float(ctx.epsilon) / 2.0,
-        )
-        for case in cases
-    ]
+    reports = [SweepReport(name=case.name, param="R", reference_rate=float(ctx.epsilon) / 2.0) for case in cases]
     partial = False
     for R in grid:
         try:
@@ -996,10 +948,6 @@ def rd_sweep(
         grid=list(grid),
         values=ratios,
         values_exact=sums_exact,
-        targets=[1.0] * len(grid),
-        targets_exact=["bounded"] * len(grid),
-        abs_errors=[0.0] * len(grid),
-        rel_errors=[0.0] * len(grid),
         constants={"sup_ratio": sup_r, "inf_ratio_n_ge_2": inf_r},
         verdict="PASS" if passed else "FAIL",
         passed=passed,
@@ -1043,10 +991,6 @@ def gvb_growth(
         grid=list(grid),
         values=qs,
         values_exact=qs_exact,
-        targets=[0.0] * len(grid),
-        targets_exact=["unbounded"] * len(grid),
-        abs_errors=[0.0] * len(grid),
-        rel_errors=[0.0] * len(grid),
         fitted_exponent=exponent,
         fit_r2=r2,
         fit_window=window,

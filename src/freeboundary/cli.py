@@ -343,9 +343,8 @@ class Cache:
     """JSON entries under ``root``, keyed by the computation's inputs plus
     the package version and source digest."""
 
-    def __init__(self, root: Path, enabled: bool = True):
+    def __init__(self, root: Path):
         self.root = root
-        self.enabled = enabled
         self.hits = 0
         self.misses = 0
 
@@ -357,9 +356,6 @@ class Cache:
         return self.root / f"{kind}-{_digest(key)}.json"
 
     def get(self, kind: str, key: dict):
-        if not self.enabled:
-            self.misses += 1
-            return None
         key = self._stamp(key)
         path = self._path(kind, key)
         try:
@@ -377,8 +373,6 @@ class Cache:
             return None
 
     def put(self, kind: str, key: dict, payload) -> None:
-        if not self.enabled:
-            return
         self.root.mkdir(parents=True, exist_ok=True)
         key = self._stamp(key)
         path = self._path(kind, key)
@@ -508,38 +502,15 @@ def cmd_spec(cfg: RunConfig, emit: Emitter) -> int:
 
 
 def cmd_xi(cfg: RunConfig, emit: Emitter) -> int:
-    ctx = cfg.context()
-    mu = ps_measure(ctx)
+    mu = ps_measure(cfg.context())
     n_max = cfg.sphere_radii()[-1]
-    key = {
-        "kind": "xi",
-        "k": cfg.k,
-        "metric": cfg.metric.kind,
-        "lengths": [str(l) for l in cfg.metric.lengths],
-        "epsilon": str(cfg.epsilon),
-        "n_max": n_max,
-    }
+    if cfg.metric.kind != "word":
+        raise ConfigError("metric.kind", "the xi table is indexed by length only for the word metric")
     t0 = time.monotonic()
-    payload = emit.cache.get("xi", key)
-    if payload is None:
-        if cfg.metric.kind != "word":
-            raise ConfigError("metric.kind", "the xi table is indexed by length only for the word metric")
-        table = []
-        for n in range(n_max + 1):
-            xi = harish_chandra_length(n, mu)
-            table.append({"n": n, "xi_exact": exact_str(xi), "xi": repr(as_float(xi))})
-        payload = table
-        emit.cache.put("xi", key, payload)
+    xis = [harish_chandra_length(n, mu) for n in range(n_max + 1)]
     emit.timings["xi_table"] = time.monotonic() - t0
-    rows = [
-        {"n": entry["n"], "xi": entry["xi"], "xi_exact": entry["xi_exact"]}
-        for entry in payload
-    ]
-    emit.write_csv("xi.csv", rows)
-    bracket = [
-        as_float(float(entry["xi"])) * (2 * cfg.k - 1) ** (int(entry["n"]) / 2) / (1 + int(entry["n"]))
-        for entry in payload
-    ]
+    emit.write_csv("xi.csv", [{"n": n, "xi": repr(as_float(xi)), "xi_exact": exact_str(xi)} for n, xi in enumerate(xis)])
+    bracket = [as_float(xi) * (2 * cfg.k - 1) ** (n / 2) / (1 + n) for n, xi in enumerate(xis)]
     emit.write_json(
         "xi_summary.json",
         {"n_max": n_max, "bracket_c1": min(bracket), "bracket_c2": max(bracket)},
@@ -947,7 +918,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, type=Path)
         p.add_argument("--out", type=Path, default=Path("out"))
         p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--no-cache", action="store_true")
         p.add_argument("--seed", type=int, default=None)
     return parser
 
@@ -964,7 +934,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    emit = Emitter(args.out, cfg, args.subcommand, Cache(args.out / "cache", enabled=not args.no_cache))
+    emit = Emitter(args.out, cfg, args.subcommand, Cache(args.out / "cache"))
     try:
         code = COMMANDS[args.subcommand](cfg, emit)
     except ConfigError as exc:

@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeboundary import (
     BudgetError,
     Cylinder,
     CoverError,
+    CylinderRectangle,
     GroupContext,
     MetricSpec,
     OrthCase,
@@ -50,12 +53,13 @@ from freeboundary.asymptotics import (
     SphereGrid,
     WeightFamily,
     _fiber_count,
+    _junctions,
+    _resolution_depth,
     _sweep_cover,
     _sweep_partition,
-    class_representative,
-    sphere_classes,
+    sphere_class_table,
 )
-from freeboundary.words import multiply_letters
+from freeboundary.words import canonical_letters, multiply_letters
 
 W = ReducedWord.from_str
 
@@ -71,25 +75,85 @@ def test_sphere_grid_ranking():
     assert [words[i][:2] for i in range(lo, hi)] == [(1, 2)] * (hi - lo)
 
 
-def test_sphere_classes_counts():
-    for n, d in [(4, 1), (4, 2), (5, 2), (6, 2)]:
-        classes = sphere_classes(n, d, 2)
-        assert sum(c for _, _, c in classes) == sphere_size(n, 2)
-        # counts match brute enumeration
-        brute = {}
-        for g in enumerate_sphere(n, MetricSpec.word(2)):
-            key = (g.letters[:d], g.letters[n - d:])
-            brute[key] = brute.get(key, 0) + 1
-        assert {(p, s): c for p, s, c in classes} == brute
+def _class_oracle(n, d, k):
+    """(count, first word) per depth-d class of S_n in canonical order, by
+    growing every reduced word one letter at a time while keeping only its
+    (first d, last d letters) key, its count and its least word."""
+    letters = canonical_letters(k)
+    rank = {s: i for i, s in enumerate(letters)}
+    order = lambda w: [rank[c] for c in w]
+    states = {((), ()): (1, ())}
+    for _ in range(n):
+        grown = {}
+        for (first, last), (count, word) in states.items():
+            for c in letters:
+                if last and c == -last[-1]:
+                    continue
+                key = ((first + (c,))[:d], (last + (c,))[-d:])
+                old = grown.get(key)
+                if old is None:
+                    grown[key] = (count, word + (c,))
+                else:
+                    grown[key] = (old[0] + count, min(old[1], word + (c,), key=order))
+        states = grown
+    return sorted(states.values(), key=lambda cw: order(cw[1]))
 
 
-def test_class_representative_valid():
-    for n, d in [(4, 2), (5, 2), (7, 3)]:
-        for p, s, c in sphere_classes(n, d, 2):
-            rep = class_representative(p, s, n, 2)
-            assert len(rep) == n
-            assert all(rep[i] != -rep[i + 1] for i in range(n - 1))
-            assert rep[:d] == p and rep[n - d:] == s
+def _class_table(n, d, k):
+    return [(c, rep.letters) for c, rep in sphere_class_table(n, d, k)]
+
+
+@pytest.mark.parametrize(
+    "k, cases", [(2, [(0, 1), (3, 2), (4, 1), (4, 2), (5, 2), (6, 2), (7, 3)]), (3, [(4, 1), (5, 2), (6, 3)])], ids=["k2", "k3"]
+)
+def test_sphere_class_table_matches_enumeration(k, cases):
+    # counts, each representative the first word of its class, canonical order
+    for n, d in cases:
+        first = {}
+        for g in enumerate_sphere(n, MetricSpec.word(k)):
+            w = g.letters
+            key = w if n < 2 * d else (w[:d], w[n - d:])
+            count, rep = first.get(key, (0, w))
+            first[key] = (count + 1, rep)
+        expected = list(first.values())  # first occurrences in enumeration order
+        assert _class_table(n, d, k) == expected, (n, d)
+        assert _class_oracle(n, d, k) == expected, (n, d)
+        assert sum(c for c, _ in expected) == sphere_size(n, k)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(data=st.data(), k=st.sampled_from([2, 3]), d=st.integers(1, 3))
+def test_sphere_class_table_matches_oracle(data, k, d):
+    n = data.draw(st.integers(0, 2 * d + 4))
+    assert _class_table(n, d, k) == _class_oracle(n, d, k)
+
+
+def _first_middle(x, y, m, letters):
+    """The canonically first u with x u y reduced and |u| = m, by
+    depth-first search in canonical letter order; None when there is none."""
+    if m == 0:
+        return () if y != -x else None
+    for c in letters:
+        if c != -x:
+            rest = _first_middle(c, y, m - 1, letters)
+            if rest is not None:
+                return (c,) + rest
+    return None
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_junctions_match_brute_force(k):
+    letters = canonical_letters(k)
+    for x in letters:
+        ends = {x: 1}  # reduced words from x, counted by their last letter
+        for m in range(21):
+            ends = {y: sum(c for z, c in ends.items() if y != -z) for y in letters}
+            table = _junctions(m, k)
+            for y in letters:
+                count, middle = table[x, y]
+                assert count == ends[y], (x, y, m)
+                if count:
+                    assert middle == _first_middle(x, y, m, letters), (x, y, m)
 
 
 def test_class_constancy_of_coefficients(word_mu, word_ctx, ind_a, one):
@@ -167,6 +231,33 @@ def test_dense_contexts_and_budgets_match_sweep(word_ctx):
         _assert_matches_sweep(R, word_ctx)
     _assert_matches_sweep(12, word_ctx, budget=1000)  # grid refusal
     _assert_matches_sweep(8, word_ctx, budget=2000)  # annulus refusal
+
+
+@pytest.mark.parametrize("k, r_max", [(2, 8), (3, 5)], ids=["k2", "k3"])
+def test_stem_pair_cover_matches_enumeration(k, r_max):
+    # without the dense grid: every word's shadow stems, then the first
+    # missing stem pair and the first word of every pair, by enumeration
+    word = MetricSpec.word(k)
+    for rho in (0, Fraction(1, 2), 1, Fraction(3, 2), 2, 3):
+        ctx = GroupContext(word, rho=rho)
+        for R in range(r_max + 1):
+            first = {}
+            for g in enumerate_sphere(R, word):
+                rect = shadow_pair(g, ctx)
+                first.setdefault((rect.first.stem, rect.second.stem), g.letters)
+            a = len(next(iter(first))[0])
+            stems = [w.letters for w in enumerate_sphere(a, word)]
+            missing = [(p, q) for p in stems for q in stems if (p, q) not in first]
+            report = check_shadow_cover(R, ctx)
+            assert report.covered == (not missing), (rho, R)
+            if missing:
+                cells = [w.letters for w in enumerate_sphere(_resolution_depth(R, ctx), word)]
+                extend = lambda stem: Cylinder(next(w for w in cells if w[:a] == stem))
+                assert report.witness == CylinderRectangle(*map(extend, missing[0])), (rho, R)
+                with pytest.raises(CoverError):
+                    build_partition_weights(R, ctx)
+            else:
+                assert build_partition_weights(R, ctx).words == sorted(first.values(), key=SphereGrid(k, R).index_of)
 
 
 def test_partition_weights_basic(word_ctx, word_mu):

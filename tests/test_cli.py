@@ -44,31 +44,34 @@ def test_spec_weighted(tmp_path, capsys):
     assert "0.469396" in captured.out  # e^-alpha, root of 3x^3+x^2+x-1
 
 
-def test_xi_cache_roundtrip(tmp_path):
-    cfg = write_config(tmp_path, "c.json", BASE)
+COVER = {**BASE, "grid": [2, 3, 4]}
+
+
+def test_cover_cache_roundtrip(tmp_path):
+    cfg = write_config(tmp_path, "c.json", COVER)
     out = tmp_path / "out"
-    assert main(["xi", "--config", str(cfg), "--out", str(out)]) == 0
-    first = (out / "xi.csv").read_bytes()
+    assert main(["cover", "--config", str(cfg), "--out", str(out)]) == 0
+    first = (out / "cover.csv").read_bytes()
     manifest1 = json.loads((out / "run_manifest.json").read_text())
-    assert manifest1["cache"]["hits"] == 0
-    assert main(["xi", "--config", str(cfg), "--out", str(out)]) == 0
+    assert manifest1["cache"]["hits"] == 0 and manifest1["cache"]["misses"] > 0
+    assert main(["cover", "--config", str(cfg), "--out", str(out)]) == 0
     manifest2 = json.loads((out / "run_manifest.json").read_text())
-    assert manifest2["cache"]["hits"] == 1
-    assert (out / "xi.csv").read_bytes() == first
-    # forced recompute matches the cached table byte for byte
-    assert main(["xi", "--config", str(cfg), "--out", str(out), "--no-cache"]) == 0
-    assert (out / "xi.csv").read_bytes() == first
+    assert manifest2["cache"] == {"hits": manifest1["cache"]["misses"], "misses": 0}
+    assert (out / "cover.csv").read_bytes() == first
+    # a recompute without the cache matches the cached scan byte for byte
+    assert main(["cover", "--config", str(cfg), "--out", str(tmp_path / "fresh")]) == 0
+    assert (tmp_path / "fresh" / "cover.csv").read_bytes() == first
 
 
 def test_corrupt_cache_recovers(tmp_path):
-    cfg = write_config(tmp_path, "c.json", BASE)
+    cfg = write_config(tmp_path, "c.json", COVER)
     out = tmp_path / "out"
-    assert main(["xi", "--config", str(cfg), "--out", str(out)]) == 0
-    good = (out / "xi.csv").read_bytes()
-    for entry in (out / "cache").glob("xi-*.json"):
+    assert main(["cover", "--config", str(cfg), "--out", str(out)]) == 0
+    good = (out / "cover.csv").read_bytes()
+    for entry in (out / "cache").glob("cover-*.json"):
         entry.write_text("{ not json")
-    assert main(["xi", "--config", str(cfg), "--out", str(out)]) == 0
-    assert (out / "xi.csv").read_bytes() == good
+    assert main(["cover", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "cover.csv").read_bytes() == good
 
 
 def test_config_errors(tmp_path, capsys):
@@ -243,17 +246,17 @@ def test_unknown_config_keys_and_schema_version_rejected(tmp_path, capsys):
 def test_cache_entry_from_other_code_is_a_miss(tmp_path, monkeypatch):
     from freeboundary import cli
 
-    cfg = write_config(tmp_path, "c.json", BASE)
+    cfg = write_config(tmp_path, "c.json", {**BASE, "grid": [2]})
     out = tmp_path / "out"
     monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
-    assert main(["xi", "--config", str(cfg), "--out", str(out)]) == 0
-    stale = (out / "xi.csv").read_bytes()
+    assert main(["cover", "--config", str(cfg), "--out", str(out)]) == 0
+    stale = (out / "cover.csv").read_bytes()
     monkeypatch.undo()
-    assert main(["xi", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["cover", "--config", str(cfg), "--out", str(out)]) == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["cache"] == {"hits": 0, "misses": 1}
-    assert (out / "xi.csv").read_bytes() == stale
-    assert len(list((out / "cache").glob("xi-*.json"))) == 2
+    assert manifest["cache"] == {"hits": 0, "misses": 2}  # rho = 0 fails at R = 2, rho = 1 covers
+    assert (out / "cover.csv").read_bytes() == stale
+    assert len(list((out / "cache").glob("cover-*.json"))) == 4
 
 
 @pytest.mark.parametrize(

@@ -75,6 +75,34 @@ def test_sphere_grid_ranking():
     assert [words[i][:2] for i in range(lo, hi)] == [(1, 2)] * (hi - lo)
 
 
+def test_sphere_classes_counts():
+    for n, d in [(4, 1), (4, 2), (5, 2), (6, 2)]:
+        table = sphere_class_table(n, d, 2)
+        assert sum(c for c, _ in table) == sphere_size(n, 2)
+        # counts match brute enumeration
+        brute = {}
+        for g in enumerate_sphere(n, MetricSpec.word(2)):
+            key = (g.letters[:d], g.letters[n - d:])
+            brute[key] = brute.get(key, 0) + 1
+        assert {(rep.letters[:d], rep.letters[n - d:]): c for c, rep in table} == brute
+
+
+def test_class_representative_valid():
+    for n, d in [(4, 2), (5, 2), (7, 3)]:
+        keys = set()
+        for g in enumerate_sphere(n, MetricSpec.word(2)):
+            keys.add((g.letters[:d], g.letters[n - d:]))
+        seen = set()
+        for _, rep in sphere_class_table(n, d, 2):
+            w = rep.letters
+            assert len(w) == n
+            assert all(w[i] != -w[i + 1] for i in range(n - 1))
+            seen.add((w[:d], w[n - d:]))
+        # one representative per class, every class represented
+        assert len(seen) == len(sphere_class_table(n, d, 2))
+        assert seen == keys
+
+
 def _class_oracle(n, d, k):
     """(count, first word) per depth-d class of S_n in canonical order, by
     growing every reduced word one letter at a time while keeping only its

@@ -38,6 +38,7 @@ from .words import (
     canonical_letters,
     enumerate_annulus,
     hat_projection,
+    letter_key,
     sphere_size,
 )
 
@@ -140,12 +141,11 @@ def sphere_class_table(n: int, d: int, k: int) -> List[Tuple[int, ReducedWord]]:
         return [(1, g) for g in enumerate_annulus(n, 0, word)]
     stems = [w.letters for w in enumerate_annulus(d, 0, word)]
     junctions = _junctions(n - 2 * d, k)
-    rank = {s: i for i, s in enumerate(canonical_letters(k))}
     # the tails after p depend on p[-1] only, so they are sorted once per letter
     tails = {}
     for x in canonical_letters(k):
         found = [(c, u + s) for s in stems for c, u in (junctions[x, s[0]],) if c]
-        tails[x] = sorted(found, key=lambda t: [rank[c] for c in t[1]])
+        tails[x] = sorted(found, key=lambda t: list(map(letter_key, t[1])))
     return [(c, ReducedWord(p + t, _reduced=True)) for p in stems for c, t in tails[p[-1]]]
 
 
@@ -346,13 +346,14 @@ class CoverReport:
     annulus_size: int
 
 
-def _resolution_grid(R, ctx: GroupContext, budget: int, what: str) -> SphereGrid:
-    """The depth-m cylinder index of the shadow sweeps, refused when its
+def _grid_depth(R, ctx: GroupContext, budget: int, what: str) -> int:
+    """The depth m of the shadow sweeps' cylinder grid, refused when its
     cell pairs exceed 64 * budget."""
-    grid = SphereGrid(ctx.k, _resolution_depth(R, ctx))
-    if grid.size**2 > 64 * budget:
-        raise BudgetError(f"{what} grid {grid.size}^2 exceeds budget")
-    return grid
+    m = _resolution_depth(R, ctx)
+    size = sphere_size(m, ctx.k)
+    if size**2 > 64 * budget:
+        raise BudgetError(f"{what} grid {size}^2 exceeds budget")
+    return m
 
 
 class _ShadowSweep:
@@ -367,7 +368,7 @@ class _ShadowSweep:
         self.R = R
         self.ctx = ctx
         self.budget = budget
-        self.grid = _resolution_grid(R, ctx, budget, what)
+        self.grid = SphereGrid(ctx.k, _grid_depth(R, ctx, budget, what))
         self.occupied = np.zeros((self.grid.size, self.grid.size), dtype=bool)
         self.count = 0
         self.claimed = 0
@@ -456,7 +457,7 @@ def _sweep_partition(R, ctx: GroupContext, budget: int) -> WeightFamily:
 # (1^a, 1^a) is missing: g would have to start with 1^a and end with
 # (-1)^a, an empty junction (1, -1) at 2a = n and a clash on the overlap
 # at 2a > n.  It is the first pair in canonical order, so the first
-# uncovered cell is the grid's first, (C_{1^m}, C_{1^m}).
+# uncovered cell is the grid's first, C_{1^m} x C_{1^m}.
 
 
 def _sphere_radius(R, ctx: GroupContext) -> Optional[int]:
@@ -468,15 +469,15 @@ def _sphere_radius(R, ctx: GroupContext) -> Optional[int]:
     return None
 
 
-def _stem_depth(n: int, R, ctx: GroupContext, budget: int, what: str) -> Tuple[SphereGrid, int, bool]:
-    """(grid, stem depth a, covered) for the word sphere S_n.  The dense
-    sweep's budget refusals are checked from the sizes; no grid is
-    allocated."""
-    grid = _resolution_grid(R, ctx, budget, what)
+def _stem_depth(n: int, R, ctx: GroupContext, budget: int, what: str) -> Tuple[int, int, bool]:
+    """(grid depth m, stem depth a, covered) for the word sphere S_n.  The
+    dense sweep's budget refusals are checked from the sizes; no grid is
+    built."""
+    m = _grid_depth(R, ctx, budget, what)
     if sphere_size(n, ctx.k) > budget:
         raise BudgetError(f"annulus at R={R} exceeds budget {budget}")
     a = max(0, math.ceil(Fraction(n, 2) - Fraction(ctx.rho)))
-    return grid, a, a == 0 or 2 * a < n
+    return m, a, a == 0 or 2 * a < n
 
 
 def check_shadow_cover(R, ctx: GroupContext, budget: int = 10_000_000) -> CoverReport:
@@ -491,10 +492,10 @@ def check_shadow_cover(R, ctx: GroupContext, budget: int = 10_000_000) -> CoverR
     n = _sphere_radius(R, ctx)
     if n is None:
         return _sweep_cover(R, ctx, budget)
-    grid, _, covered = _stem_depth(n, R, ctx, budget, "cover")
-    first = Cylinder(grid.unrank(0))
+    m, _, covered = _stem_depth(n, R, ctx, budget, "cover")
+    first = Cylinder((1,) * m)
     witness = None if covered else CylinderRectangle(first, first)
-    return CoverReport(covered, witness, R, ctx.rho, ctx.h, grid.m, sphere_size(n, ctx.k))
+    return CoverReport(covered, witness, R, ctx.rho, ctx.h, m, sphere_size(n, ctx.k))
 
 
 def build_partition_weights(R, ctx: GroupContext, budget: int = 10_000_000) -> WeightFamily:
@@ -541,8 +542,8 @@ class PairStepFunction:
                     raise ValueError("rectangles overlap")
 
     @classmethod
-    def rectangle(cls, first: Cylinder, second: Cylinder, k: int, value=Fraction(1)) -> "PairStepFunction":
-        return cls([(first, second, value)], k)
+    def rectangle(cls, first: Cylinder, second: Cylinder, k: int) -> "PairStepFunction":
+        return cls([(first, second, Fraction(1))], k)
 
     @classmethod
     def constant(cls, value, k: int) -> "PairStepFunction":
@@ -589,27 +590,29 @@ def equidistribution_error(F: PairStepFunction, weights: WeightFamily, mu: Bound
     return abs(lhs - rhs)
 
 
-def _table_rectangle_error(table: Dict[Tuple[Letters, Letters], object], d1: int, d2: int, mu: BoundaryMeasure, zero):
-    """Max |W(C_u x C_v) - mu(C_u) mu(C_v)| over the depth-(d1, d2)
-    rectangles, from the table of the nonzero masses W(C_u x C_v).
+def _cylinder_masses(mu: BoundaryMeasure, d: int) -> Dict[Letters, object]:
+    """mu(C_u) per stem u of depth d, in descending order of mass."""
+    stems = (w.letters for w in enumerate_annulus(d, 0, MetricSpec.word(mu.k)))
+    return dict(sorted(((u, mu.mass_letters(u)) for u in stems), key=lambda e: e[1], reverse=True))
 
-    An absent rectangle has mass 0, so its error is mu(C_u) mu(C_v); on
-    the word metric every depth-d cylinder has mass 1/|S_d|.
+
+def _table_rectangle_error(table: Dict[Tuple[Letters, Letters], object], m1: Dict, m2: Dict, zero):
+    """Max |W(C_u x C_v) - mu(C_u) mu(C_v)| over the rectangles with u in
+    m1 and v in m2 (from _cylinder_masses), given the table of the nonzero
+    masses W(C_u x C_v).
+
+    An absent rectangle has mass 0, so its error is mu(C_u) mu(C_v): in
+    row u the largest is at the first absent v in m2's descending order,
+    bit for bit, as x > 0 and a <= b give x*a <= x*b in floating point too.
     """
-    word = MetricSpec.word(mu.k)  # mu(C_u) per stem u of depth d1 and of depth d2, each walked once
-    masses = {d: {w.letters: mu.mass_letters(w.letters) for w in enumerate_annulus(d, 0, word)} for d in {d1, d2}}
-    m1, m2 = masses[d1], masses[d2]
     worst = zero
     for (u, v), mass in table.items():
         worst = max(worst, abs(mass - m1[u] * m2[v]))
     if len(table) < len(m1) * len(m2):
-        if mu.metric.kind == "word":
-            worst = max(worst, Fraction(1, len(m1) * len(m2)))
-        else:
-            for u, mass_u in m1.items():
-                for v, mass_v in m2.items():
-                    if (u, v) not in table:
-                        worst = max(worst, mass_u * mass_v)
+        for u, mass_u in m1.items():
+            v = next((v for v in m2 if (u, v) not in table), None)
+            if v is not None:
+                worst = max(worst, mass_u * m2[v])
     return worst
 
 
@@ -622,11 +625,12 @@ def max_rectangle_error(weights: WeightFamily, mu: BoundaryMeasure, max_depth: i
     """
     table = weights.pair_table(max_depth, max_depth)
     zero = Fraction(0) if weights.exact else 0.0
+    masses = [_cylinder_masses(mu, d) for d in range(max_depth + 1)]
     worst = zero
     for d1 in range(max_depth + 1):
         for d2 in range(max_depth + 1):
             marginal = _sum_by_key((((p1[:d1], p2[:d2]), mass) for (p1, p2), mass in table.items()), zero)
-            worst = max(worst, _table_rectangle_error(marginal, d1, d2, mu, zero))
+            worst = max(worst, _table_rectangle_error(marginal, masses[d1], masses[d2], zero))
     return worst
 
 
@@ -638,7 +642,8 @@ def max_uniform_rectangle_error(weights: WeightFamily, mu: BoundaryMeasure, dept
     partition reproduces product masses exactly.
     """
     zero = Fraction(0) if weights.exact else 0.0
-    return _table_rectangle_error(weights.pair_table(depth, depth), depth, depth, mu, zero)
+    masses = _cylinder_masses(mu, depth)
+    return _table_rectangle_error(weights.pair_table(depth, depth), masses, masses, zero)
 
 
 # -- test functions and the orthogonality functional -----------------------
@@ -789,7 +794,6 @@ def fit_growth(grid: Sequence[int], values: Sequence[float]) -> Tuple[Optional[f
 @dataclass
 class SweepReport:
     name: str
-    param: str
     grid: List = field(default_factory=list)
     values: List[float] = field(default_factory=list)
     values_exact: List[str] = field(default_factory=list)
@@ -856,20 +860,13 @@ def orthogonality_sweep(
     """
     if weights_kind not in ("sphere", "shadow"):
         raise ValueError(f"unknown weights kind {weights_kind!r}")
-    pairs: List[Tuple[StepFunction, StepFunction]] = []
-    seen: Dict[Tuple[int, int], int] = {}
-    slots: List[Tuple[int, int]] = []
-    for case in cases:
-        ij = []
-        for v, w in ((case.v1, case.w1), (case.v2, case.w2)):
-            key = (id(v), id(w))
-            if key not in seen:
-                seen[key] = len(pairs)
-                pairs.append((v, w))
-            ij.append(seen[key])
-        slots.append((ij[0], ij[1]))
+    # step functions hash by identity, so each slot pair is one key
+    used = (vw for c in cases for vw in ((c.v1, c.w1), (c.v2, c.w2)))
+    index = {vw: i for i, vw in enumerate(dict.fromkeys(used))}
+    pairs = list(index)
+    slots = [(index[c.v1, c.w1], index[c.v2, c.w2]) for c in cases]
     targets = [orthogonality_target(f1, f2, c.v1, c.v2, c.w1, c.w2, mu) for c in cases]
-    reports = [SweepReport(name=case.name, param="R", reference_rate=float(ctx.epsilon) / 2.0) for case in cases]
+    reports = [SweepReport(name=case.name, reference_rate=float(ctx.epsilon) / 2.0) for case in cases]
     partial = False
     for R in grid:
         try:
@@ -918,10 +915,16 @@ def _rd_ratio(total, n: int, scale: float) -> float:
     return math.sqrt(as_float(total)) / ((1 + n) * math.sqrt(scale))
 
 
+def _sum_sq_series(v: StepFunction, w: StepFunction, grid: Sequence[int], ctx: GroupContext, mu: BoundaryMeasure):
+    """(q_n = sphere_sum_sq at each n of the grid, ||v||^2 ||w||^2 as a float)."""
+    scale = as_float(norm_sq(v, mu)) * as_float(norm_sq(w, mu))
+    return [sphere_sum_sq(v, w, n, mu, ctx) for n in grid], scale
+
+
 def annular_rd_ratio(v: StepFunction, w: StepFunction, n: int, mu: BoundaryMeasure, ctx: GroupContext) -> float:
     """r_n = (sum_{S_n} <pi(g)v,w>^2)^(1/2) / ((1+n) ||v|| ||w||)."""
-    scale = as_float(norm_sq(v, mu)) * as_float(norm_sq(w, mu))
-    return _rd_ratio(sphere_sum_sq(v, w, n, mu, ctx), n, scale)
+    (total,), scale = _sum_sq_series(v, w, [n], ctx, mu)
+    return _rd_ratio(total, n, scale)
 
 
 def rd_sweep(
@@ -931,23 +934,17 @@ def rd_sweep(
     ctx: GroupContext,
     mu: BoundaryMeasure,
 ) -> SweepReport:
-    ratios = []
-    sums_exact = []
-    scale = as_float(norm_sq(v, mu)) * as_float(norm_sq(w, mu))
-    for n in grid:
-        total = sphere_sum_sq(v, w, n, mu, ctx)
-        ratios.append(_rd_ratio(total, n, scale))
-        sums_exact.append(exact_str(total))
+    sums, scale = _sum_sq_series(v, w, grid, ctx, mu)
+    ratios = [_rd_ratio(total, n, scale) for n, total in zip(grid, sums)]
     sup_r = max(ratios)
     band = [r for n, r in zip(grid, ratios) if n >= 2]
     inf_r = min(band) if band else min(ratios)
     passed = inf_r >= _RD_LOWER_BAND and math.isfinite(sup_r)
     return SweepReport(
         name="annular-rd",
-        param="n",
         grid=list(grid),
         values=ratios,
-        values_exact=sums_exact,
+        values_exact=[exact_str(total) for total in sums],
         constants={"sup_ratio": sup_r, "inf_ratio_n_ge_2": inf_r},
         verdict="PASS" if passed else "FAIL",
         passed=passed,
@@ -971,15 +968,9 @@ def gvb_growth(
     the monotony argument: no vector can satisfy the good-vector bound,
     hence the verdict "GVB fails".
     """
-    qs = []
-    qs_exact = []
-    ratios = []
-    scale = as_float(norm_sq(v, mu)) * as_float(norm_sq(w, mu))
-    for n in grid:
-        q = sphere_sum_sq(v, w, n, mu, ctx)
-        qs.append(as_float(q))
-        qs_exact.append(exact_str(q))
-        ratios.append(as_float(q) / ((1 + n) ** 2 * scale))
+    sums, scale = _sum_sq_series(v, w, grid, ctx, mu)
+    qs = [as_float(q) for q in sums]
+    ratios = [q / ((1 + n) ** 2 * scale) for n, q in zip(grid, qs)]
     exponent, r2, window = fit_growth(list(grid), qs)
     growing = qs[-1] > 2.0 * qs[0]
     in_band = exponent is not None and _GVB_EXPONENT_BAND[0] <= exponent <= _GVB_EXPONENT_BAND[1]
@@ -987,10 +978,9 @@ def gvb_growth(
     verdict = "GVB fails" if passed else "inconclusive"
     return SweepReport(
         name="gvb-growth",
-        param="n",
         grid=list(grid),
         values=qs,
-        values_exact=qs_exact,
+        values_exact=[exact_str(q) for q in sums],
         fitted_exponent=exponent,
         fit_r2=r2,
         fit_window=window,

@@ -20,6 +20,7 @@ from .words import (
     MetricSpec,
     ReducedWord,
     canonical_letters,
+    common_prefix_letters,
     hat_projection,
     letter_from_str,
     letter_key,
@@ -118,11 +119,7 @@ def boundary_common_letters(x, y) -> Optional[int]:
     """Letters in the common prefix of words/boundary points; None if equal
     as boundary points (infinite agreement)."""
     if isinstance(x, ReducedWord) and isinstance(y, ReducedWord):
-        n = min(len(x), len(y))
-        i = 0
-        while i < n and x.letters[i] == y.letters[i]:
-            i += 1
-        return i
+        return common_prefix_letters(x.letters, y.letters)
     if isinstance(x, ReducedWord):
         word, point = x, y
         i = 0
@@ -284,13 +281,6 @@ class CylinderSet:
 
         return CylinderSet(walk(()), self.k)
 
-    def translate(self, g: ReducedWord) -> "CylinderSet":
-        pieces: List[Cylinder] = []
-        for c in self.parts:
-            image = translate_cylinder(g, c, self.k)
-            pieces.extend(image.parts)
-        return CylinderSet(pieces, self.k)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, CylinderSet):
             return self.parts == other.parts
@@ -332,7 +322,7 @@ def translate_cylinder(g: ReducedWord, c: Cylinder, k: int) -> CylinderSet:
 
 
 def translate_cylinder_set(g: ReducedWord, S: CylinderSet) -> CylinderSet:
-    return S.translate(g)
+    return CylinderSet((part for c in S.parts for part in translate_cylinder(g, c, S.k).parts), S.k)
 
 
 @dataclass(frozen=True)

@@ -128,8 +128,19 @@ def _check_keys(spec, allowed, path: str) -> None:
             raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
 
 
-def _generator_keys(k: int) -> set:
-    return {letter_to_str(i) for i in range(1, k + 1)}
+def _generator_table(spec, k: int, path: str, table: str, entry: str) -> List[Fraction]:
+    """One rational per generator a, b, ... from the object at ``path``;
+    ``table`` is the message for a non-object, ``entry`` names a value."""
+    if not isinstance(spec, dict):
+        raise ConfigError(path, table)
+    _check_keys(spec, {letter_to_str(i) for i in range(1, k + 1)}, path)
+    values = []
+    for i in range(1, k + 1):
+        key = letter_to_str(i)
+        if key not in spec:
+            raise ConfigError(f"{path}.{key}", f"missing generator {entry}")
+        values.append(_parse_fraction(spec[key], f"{path}.{key}"))
+    return values
 
 
 def _parse_metric(cfg: dict, k: int) -> MetricSpec:
@@ -139,17 +150,10 @@ def _parse_metric(cfg: dict, k: int) -> MetricSpec:
     if kind == "word":
         return MetricSpec.word(k)
     if kind == "weighted":
-        lengths_cfg = spec.get("lengths")
-        if not isinstance(lengths_cfg, dict):
-            raise ConfigError("metric.lengths", "weighted metric needs a lengths table")
-        _check_keys(lengths_cfg, _generator_keys(k), "metric.lengths")
-        lengths = []
-        for i in range(1, k + 1):
-            key = letter_to_str(i)
-            if key not in lengths_cfg:
-                raise ConfigError(f"metric.lengths.{key}", "missing generator length")
-            lengths.append(_parse_fraction(lengths_cfg[key], f"metric.lengths.{key}"))
-        return MetricSpec.weighted(k, lengths)
+        lengths = spec.get("lengths")
+        return MetricSpec.weighted(
+            k, _generator_table(lengths, k, "metric.lengths", "weighted metric needs a lengths table", "length")
+        )
     if kind == "green":
         walk = _parse_walk(spec.get("walk"), k, "metric.walk")
         return green_metric_of_walk(walk)
@@ -157,15 +161,7 @@ def _parse_metric(cfg: dict, k: int) -> MetricSpec:
 
 
 def _parse_walk(spec, k: int, path: str) -> WalkSpec:
-    if not isinstance(spec, dict):
-        raise ConfigError(path, "walk needs a generator probability table")
-    _check_keys(spec, _generator_keys(k), path)
-    probs = []
-    for i in range(1, k + 1):
-        key = letter_to_str(i)
-        if key not in spec:
-            raise ConfigError(f"{path}.{key}", "missing generator probability")
-        probs.append(_parse_fraction(spec[key], f"{path}.{key}"))
+    probs = _generator_table(spec, k, path, "walk needs a generator probability table", "probability")
     try:
         return WalkSpec.from_generator_probs(probs)
     except ValueError as exc:
@@ -290,10 +286,7 @@ class RunConfig:
         self._one = StepFunction.constant(Fraction(1), self.k)
 
     def context(self, rho: Optional[Fraction] = None) -> GroupContext:
-        kwargs = dict(epsilon=self.epsilon, rho=self.rho if rho is None else rho)
-        if self.h is not None:
-            kwargs["h"] = self.h
-        return GroupContext(self.metric, **kwargs)
+        return GroupContext(self.metric, epsilon=self.epsilon, rho=self.rho if rho is None else rho, h=self.h)
 
     def sphere_radii(self) -> List[int]:
         """The grid as word-sphere radii: each entry a JSON integer."""
@@ -314,6 +307,10 @@ def load_config(path: Path) -> RunConfig:
         raw = json.loads(path.read_text())
     except FileNotFoundError:
         raise ConfigError(str(path), "config file not found") from None
+    except OSError as exc:
+        raise ConfigError(str(path), f"cannot read config file: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(str(path), f"config file is not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}", f"invalid JSON: {exc.msg}") from None
     if not isinstance(raw, dict):
@@ -623,19 +620,18 @@ def cmd_orth(cfg: RunConfig, emit: Emitter) -> int:
     tol = 0.05 if cfg.tolerance is None else cfg.tolerance
     ctx = cfg.context()
     mu = ps_measure(ctx)
-    cases = [
-        OrthCase(
-            case.get("name", f"case{i}"),
-            cfg.vector(case.get("v1", "one")),
-            cfg.vector(case.get("w1", "one")),
-            cfg.vector(case.get("v2", "one")),
-            cfg.vector(case.get("w2", "one")),
-        )
-        for i, case in enumerate(cfg.cases or [{}])
-    ]
+    cases = []
+    for i, case in enumerate(cfg.cases or [{}]):
+        name = case.get("name", f"case{i}")
+        if not isinstance(name, str):
+            raise ConfigError(f"cases[{i}].name", f"expected a string, got {name!r}")
+        if any(c.name == name for c in cases):  # one row per name in the summary
+            raise ConfigError(f"cases[{i}].name", f"duplicate case name {name!r}")
+        slots = (cfg.vector(case.get(key, "one")) for key in ("v1", "w1", "v2", "w2"))
+        cases.append(OrthCase(name, *slots))
     t0 = time.monotonic()
     reports = orthogonality_sweep(
-        cfg.f1, cfg.f2, cases, grid, ctx, mu, weights_kind=cfg.weights_kind, budget=cfg.budget
+        cfg.f1, cfg.f2, cases, grid, ctx, mu, weights_kind=cfg.weights_kind, budget=cfg.budget, tolerance=tol
     )
     emit.timings["orth"] = time.monotonic() - t0
     rows = [
@@ -655,7 +651,7 @@ def cmd_orth(cfg: RunConfig, emit: Emitter) -> int:
     emit.write_csv("orth.csv", rows)
     finals = {rep.name: rep.rel_errors[-1] for rep in reports if rep.rel_errors}
     partial = reports[0].partial
-    passed = bool(finals) and all(v <= tol for v in finals.values()) and not partial
+    passed = all(rep.passed for rep in reports)
     emit.write_json(
         "orth_summary.json",
         {

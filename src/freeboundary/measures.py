@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .boundary import Cylinder, CylinderSet, allowed_children
+from .boundary import Cylinder, CylinderSet, allowed_children, boundary_common_letters
 from .scalars import QSqrt
 from .words import (
     GroupContext,
@@ -27,7 +27,6 @@ from .words import (
     MetricSpec,
     ReducedWord,
     canonical_letters,
-    common_prefix_letters,
     enumerate_annulus,
 )
 
@@ -220,11 +219,8 @@ def rn_derivative(g: ReducedWord, at, mu: BoundaryMeasure):
     if isinstance(at, Cylinder):
         if len(at.stem) < len(gl):
             raise ValueError(f"cylinder of depth {len(at.stem)} is too shallow for |g| = {len(gl)}")
-        c = common_prefix_letters(gl, at.stem)
-    else:  # BoundaryPoint
-        c = 0
-        while c < len(gl) and at.letter_at(c) == gl[c]:
-            c += 1
+        at = ReducedWord(at.stem, _reduced=True)
+    c = boundary_common_letters(g, at)
     m = mu.metric
     j = m.length_of(gl[:c])
     n = m.length_of(gl)
@@ -262,7 +258,6 @@ def rn_integral(g: ReducedWord, mu: BoundaryMeasure):
 @dataclass
 class AhlforsRow:
     depth: int
-    radius: float
     min_ratio: float
     max_ratio: float
 
@@ -275,7 +270,7 @@ class AhlforsReport:
     passed: bool
 
 
-def ahlfors_profile(mu: BoundaryMeasure, depths: Sequence[int], epsilon: float = 1.0) -> AhlforsReport:
+def ahlfors_profile(mu: BoundaryMeasure, depths: Sequence[int]) -> AhlforsReport:
     """Extremal mass(ball)/r^D ratios over all cylinders at each depth.
 
     Cylinders are exactly the visual balls of radius e^(-eps*|w|), and
@@ -286,14 +281,11 @@ def ahlfors_profile(mu: BoundaryMeasure, depths: Sequence[int], epsilon: float =
     rows: List[AhlforsRow] = []
     for d in depths:
         lo, hi = math.inf, -math.inf
-        radius = -math.inf
         for g in enumerate_annulus(d, 0, MetricSpec.word(mu.k)):
-            length = m.length_of(g.letters)
-            ratio = float(mu.mass_letters(g.letters)) * math.exp(mu.alpha * float(length))
+            ratio = float(mu.mass_letters(g.letters)) * math.exp(mu.alpha * float(m.length_of(g.letters)))
             lo = min(lo, ratio)
             hi = max(hi, ratio)
-            radius = max(radius, math.exp(-float(epsilon) * float(length)))
-        rows.append(AhlforsRow(d, radius, lo, hi))
+        rows.append(AhlforsRow(d, lo, hi))
     gmin = min(r.min_ratio for r in rows)
     gmax = max(r.max_ratio for r in rows)
     deep = [r for r in rows if r.depth >= 1]
@@ -374,34 +366,21 @@ def solve_first_passage(walk: WalkSpec) -> FirstPassage:
     """
     walk.validate()
     letters = canonical_letters(walk.k)
+
+    def step(f: dict, p: dict) -> dict:
+        """One sweep of f_s <- p_s + f_s * sum_{u != s} p_u f_{u^-1}."""
+        return {s: p[s] + f[s] * sum(p[u] * f[-u] for u in letters if u != s) for s in letters}
+
     p = {s: float(walk.prob(s)) for s in letters}
     f = {s: 0.0 for s in letters}
     for iterations in range(1, _FIRST_PASSAGE_MAX_ITER + 1):
-        new = {}
-        delta = 0.0
-        for s in letters:
-            ret = sum(p[u] * f[-u] for u in letters if u != s)
-            new[s] = p[s] + f[s] * ret
-            delta = max(delta, abs(new[s] - f[s]))
-        f = new
-        if delta < _FIRST_PASSAGE_TOL:
+        f, prev = step(f, p), f
+        if max(abs(f[s] - prev[s]) for s in letters) < _FIRST_PASSAGE_TOL:
             break
-
-    residual = 0.0
-    for s in letters:
-        ret = sum(p[u] * f[-u] for u in letters if u != s)
-        residual = max(residual, abs(p[s] + f[s] * ret - f[s]))
+    residual = max(abs(value - f[s]) for s, value in step(f, p).items())
 
     candidate = {s: Fraction(f[s]).limit_denominator(10**9) for s in letters}
-    exact_ok = all(0 < candidate[s] < 1 for s in letters)
-    if exact_ok:
-        pr = {s: walk.prob(s) for s in letters}
-        for s in letters:
-            ret = sum(pr[u] * candidate[-u] for u in letters if u != s)
-            if pr[s] + candidate[s] * ret != candidate[s]:
-                exact_ok = False
-                break
-    if exact_ok:
+    if all(0 < c < 1 for c in candidate.values()) and step(candidate, dict(walk.probs)) == candidate:
         return FirstPassage(candidate, True, iterations, residual)
     if not all(0.0 < f[s] < 1.0 for s in letters):
         raise RuntimeError(f"first-passage iteration left (0,1): {f}")
@@ -417,7 +396,7 @@ def green_metric_of_walk(walk: WalkSpec) -> MetricSpec:
     """
     fp = solve_first_passage(walk)
     lengths = tuple(-math.log(float(fp[i])) for i in range(1, walk.k + 1))
-    return MetricSpec("green", walk.k, lengths, walk=walk)
+    return MetricSpec("green", walk.k, lengths)
 
 
 # -- Monte-Carlo harmonic measure ---------------------------------------

@@ -21,7 +21,7 @@ and with ``inner_product`` is the reference the kernel is tested against.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
 from .boundary import BoundaryPoint, Cylinder, CylinderSet, cylinder_image, translate_cylinder
 from .measures import BoundaryMeasure, gromov_level_cells
@@ -91,19 +91,25 @@ class StepFunction:
         raise RuntimeError("partition does not cover the point")  # unreachable
 
     def multiply(self, other: "StepFunction") -> "StepFunction":
-        cells: List[Tuple[Cylinder, Value]] = []
-        for c1, v1 in self.cells:
-            for c2, v2 in other.cells:
-                if c1.contains(c2):
-                    cells.append((c2, v1 * v2))
-                elif c2.contains(c1):
-                    cells.append((c1, v1 * v2))
-        return StepFunction(cells, self.k, validate=False)
+        return StepFunction([(c, v1 * v2) for c, v1, v2 in _refine(self.cells, other.cells)], self.k, validate=False)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{c}:{v}" for c, v in self.cells[:6])
         more = "..." if len(self.cells) > 6 else ""
         return f"StepFunction[{inner}{more}]"
+
+
+def _refine(
+    a: Sequence[Tuple[Cylinder, Value]], b: Sequence[Tuple[Cylinder, Value]]
+) -> Iterator[Tuple[Cylinder, Value, Value]]:
+    """(the smaller cell, value in a, value in b) for each nested pair of
+    cells of a and b: the common refinement of two cylinder partitions."""
+    for c1, v1 in a:
+        for c2, v2 in b:
+            if c1.contains(c2):
+                yield c2, v1, v2
+            elif c2.contains(c1):
+                yield c1, v1, v2
 
 
 def inner_product(v: StepFunction, w: StepFunction, mu: BoundaryMeasure) -> Value:
@@ -112,12 +118,8 @@ def inner_product(v: StepFunction, w: StepFunction, mu: BoundaryMeasure) -> Valu
     All scalars are real, so conjugation is the identity.
     """
     total: Value = Fraction(0) if mu.exact else 0.0
-    for c1, val1 in v.cells:
-        for c2, val2 in w.cells:
-            if c1.contains(c2):
-                total = total + val1 * val2 * mu.mass(c2)
-            elif c2.contains(c1):
-                total = total + val1 * val2 * mu.mass(c1)
+    for c, val1, val2 in _refine(v.cells, w.cells):
+        total = total + val1 * val2 * mu.mass(c)
     return total
 
 
@@ -144,14 +146,7 @@ def apply_pi(g: ReducedWord, v: StepFunction, mu: BoundaryMeasure) -> StepFuncti
         j_len = m.length_of(g.letters[:c_letters])
         levels.append((Cylinder(stem), mu.sqrt_rn_factor(2 * j_len - n_len)))
 
-    cells: List[Tuple[Cylinder, Value]] = []
-    for c1, val in translated:
-        for c2, factor in levels:
-            if c1.contains(c2):
-                cells.append((c2, val * factor))
-            elif c2.contains(c1):
-                cells.append((c1, val * factor))
-    return StepFunction(cells, k, validate=False)
+    return StepFunction([(c, val * factor) for c, val, factor in _refine(translated, levels)], k, validate=False)
 
 
 def matrix_coefficient(g: ReducedWord, v: StepFunction, w: StepFunction, mu: BoundaryMeasure) -> Value:
@@ -229,15 +224,8 @@ def harish_chandra_length(n: int, mu: BoundaryMeasure) -> Value:
     """Xi at word-length n (word metric only)."""
     if mu.metric.kind != "word":
         raise ValueError("length-indexed Xi exists only for the word metric")
-    cached = mu._xi_cache.get(n)
-    if cached is not None:
-        return cached
     # any word of length n: powers of a single generator stay reduced
-    if n == 0:
-        g = ReducedWord(())
-    else:
-        g = ReducedWord((1,) * n, _reduced=True)
-    return harish_chandra(g, mu)
+    return harish_chandra(ReducedWord((1,) * n, _reduced=True), mu)
 
 
 def normalized_coefficient(g: ReducedWord, v: StepFunction, w: StepFunction, mu: BoundaryMeasure) -> Value:

@@ -129,7 +129,6 @@ class MetricSpec:
     kind: str  # "word" | "weighted" | "green"
     k: int
     lengths: Tuple = ()  # per generator 1..k; empty for word metric
-    walk: Optional[object] = None  # WalkSpec for green metrics
 
     def __post_init__(self):
         if self.kind not in ("word", "weighted", "green"):
@@ -304,7 +303,7 @@ class GroupContext:
         from .measures import critical_exponent  # deferred: measures imports words
 
         self.alpha, self.perron = critical_exponent(self.metric)
-        self.omega = (2 * self.metric.k - 1) if self.metric.kind == "word" else math.exp(self.alpha)
+        self.omega = self.perron.omega
 
     @property
     def k(self) -> int:

@@ -52,11 +52,13 @@ from freeboundary.asymptotics import (
     CoverReport,
     SphereGrid,
     WeightFamily,
+    _cylinder_masses,
     _fiber_count,
     _junctions,
     _resolution_depth,
     _sweep_cover,
     _sweep_partition,
+    _table_rectangle_error,
     sphere_class_table,
 )
 from freeboundary.words import canonical_letters, multiply_letters
@@ -387,6 +389,18 @@ def test_rectangle_errors_match_every_rectangle(word_ctx, word_mu):
                 assert fast[d] == want
             else:
                 assert all(abs(f - w) < 1e-12 for f, w in zip(fast[d], want))
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 2), (2, 2), (2, 3)])
+def test_absent_rectangle_scan_finds_the_largest_product(weighted_mu, d1, d2):
+    # a float table equal to mu x mu with every third rectangle (canonical
+    # order) removed: the error is exactly the largest removed product
+    m1, m2 = _cylinder_masses(weighted_mu, d1), _cylinder_masses(weighted_mu, d2)
+    word = MetricSpec.word(2)
+    rects = [(g.letters, h.letters) for g in enumerate_sphere(d1, word) for h in enumerate_sphere(d2, word)]
+    table = {(u, v): m1[u] * m2[v] for i, (u, v) in enumerate(rects) if i % 3}
+    removed = max(m1[u] * m2[v] for i, (u, v) in enumerate(rects) if not i % 3)
+    assert _table_rectangle_error(table, m1, m2, 0.0) == removed
 
 
 def test_phi_trivial_and_symmetry(word_ctx, word_mu, one, ind_a, ind_b):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from freeboundary.cli import _prefix_totals, main
+from freeboundary.cli import ConfigError, _prefix_totals, load_config, main
 from freeboundary.measures import WalkSpec, mc_cylinder_counts
 from freeboundary.words import MetricSpec, enumerate_annulus
 
@@ -304,12 +304,31 @@ def test_cache_entry_from_other_code_is_a_miss(tmp_path, monkeypatch):
         # no more Ancona words than distinct reduced words: 4 of one letter, 16 of one or two at k = 2
         ("green", {"ancona_max_len": 1, "ancona_words": 5}, "ancona_words"),
         ("green", {"ancona_max_len": 2, "ancona_words": 17}, "ancona_words"),
+        # orth reports one row per case name: a duplicate would hide a case
+        ("orth", {"grid": [1, 2], "cases": [{"name": "x", "v1": "1"}, {"name": "x"}]}, "cases[1].name"),
+        ("orth", {"grid": [1, 2], "cases": [{"name": "case1"}, {}]}, "cases[1].name"),
+        ("orth", {"grid": [1, 2], "cases": [{"name": ["x"]}]}, "cases[0].name"),
     ],
 )
 def test_bad_config_values_are_field_anchored(tmp_path, capsys, subcommand, patch, path):
     cfg = write_config(tmp_path, "bad.json", {**BASE, **patch})
     assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert f"config error: {path}: " in capsys.readouterr().err
+
+
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, monkeypatch):
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b'{"group": "\xe9"}')
+    for path in (tmp_path, undecodable):
+        assert main(["spec", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert f"config error: {path}: " in capsys.readouterr().err
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", denied)  # root reads a chmod 000 file, so deny it here
+    with pytest.raises(ConfigError, match="Permission denied"):
+        load_config(tmp_path / "c.json")
 
 
 def test_negative_seed_flag_is_field_anchored(tmp_path, capsys):

@@ -83,13 +83,33 @@ def test_critical_exponent_weighted_poincare_scan():
     m = MetricSpec.weighted(2, [1, 2])
     alpha, _ = critical_exponent(m)
 
+    def length_counts(L, h):
+        # reduced words per metric length in [L - h, L + h], by a DP on the last letter (0: none yet)
+        counts = {}
+        frontier = {(0, 0): 1}
+        while frontier:
+            grown = {}
+            for (length, last), c in frontier.items():
+                if length >= L - h:
+                    counts[length] = counts.get(length, 0) + c
+                for t in canonical_letters(2):
+                    child = length + m.letter_length(t)
+                    if t != -last and child <= L + h:
+                        grown[child, t] = grown.get((child, t), 0) + c
+            frontier = grown
+        return counts
+
+    for L, h in ((3, 2), (5, 3)):
+        enumerated = {}
+        for g in enumerate_annulus(L, h, m):
+            length = m.length_of(g.letters)
+            enumerated[length] = enumerated.get(length, 0) + 1
+        assert length_counts(L, h) == enumerated
+
     def tail_ratio(s: float) -> float:
         sums = []
         for L in (8, 12):
-            total = sum(
-                math.exp(-s * float(m.length_of(g.letters)))
-                for g in enumerate_annulus(L, 4, m)
-            )
+            total = sum(c * math.exp(-s * float(length)) for length, c in length_counts(L, 4).items())
             sums.append(total)
         return sums[1] / sums[0]
 

@@ -23,10 +23,10 @@ from .boundary import Cylinder, CylinderRectangle, shadow_pair
 from .measures import BoundaryMeasure, ps_measure
 from .representation import (
     StepFunction,
+    harish_chandra,
     inner_product,
     matrix_coefficient,
     norm_sq,
-    normalized_coefficient,
 )
 from .scalars import QSqrt, as_float, exact_str
 from .words import (
@@ -127,15 +127,18 @@ class ClassEntry:
 
 def sphere_class_table(n: int, d: int, k: int) -> List[Tuple[int, ReducedWord]]:
     """(count, representative) per coefficient class of the word sphere S_n
-    at depth d >= 1, for every n >= 0, in canonical order of the
+    at depth d >= 0, for every n >= 0, in canonical order of the
     representatives, each the first word of its class.
 
-    Below n = 2d the first and last d letters overlap, so every word of
-    S_n (the identity at n = 0) is its own class.  From n = 2d on the
-    classes are the pairs (p, s) of S_d x S_d whose junction (p[-1], s[0])
-    has a positive count in _junctions(n - 2d, k); that entry gives the
-    class size and the middle of its first word.
+    At d = 0 the sphere is one class, led by 1^n.  Below n = 2d the first
+    and last d letters overlap, so every word of S_n (the identity at
+    n = 0) is its own class.  From n = 2d on the classes are the pairs
+    (p, s) of S_d x S_d whose junction (p[-1], s[0]) has a positive count
+    in _junctions(n - 2d, k); that entry gives the class size and the
+    middle of its first word.
     """
+    if d == 0:
+        return [(sphere_size(n, k), ReducedWord((1,) * n, _reduced=True))]
     word = MetricSpec.word(k)
     if n < 2 * d:
         return [(1, g) for g in enumerate_annulus(n, 0, word)]
@@ -178,11 +181,6 @@ class SphereGrid:
             lo += pos * self._weights[i]
         return lo, lo + (2 * self.k - 1) ** (self.m - len(stem))
 
-    def index_of(self, word: Letters) -> int:
-        if len(word) != self.m:
-            raise ValueError("need a depth-m word")
-        return self.interval(word)[0]
-
     def unrank(self, idx: int) -> Letters:
         out: List[int] = []
         for i in range(self.m):
@@ -214,10 +212,12 @@ def _sum_by_key(items, zero) -> Dict:
 class WeightFamily:
     """A probability weighting of an annulus.
 
-    Uniform sphere weights stay implicit (``words is None``: the support
-    would be |S_n| words); every other family carries its nonzero support
-    as parallel lists of words and masses (Fractions for the word metric,
-    floats otherwise).  Consumers read the family through class_entries.
+    Word-sphere families are class tables on S_R (``words is None``): the
+    uniform family 1/|S_R| when ``stem is None``, and the shadow partition
+    when ``stem = a``, mass |S_a|^-2 on the first word of each depth-a
+    class.  Every other family carries its nonzero support as parallel
+    lists of words and masses (Fractions for the word metric, floats
+    otherwise).  Consumers read the family through class_entries.
     """
 
     def __init__(
@@ -227,59 +227,56 @@ class WeightFamily:
         words: Optional[List[Letters]] = None,
         masses: Optional[List] = None,
         annulus_size: Optional[int] = None,
+        stem: Optional[int] = None,
     ):
         self.R = R
         self.ctx = ctx
         self.words = words
         self.masses = masses
-        self.annulus_size = annulus_size
+        self.stem = stem
+        self.annulus_size = sphere_size(R, ctx.k) if words is None else annulus_size
         self._class_cache: Dict[int, List[ClassEntry]] = {}
-        self._index: Optional[Dict[Letters, int]] = None
+        self._mass_by_letters: Optional[Dict[Letters, object]] = None
 
     # -- basic shape ------------------------------------------------------
-
-    @property
-    def uniform(self) -> bool:
-        return self.words is None
 
     @property
     def exact(self) -> bool:
         return self.ctx.metric.kind == "word"
 
     def support_size(self) -> int:
-        return self.annulus_size if self.uniform else len(self.words)
+        if self.words is not None:
+            return len(self.words)
+        return self.annulus_size if self.stem is None else sphere_size(self.stem, self.ctx.k) ** 2
 
     def total(self):
-        if self.uniform:
-            return Fraction(1)
-        if self.exact:  # one exact sum over a common denominator
-            den = math.lcm(*(m.denominator for m in self.masses))
-            return Fraction(sum(m.numerator * (den // m.denominator) for m in self.masses), den)
-        return sum(self.masses)
+        if self.words is not None:
+            return sum(self.masses)
+        return sum(e.mass for e in self.class_entries(1))
 
     def max_mass(self):
-        if self.uniform:
-            return Fraction(1, self.support_size())
-        return max(self.masses)
+        if self.words is not None:
+            return max(self.masses)
+        return Fraction(1, self.support_size())  # a class table spreads its mass evenly
 
     def mass_of(self, g: ReducedWord):
-        if self.uniform:
-            return Fraction(1, self.support_size()) if len(g) == self.R else Fraction(0)
-        if self._index is None:
-            self._index = {w: i for i, w in enumerate(self.words)}
-        i = self._index.get(g.letters)
-        if i is None:
-            return Fraction(0) if self.exact else 0.0
-        return self.masses[i]
+        if self.words is None and self.stem is None:
+            return Fraction(1, self.annulus_size) if len(g) == self.R else Fraction(0)
+        if self._mass_by_letters is None:
+            self._mass_by_letters = {h.letters: mass for h, mass in self.entries()}
+        return self._mass_by_letters.get(g.letters, Fraction(0) if self.exact else 0.0)
 
     def entries(self) -> Iterator[Tuple[ReducedWord, object]]:
-        if self.uniform:
-            mass = Fraction(1, self.support_size())
+        if self.words is not None:
+            for w, mass in zip(self.words, self.masses):
+                yield ReducedWord(w, _reduced=True), mass
+        elif self.stem is None:
+            mass = Fraction(1, self.annulus_size)
             for g in enumerate_annulus(self.R, 0, self.ctx.metric):
                 yield g, mass
-            return
-        for w, mass in zip(self.words, self.masses):
-            yield ReducedWord(w, _reduced=True), mass
+        else:
+            for e in self.class_entries(self.stem):
+                yield e.rep, e.mass
 
     # -- aggregation ------------------------------------------------------
 
@@ -288,19 +285,25 @@ class WeightFamily:
 
         Members of a class share |g| and, once |g| >= 2d, their first and
         last d letters; on the word metric that fixes every depth-d
-        normalized coefficient and both depth-d boundary prefixes.  Float
-        (weighted or Green) supports get one entry per support word, in
-        support order, so float sums keep their order.
+        normalized coefficient and both depth-d boundary prefixes.
+
+        A shadow partition reads the sphere class table at depth min(d, a):
+        every pair of S_a x S_a is a class of S_R, so a class of depth
+        e <= a holds (|S_a| / |S_e|)^2 of them and has mass |S_e|^-2.
+        Float (weighted or Green) supports get one entry per support word,
+        in support order, so float sums keep their order.
         """
         d = max(1, d)
+        if self.stem is not None:
+            d = min(d, self.stem)
         if d in self._class_cache:
             return self._class_cache[d]
-        if self.uniform:
-            size = self.support_size()
-            out = [
-                ClassEntry(Fraction(c, size), rep)
-                for c, rep in sphere_class_table(self.R, d, self.ctx.k)
-            ]
+        k = self.ctx.k
+        if self.stem is not None:
+            mass = Fraction(1, sphere_size(d, k) ** 2)  # shared: one Fraction per entry is ~70 MB at R = 14
+            out = [ClassEntry(mass, rep) for _, rep in sphere_class_table(self.R, d, k)]
+        elif self.words is None:
+            out = [ClassEntry(Fraction(c, self.annulus_size), rep) for c, rep in sphere_class_table(self.R, d, k)]
         elif not self.exact:
             out = [ClassEntry(mass, g) for g, mass in self.entries()]
         else:
@@ -332,7 +335,7 @@ def sphere_weights(n: int, ctx: GroupContext) -> WeightFamily:
         raise ValueError("sphere weights require the word metric")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return WeightFamily(n, ctx, annulus_size=sphere_size(n, ctx.k))
+    return WeightFamily(n, ctx)
 
 
 @dataclass
@@ -504,10 +507,10 @@ def build_partition_weights(R, ctx: GroupContext, budget: int = 10_000_000) -> W
     of its double shadow, claim it.
 
     Masses are exact for the word metric.  On a word sphere the family is
-    the first word of each stem-pair class, the sphere class table at the
-    stem depth a, with mass |S_a|^-2 each.  If any resolution cell stays
-    unclaimed the cover has failed and the builder raises instead of
-    renormalizing.
+    kept as the sphere class table at the stem depth a: the first word of
+    each stem-pair class, with mass |S_a|^-2 each.  If any resolution
+    cell stays unclaimed the cover has failed and the builder raises
+    instead of renormalizing.
     """
     n = _sphere_radius(R, ctx)
     if n is None:
@@ -515,14 +518,7 @@ def build_partition_weights(R, ctx: GroupContext, budget: int = 10_000_000) -> W
     _, a, covered = _stem_depth(n, R, ctx, budget, "partition")
     if not covered:
         raise _cover_error(R, ctx)
-    if a == 0:
-        words = [next(enumerate_annulus(n, 0, ctx.metric)).letters]
-    else:
-        words = [rep.letters for _, rep in sphere_class_table(n, a, ctx.k)]
-    mass = Fraction(1, sphere_size(a, ctx.k) ** 2)
-    fam = WeightFamily(R, ctx, words, [mass] * len(words), annulus_size=sphere_size(n, ctx.k))
-    assert fam.total() == 1
-    return fam
+    return WeightFamily(n, ctx, stem=a)
 
 
 # -- boundary-pair observables and equidistribution ------------------------
@@ -717,7 +713,8 @@ def phi_r_pairs(
     out: List[List[object]] = [[zero for _ in pairs] for _ in pairs]
 
     def add(g: ReducedWord, factor) -> None:
-        ncs = [normalized_coefficient(g, v, w, mu) for v, w in pairs]
+        xi = harish_chandra(g, mu)
+        ncs = [matrix_coefficient(g, v, w, mu) / xi for v, w in pairs]
         for i in range(len(pairs)):
             row = out[i]
             for j in range(len(pairs)):

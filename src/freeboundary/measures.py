@@ -150,7 +150,6 @@ class BoundaryMeasure:
         self.pi0 = pi0
         self.trans = trans
         self.exact = exact
-        self._xi_cache: Dict[object, object] = {}
 
     def prefix_masses(self, stem: Letters, start: int = 0, mass=None) -> list:
         """mass(C_{stem[:j]}) for j = start..|stem|, one Markov factor per

@@ -207,17 +207,15 @@ def matrix_coefficient(g: ReducedWord, v: StepFunction, w: StepFunction, mu: Bou
 def harish_chandra(g: ReducedWord, mu: BoundaryMeasure) -> Value:
     """Xi(g) = <pi(g) 1, 1>.
 
-    For the word metric Xi depends only on |g| and the table is memoized
-    by length; other metrics memoize by the word itself.
+    On the word metric Xi is Haagerup's spherical function of n = |g|,
+    q^(-n/2) (1 + n (q-1)/(q+1)) with q = 2k - 1; other metrics integrate
+    with the coefficient kernel.
     """
-    key: object = len(g) if mu.metric.kind == "word" else g.letters
-    cached = mu._xi_cache.get(key)
-    if cached is not None:
-        return cached
+    if mu.metric.kind == "word":
+        n, q = len(g), 2 * mu.k - 1
+        return QSqrt.root_power(-n, q) * (1 + Fraction(n * (q - 1), q + 1))
     one = StepFunction.constant(Fraction(1) if mu.exact else 1.0, mu.k)
-    value = matrix_coefficient(g, one, one, mu)
-    mu._xi_cache[key] = value
-    return value
+    return matrix_coefficient(g, one, one, mu)
 
 
 def harish_chandra_length(n: int, mu: BoundaryMeasure) -> Value:

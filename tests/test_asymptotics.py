@@ -71,7 +71,7 @@ def test_sphere_grid_ranking():
     words = [g.letters for g in enumerate_sphere(3, MetricSpec.word(2))]
     assert grid.size == len(words)
     for i, w in enumerate(words):
-        assert grid.index_of(w) == i
+        assert grid.interval(w)[0] == i
         assert grid.unrank(i) == w
     lo, hi = grid.interval((1, 2))
     assert [words[i][:2] for i in range(lo, hi)] == [(1, 2)] * (hi - lo)
@@ -112,6 +112,12 @@ def _class_oracle(n, d, k):
     letters = canonical_letters(k)
     rank = {s: i for i, s in enumerate(letters)}
     order = lambda w: [rank[c] for c in w]
+    keep = max(d, 1)  # the last letter decides which letters may follow
+
+    def merge(table, key, count, word):
+        old = table.get(key)
+        table[key] = (count, word) if old is None else (old[0] + count, min(old[1], word, key=order))
+
     states = {((), ()): (1, ())}
     for _ in range(n):
         grown = {}
@@ -119,14 +125,12 @@ def _class_oracle(n, d, k):
             for c in letters:
                 if last and c == -last[-1]:
                     continue
-                key = ((first + (c,))[:d], (last + (c,))[-d:])
-                old = grown.get(key)
-                if old is None:
-                    grown[key] = (count, word + (c,))
-                else:
-                    grown[key] = (old[0] + count, min(old[1], word + (c,), key=order))
+                merge(grown, ((first + (c,))[:d], (last + (c,))[-keep:]), count, word + (c,))
         states = grown
-    return sorted(states.values(), key=lambda cw: order(cw[1]))
+    classes = {}
+    for (first, last), (count, word) in states.items():
+        merge(classes, (first, last[keep - d:]), count, word)
+    return sorted(classes.values(), key=lambda cw: order(cw[1]))
 
 
 def _class_table(n, d, k):
@@ -134,7 +138,7 @@ def _class_table(n, d, k):
 
 
 @pytest.mark.parametrize(
-    "k, cases", [(2, [(0, 1), (3, 2), (4, 1), (4, 2), (5, 2), (6, 2), (7, 3)]), (3, [(4, 1), (5, 2), (6, 3)])], ids=["k2", "k3"]
+    "k, cases", [(2, [(0, 1), (3, 0), (3, 2), (4, 1), (4, 2), (5, 2), (6, 2), (7, 3)]), (3, [(4, 1), (5, 2), (6, 3)])], ids=["k2", "k3"]
 )
 def test_sphere_class_table_matches_enumeration(k, cases):
     # counts, each representative the first word of its class, canonical order
@@ -152,7 +156,7 @@ def test_sphere_class_table_matches_enumeration(k, cases):
 
 
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
-@given(data=st.data(), k=st.sampled_from([2, 3]), d=st.integers(1, 3))
+@given(data=st.data(), k=st.sampled_from([2, 3]), d=st.integers(0, 3))
 def test_sphere_class_table_matches_oracle(data, k, d):
     n = data.draw(st.integers(0, 2 * d + 4))
     assert _class_table(n, d, k) == _class_oracle(n, d, k)
@@ -227,14 +231,30 @@ def test_cover_minimal_rho_is_one(word_ctx):
 
 
 def _outcome(fn, R, ctx, budget):
-    """A cover report or weight family as comparable fields, or the error raised."""
+    """A cover report or weight family as comparable fields, or the error raised.
+
+    A family is read through entries(), and at every depth d = 1..a+2
+    (a the stem depth at R) through class_entries(d), whose masses sum to
+    1, and pair_table(d, d).  On S_R with R <= 6, mass_of must give each
+    word its mass in entries(), 0 off the support."""
     try:
         out = fn(R, ctx, budget)
     except (BudgetError, CoverError) as exc:
         return type(exc), str(exc)
     if isinstance(out, CoverReport):
         return (out.covered, str(out.witness), out.R, out.rho, out.h, out.resolution, out.annulus_size)
-    return (out.R, out.words, out.masses, out.annulus_size, out.support_size())
+    a = max(0, math.ceil(Fraction(R) / 2 - Fraction(ctx.rho)))
+    classes = {}
+    for d in range(1, a + 3):
+        table = [(e.rep.letters, e.mass) for e in out.class_entries(d)]
+        assert sum(mass for _, mass in table) == 1, d
+        classes[d] = (table, out.pair_table(d, d))
+    entries = [(g.letters, mass) for g, mass in out.entries()]
+    if R <= 6 and float(R).is_integer():
+        masses = dict(entries)
+        for g in enumerate_sphere(int(R), ctx.metric):
+            assert out.mass_of(g) == masses.get(g.letters, 0), g
+    return (out.R, entries, out.annulus_size, out.support_size(), out.max_mass(), classes)
 
 
 def _assert_matches_sweep(R, ctx, budget=10_000_000):
@@ -287,7 +307,8 @@ def test_stem_pair_cover_matches_enumeration(k, r_max):
                 with pytest.raises(CoverError):
                     build_partition_weights(R, ctx)
             else:
-                assert build_partition_weights(R, ctx).words == sorted(first.values(), key=SphereGrid(k, R).index_of)
+                words = [g.letters for g, _ in build_partition_weights(R, ctx).entries()]
+                assert words == sorted(first.values(), key=lambda w: SphereGrid(k, R).interval(w)[0])
 
 
 def test_partition_weights_basic(word_ctx, word_mu):
@@ -298,7 +319,6 @@ def test_partition_weights_basic(word_ctx, word_mu):
         # condition (3): max mass comparable to 1/|A_R|
         assert float(wf.max_mass() * wf.annulus_size) <= 8.0
         # each mass is at most the product mass of its own double shadow
-        idx = {w: i for i, w in enumerate(wf.words)}
         for g, mass in list(wf.entries())[:50]:
             rect = shadow_pair(g, word_ctx)
             bound = word_mu.mass(rect.first) * word_mu.mass(rect.second)

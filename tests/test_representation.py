@@ -6,10 +6,13 @@ import pytest
 
 from freeboundary import (
     Cylinder,
+    GroupContext,
+    MetricSpec,
     QSqrt,
     ReducedWord,
     StepFunction,
     apply_pi,
+    enumerate_sphere,
     harish_chandra,
     harish_chandra_length,
     inner_product,
@@ -17,6 +20,7 @@ from freeboundary import (
     matrix_coefficient,
     norm_sq,
     normalized_coefficient,
+    ps_measure,
 )
 
 W = ReducedWord.from_str
@@ -141,6 +145,18 @@ def test_harish_chandra_depends_on_length_only(word_mu):
 def test_harish_chandra_closed_form(word_mu):
     for n in range(21):
         assert harish_chandra_length(n, word_mu) == closed_form_xi(n)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_harish_chandra_closed_form_is_the_kernel(k):
+    # the closed form against the coefficient kernel at v = w = 1, on
+    # every word of length <= 6
+    metric = MetricSpec.word(k)
+    mu = ps_measure(GroupContext(metric))
+    one = StepFunction.constant(Fraction(1), k)
+    for n in range(7):
+        for g in enumerate_sphere(n, metric):
+            assert matrix_coefficient(g, one, one, mu) == harish_chandra(g, mu), g
 
 
 def test_harish_chandra_symmetry(word_mu):

@@ -44,7 +44,7 @@ print(f"integral of rn(ab, .) dmu = {rn_integral(W('ab'), mu)} (exactly 1)")
 
 print("\n== weighted metric (lengths 1, 2): Perron construction ==")
 metric = MetricSpec.weighted(2, [1, 2])
-alpha, pd = critical_exponent(metric)
+alpha, _ = critical_exponent(metric)
 x = math.exp(-alpha)
 print(f"alpha = {alpha:.12f}, e^-alpha = {x:.10f}")
 print(f"cubic residual 3x^3+x^2+x-1 = {3*x**3 + x**2 + x - 1:.2e}")

@@ -39,7 +39,6 @@ from .measures import (
     BoundaryMeasure,
     FirstPassage,
     MCEstimate,
-    PerronData,
     WalkSpec,
     ahlfors_profile,
     critical_exponent,

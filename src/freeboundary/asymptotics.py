@@ -20,7 +20,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .boundary import Cylinder, CylinderRectangle, shadow_pair
-from .measures import BoundaryMeasure, ps_measure
+from .measures import BoundaryMeasure
 from .representation import (
     StepFunction,
     harish_chandra,
@@ -28,7 +28,7 @@ from .representation import (
     matrix_coefficient,
     norm_sq,
 )
-from .scalars import QSqrt, as_float, exact_str
+from .scalars import as_float, exact_str
 from .words import (
     GroupContext,
     Letters,
@@ -242,7 +242,7 @@ class WeightFamily:
 
     @property
     def exact(self) -> bool:
-        return self.ctx.metric.kind == "word"
+        return self.ctx.mu.exact
 
     def support_size(self) -> int:
         if self.words is not None:
@@ -264,7 +264,7 @@ class WeightFamily:
             return Fraction(1, self.annulus_size) if len(g) == self.R else Fraction(0)
         if self._mass_by_letters is None:
             self._mass_by_letters = {h.letters: mass for h, mass in self.entries()}
-        return self._mass_by_letters.get(g.letters, Fraction(0) if self.exact else 0.0)
+        return self._mass_by_letters.get(g.letters, self.ctx.mu.zero)
 
     def entries(self) -> Iterator[Tuple[ReducedWord, object]]:
         if self.words is not None:
@@ -326,7 +326,7 @@ class WeightFamily:
             ((_hat_prefix(e.rep.letters, d1), _hat_prefix((~e.rep).letters, d2)), e.mass)
             for e in self.class_entries(max(d1, d2, 1))
         )
-        return _sum_by_key(keyed, Fraction(0) if self.exact else 0.0)
+        return _sum_by_key(keyed, self.ctx.mu.zero)
 
 
 def sphere_weights(n: int, ctx: GroupContext) -> WeightFamily:
@@ -423,13 +423,12 @@ def _sweep_partition(R, ctx: GroupContext, budget: int) -> WeightFamily:
     """build_partition_weights by the dense sweep."""
     sweep = _ShadowSweep(R, ctx, budget, "partition")
     grid = sweep.grid
-    exact = ctx.metric.kind == "word"
+    exact = ctx.mu.exact
     if exact:
         cell = Fraction(1, 2 * ctx.k) * Fraction(1, 2 * ctx.k - 1) ** (grid.m - 1)
         cell_sq = cell * cell
     else:
-        mu = ps_measure(ctx)
-        cell_masses = np.array([mu.mass_letters(grid.unrank(i)) for i in range(grid.size)], dtype=np.float64)
+        cell_masses = np.array([ctx.mu.mass_letters(grid.unrank(i)) for i in range(grid.size)], dtype=np.float64)
 
     words: List[Letters] = []
     masses: List = []
@@ -565,7 +564,7 @@ class PairStepFunction:
         return Fraction(0)
 
     def integral(self, mu: BoundaryMeasure):
-        total = Fraction(0) if mu.exact else 0.0
+        total = mu.zero
         for first, second, val in self.cells:
             total = total + val * mu.mass(first) * mu.mass(second)
         return total
@@ -575,7 +574,7 @@ def equidistribution_pairing(F: PairStepFunction, weights: WeightFamily, mu: Bou
     """(sum_g w(g) F(hat g, check g), integral of F against mu x mu)."""
     d1, d2 = F.depths()
     table = weights.pair_table(d1, d2)
-    lhs = Fraction(0) if weights.exact else 0.0
+    lhs = mu.zero
     for (p1, p2), mass in table.items():
         lhs = lhs + mass * F.value_at_prefixes(p1, p2)
     return lhs, F.integral(mu)
@@ -620,7 +619,7 @@ def max_rectangle_error(weights: WeightFamily, mu: BoundaryMeasure, max_depth: i
     table, summed in its stored order.
     """
     table = weights.pair_table(max_depth, max_depth)
-    zero = Fraction(0) if weights.exact else 0.0
+    zero = mu.zero
     masses = [_cylinder_masses(mu, d) for d in range(max_depth + 1)]
     worst = zero
     for d1 in range(max_depth + 1):
@@ -637,9 +636,8 @@ def max_uniform_rectangle_error(weights: WeightFamily, mu: BoundaryMeasure, dept
     nonzero error on the tree: at or below the stem depth the greedy
     partition reproduces product masses exactly.
     """
-    zero = Fraction(0) if weights.exact else 0.0
     masses = _cylinder_masses(mu, depth)
-    return _table_rectangle_error(weights.pair_table(depth, depth), masses, masses, zero)
+    return _table_rectangle_error(weights.pair_table(depth, depth), masses, masses, mu.zero)
 
 
 # -- test functions and the orthogonality functional -----------------------
@@ -708,9 +706,7 @@ def phi_r_pairs(
         f2.depth(),
         max(max(v.depth(), w.depth()) for v, w in pairs),
     )
-    exact = mu.exact and weights.exact
-    zero = QSqrt(0, 0, int(mu.omega)) if exact else 0.0
-    out: List[List[object]] = [[zero for _ in pairs] for _ in pairs]
+    out: List[List[object]] = [[mu.zero for _ in pairs] for _ in pairs]
 
     def add(g: ReducedWord, factor) -> None:
         xi = harish_chandra(g, mu)
@@ -901,7 +897,7 @@ def sphere_sum_sq(v: StepFunction, w: StepFunction, n: int, mu: BoundaryMeasure,
     """sum over S_n of <pi(g)v, w>^2, exactly (word metric)."""
     if ctx.metric.kind != "word":
         raise ValueError("sphere sums require the word metric")
-    total = QSqrt(0, 0, int(mu.omega))
+    total = mu.zero
     for c, rep in sphere_class_table(n, max(1, v.depth(), w.depth()), ctx.k):
         coef = matrix_coefficient(rep, v, w, mu)
         total = total + c * (coef * coef)

@@ -468,7 +468,7 @@ print("wrote {name}.png")
 
 def cmd_spec(cfg: RunConfig, emit: Emitter) -> int:
     ctx = cfg.context()
-    alpha, pd = ctx.alpha, ctx.perron
+    alpha, mu = ctx.alpha, ctx.mu
     letters = canonical_letters(cfg.k)
     payload = {
         "rank": cfg.k,
@@ -480,13 +480,13 @@ def cmd_spec(cfg: RunConfig, emit: Emitter) -> int:
         "exp_minus_alpha": math.exp(-alpha),
         "rho": str(ctx.rho),
         "h": str(ctx.h),
-        "perron_exact": pd.exact,
-        "eigenvalue_residual": pd.eigenvalue_residual,
-        "row_sum_residual": pd.row_sum_residual(),
-        "perron_vector": {letter_to_str(s): str(pd.vector[s]) for s in letters},
+        "perron_exact": mu.exact,
+        "eigenvalue_residual": mu.eigenvalue_residual,
+        "row_sum_residual": mu.row_sum_residual(),
+        "perron_vector": {letter_to_str(s): str(mu.vector[s]) for s in letters},
     }
     rows = []
-    for entry in ps_measure(ctx).markov_rows():
+    for entry in mu.markov_rows():
         row = {"state": letter_to_str(entry["state"]), "initial": str(entry["initial"])}
         for t in letters:
             row[f"to_{letter_to_str(t)}"] = str(entry[("to", t)])
@@ -494,7 +494,7 @@ def cmd_spec(cfg: RunConfig, emit: Emitter) -> int:
     emit.write_csv("markov.csv", rows)
     emit.write_json("spec_summary.json", payload)
     print(f"omega = {float(ctx.omega):.12g}  alpha = {alpha:.12g}  D = {ctx.dimension:.12g}")
-    print(f"e^-alpha = {math.exp(-alpha):.12g}  perron exact = {pd.exact}")
+    print(f"e^-alpha = {math.exp(-alpha):.12g}  perron exact = {mu.exact}")
     return 0
 
 
@@ -537,12 +537,7 @@ def cmd_cover(cfg: RunConfig, emit: Emitter) -> int:
             payload = emit.cache.get("cover", key)
             if payload is None:
                 rep = check_shadow_cover(R, cfg.context(rho=Fraction(rho)), budget=cfg.budget)
-                payload = {
-                    "covered": rep.covered,
-                    "witness": str(rep.witness) if rep.witness else "",
-                    "resolution": rep.resolution,
-                    "annulus_size": rep.annulus_size,
-                }
+                payload = {"covered": rep.covered, "witness": str(rep.witness) if rep.witness else ""}
                 emit.cache.put("cover", key, payload)
             if payload["covered"]:
                 minimal = rho

@@ -7,6 +7,11 @@ allowed transitions t != x^-1: the critical exponent alpha is the unique
 s with Perron eigenvalue 1, and the right Perron eigenvector u gives the
 transition masses P(x,t) = exp(-alpha*len(t)) u_t / u_x.  For the word
 metric everything collapses to exact rationals.
+
+``critical_exponent`` returns alpha with one ``BoundaryMeasure`` that
+holds this Perron data and decides the arithmetic: exact Fractions on
+the word metric, floats otherwise.  A ``GroupContext`` keeps that measure
+as ``ctx.mu``, and ``ps_measure`` returns it.
 """
 
 from __future__ import annotations
@@ -29,27 +34,6 @@ from .words import (
     canonical_letters,
     enumerate_annulus,
 )
-
-
-@dataclass
-class PerronData:
-    """Transfer-matrix data at the critical exponent."""
-
-    alpha: float
-    omega: Union[int, float]
-    exact: bool
-    vector: Dict[Letter, Union[Fraction, float]]
-    pi0: Dict[Letter, Union[Fraction, float]]
-    trans: Dict[Tuple[Letter, Letter], Union[Fraction, float]]
-    eigenvalue_residual: float = 0.0
-
-    def row_sum_residual(self) -> float:
-        worst = 0.0
-        letters = sorted(self.vector)
-        for s in letters:
-            total = sum(self.trans[(s, t)] for t in letters if t != -s)
-            worst = max(worst, abs(float(total) - 1.0))
-        return worst
 
 
 def _transfer_matrix(m: MetricSpec, s: float) -> np.ndarray:
@@ -84,9 +68,10 @@ def _perron_vector(M: np.ndarray) -> np.ndarray:
     return u
 
 
-def critical_exponent(m: MetricSpec) -> Tuple[float, PerronData]:
+def critical_exponent(m: MetricSpec) -> Tuple[float, BoundaryMeasure]:
     """The unique s with Perron eigenvalue of M(s) equal to 1, plus the
-    induced Markov data.  Word metric: closed form alpha = log(2k-1)."""
+    measure of the induced Markov data.  Word metric: closed form
+    alpha = log(2k-1)."""
     k = m.k
     letters = canonical_letters(k)
     if m.kind == "word":
@@ -95,7 +80,7 @@ def critical_exponent(m: MetricSpec) -> Tuple[float, PerronData]:
         vector = {s: Fraction(1) for s in letters}
         pi0 = {s: Fraction(1, 2 * k) for s in letters}
         trans = {(s, t): Fraction(1, omega) for s in letters for t in letters if t != -s}
-        return alpha, PerronData(alpha, omega, True, vector, pi0, trans)
+        return alpha, BoundaryMeasure(m, alpha, omega, True, vector, pi0, trans)
 
     min_len = float(m.min_letter_length)
     lo, hi = 0.0, math.log(2 * k - 1) / min_len
@@ -120,18 +105,19 @@ def critical_exponent(m: MetricSpec) -> Tuple[float, PerronData]:
         row_sum = sum(row.values())  # 1 up to the bisection tolerance
         for t, val in row.items():
             trans[(x, t)] = val / row_sum
-    return alpha, PerronData(alpha, math.exp(alpha), False, vector, pi0, trans, residual)
-
-
-_ONE = Fraction(1)  # shared unit mass: building a Fraction costs about 1 us per mass walk
+    return alpha, BoundaryMeasure(m, alpha, math.exp(alpha), False, vector, pi0, trans, residual)
 
 
 class BoundaryMeasure:
-    """Cylinder-mass functional of a Markov measure on the tree boundary.
+    """Cylinder-mass functional of a Markov measure on the tree boundary,
+    with the Perron data it is built from.
 
     mass(C_e) = 1; mass(C_{w t}) = mass(C_w) * P(last(w), t).  The word
     metric backend is exact (Fractions, growth rate an integer); weighted
-    and Green backends carry floats with a 1e-12 tolerance policy.
+    and Green backends carry floats with a 1e-12 tolerance policy.  Sums
+    over the measure start from ``zero``, the backend's additive identity
+    (so an empty float sum still prints as a float), and mass walks from
+    ``one``.
     """
 
     def __init__(
@@ -139,23 +125,36 @@ class BoundaryMeasure:
         metric: MetricSpec,
         alpha: float,
         omega: Union[int, float],
+        exact: bool,
+        vector: Dict[Letter, Union[Fraction, float]],
         pi0: Dict[Letter, Union[Fraction, float]],
         trans: Dict[Tuple[Letter, Letter], Union[Fraction, float]],
-        exact: bool,
+        eigenvalue_residual: float = 0.0,
     ) -> None:
         self.metric = metric
         self.k = metric.k
         self.alpha = alpha
         self.omega = omega
+        self.exact = exact
+        self.zero, self.one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+        self.vector = vector
         self.pi0 = pi0
         self.trans = trans
-        self.exact = exact
+        self.eigenvalue_residual = eigenvalue_residual
+
+    def row_sum_residual(self) -> float:
+        worst = 0.0
+        letters = sorted(self.vector)
+        for s in letters:
+            total = sum(self.trans[(s, t)] for t in letters if t != -s)
+            worst = max(worst, abs(float(total) - 1.0))
+        return worst
 
     def prefix_masses(self, stem: Letters, start: int = 0, mass=None) -> list:
         """mass(C_{stem[:j]}) for j = start..|stem|, one Markov factor per
         letter; a walk from start > 0 resumes from mass = mass(C_{stem[:start]})."""
         if start == 0:
-            mass = _ONE if self.exact else 1.0
+            mass = self.one
         out = [mass]
         trans = self.trans
         for i in range(start, len(stem)):
@@ -170,7 +169,7 @@ class BoundaryMeasure:
         return self.mass_letters(c.stem)
 
     def mass_set(self, S: CylinderSet):
-        total = Fraction(0) if self.exact else 0.0
+        total = self.zero
         for part in S.parts:
             total += self.mass_letters(part.stem)
         return total
@@ -203,9 +202,9 @@ class BoundaryMeasure:
 
 
 def ps_measure(ctx: GroupContext) -> BoundaryMeasure:
-    """The normalized Patterson-Sullivan measure of the context's metric."""
-    pd: PerronData = ctx.perron
-    return BoundaryMeasure(ctx.metric, ctx.alpha, ctx.omega, pd.pi0, pd.trans, pd.exact)
+    """The normalized Patterson-Sullivan measure of the context's metric:
+    the one measure the context holds."""
+    return ctx.mu
 
 
 def rn_derivative(g: ReducedWord, at, mu: BoundaryMeasure):
@@ -247,7 +246,7 @@ def rn_integral(g: ReducedWord, mu: BoundaryMeasure):
     """Exact integral of the Radon-Nikodym derivative; equals 1."""
     m = mu.metric
     n = m.length_of(g.letters)
-    total = Fraction(0) if mu.exact else 0.0
+    total = mu.zero
     for stem, c in gromov_level_cells(g, mu.k):
         j = m.length_of(g.letters[:c])
         total += mu.rn_exponent_value(2 * j - n) * mu.mass_letters(stem)

@@ -117,14 +117,14 @@ def inner_product(v: StepFunction, w: StepFunction, mu: BoundaryMeasure) -> Valu
 
     All scalars are real, so conjugation is the identity.
     """
-    total: Value = Fraction(0) if mu.exact else 0.0
+    total: Value = mu.zero
     for c, val1, val2 in _refine(v.cells, w.cells):
         total = total + val1 * val2 * mu.mass(c)
     return total
 
 
 def norm_sq(v: StepFunction, mu: BoundaryMeasure) -> Value:
-    total: Value = Fraction(0) if mu.exact else 0.0
+    total: Value = mu.zero
     for c, val in v.cells:
         total = total + val * val * mu.mass(c)
     return total
@@ -184,7 +184,7 @@ def matrix_coefficient(g: ReducedWord, v: StepFunction, w: StepFunction, mu: Bou
         return value
 
     w_cells = [(b.stem, beta) for b, beta in w.cells if beta]
-    total: Value = Fraction(0) if mu.exact else 0.0
+    total: Value = mu.zero
     for a, alpha in v.cells:
         if not alpha:
             continue
@@ -214,7 +214,7 @@ def harish_chandra(g: ReducedWord, mu: BoundaryMeasure) -> Value:
     if mu.metric.kind == "word":
         n, q = len(g), 2 * mu.k - 1
         return QSqrt.root_power(-n, q) * (1 + Fraction(n * (q - 1), q + 1))
-    one = StepFunction.constant(Fraction(1) if mu.exact else 1.0, mu.k)
+    one = StepFunction.constant(mu.one, mu.k)
     return matrix_coefficient(g, one, one, mu)
 
 

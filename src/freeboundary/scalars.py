@@ -34,7 +34,7 @@ class QSqrt:
 
     __slots__ = ("p", "q", "base")
 
-    def __init__(self, p: RationalLike = 0, q: RationalLike = 0, base: int = 3) -> None:
+    def __init__(self, p: RationalLike, q: RationalLike, base: int) -> None:
         if base < 2:
             raise ValueError(f"base must be an integer >= 2, got {base}")
         if type(p) is not Fraction:
@@ -48,7 +48,7 @@ class QSqrt:
         self.base = base
 
     @classmethod
-    def root_power(cls, j: int, base: int = 3) -> "QSqrt":
+    def root_power(cls, j: int, base: int) -> "QSqrt":
         """sqrt(base)**j for any integer j, exactly."""
         half, odd = divmod(j, 2)
         w = Fraction(base) ** half

@@ -284,7 +284,9 @@ class GroupContext:
     Hausdorff dimension D = log(omega)/epsilon satisfies e^(eps*D) = omega
     by construction.  rho is the shadow parameter, h the annulus
     half-width (word metric default 0; otherwise max letter length + 1 so
-    annuli are never empty).
+    annuli are never empty).  mu is the metric's Patterson-Sullivan
+    measure (a measures.BoundaryMeasure), built once with alpha: it holds
+    the Perron data and decides between exact and float arithmetic.
     """
 
     metric: MetricSpec
@@ -293,7 +295,7 @@ class GroupContext:
     h: Optional[float] = None
     alpha: float = field(init=False)
     omega: float = field(init=False)
-    perron: object = field(init=False, default=None)
+    mu: object = field(init=False, default=None, compare=False)
 
     def __post_init__(self):
         if self.h is None:
@@ -302,8 +304,8 @@ class GroupContext:
             raise ValueError(f"need epsilon > 0, rho >= 0, h >= 0; got {self.epsilon}, {self.rho}, {self.h}")
         from .measures import critical_exponent  # deferred: measures imports words
 
-        self.alpha, self.perron = critical_exponent(self.metric)
-        self.omega = self.perron.omega
+        self.alpha, self.mu = critical_exponent(self.metric)
+        self.omega = self.mu.omega
 
     @property
     def k(self) -> int:

@@ -364,7 +364,7 @@ def test_criterion_7_green_harmonic(tmp_path):
 
 def test_criterion_8_weighted_generality():
     metric = MetricSpec.weighted(2, [1, 2])
-    alpha, pd = critical_exponent(metric)
+    alpha, _ = critical_exponent(metric)
     x = math.exp(-alpha)
     cubic = 3 * x**3 + x**2 + x - 1
     root_ok = abs(cubic) < 1e-10

@@ -1,4 +1,6 @@
+import csv
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,65 @@ def test_spec_weighted(tmp_path, capsys):
     assert main(["spec", "--config", str(cfg), "--out", str(out)]) == 0
     captured = capsys.readouterr()
     assert "0.469396" in captured.out  # e^-alpha, root of 3x^3+x^2+x-1
+
+
+def test_spec_green_metric(tmp_path):
+    # the Green metric of a walk has critical exponent 1 (float Perron data)
+    cfg = write_config(
+        tmp_path, "g.json", {"group": {"rank": 2}, "metric": {"kind": "green", "walk": {"a": "1/5", "b": "3/10"}}}
+    )
+    out = tmp_path / "g"
+    assert main(["spec", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "spec_summary.json").read_text())
+    assert summary["metric_kind"] == "green"
+    assert abs(summary["alpha"] - 1) < 1e-12
+    assert summary["perron_exact"] is False
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_xi_table_is_haagerups_closed_form(tmp_path, k):
+    # Xi(n) = q^(-n/2) (1 + n (q-1)/(q+1)), q = 2k - 1; q^(-n/2) is
+    # q^-(n/2) for even n and sqrt(q) q^-((n+1)/2) for odd n
+    cfg = write_config(tmp_path, "xi.json", {**BASE, "group": {"rank": k}, "grid": [2, 5, 8]})
+    out = tmp_path / "xi"
+    assert main(["xi", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "xi.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["n"]) for row in rows] == list(range(9))
+    q = 2 * k - 1
+    for n, row in enumerate(rows):
+        poly = 1 + Fraction(n * (q - 1), q + 1)
+        if n % 2:
+            want = f"0+{poly / q ** ((n + 1) // 2)}*sqrt({q})"
+        else:
+            want = str(poly / q ** (n // 2))
+        assert row["xi_exact"] == want
+        assert abs(float(row["xi"]) - q ** (-n / 2) * float(poly)) < 1e-15
+
+
+def test_xi_refuses_a_weighted_metric(tmp_path, capsys):
+    cfg = write_config(tmp_path, "w.json", {**BASE, "metric": {"kind": "weighted", "lengths": {"a": "1", "b": "2"}}})
+    assert main(["xi", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "config error: metric.kind: " in capsys.readouterr().err
+
+
+def test_equidist_budget_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path, "eq.json", {**BASE, "grid": [4, 6]})
+    out = tmp_path / "eq"
+    assert main(["equidist", "--config", str(cfg), "--out", str(out), "--budget", "10"]) == 3
+    assert "budget exceeded: " in capsys.readouterr().err
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["flags"]["budget_exceeded"] is True
+    assert manifest["exit_code"] == 3
+
+
+def test_equidist_cover_failure_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path, "eq.json", {**BASE, "grid": [4, 6], "rho": "0"})
+    out = tmp_path / "eq"
+    assert main(["equidist", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "cover failure: " in capsys.readouterr().err
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["exit_code"] == 2
 
 
 COVER = {**BASE, "grid": [2, 3, 4]}

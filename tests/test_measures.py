@@ -8,11 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freeboundary import (
+    BoundaryMeasure,
     Cylinder,
     CylinderSet,
     GroupContext,
     MetricSpec,
     ReducedWord,
+    StepFunction,
     WalkSpec,
     ahlfors_profile,
     critical_exponent,
@@ -20,6 +22,7 @@ from freeboundary import (
     enumerate_sphere,
     green_metric_of_walk,
     harmonic_mass_mc,
+    inner_product,
     mc_first_passage,
     ps_measure,
     rn_derivative,
@@ -42,11 +45,14 @@ C = Cylinder.from_str
 
 def test_critical_exponent_word():
     for k in (2, 3):
-        alpha, pd = critical_exponent(MetricSpec.word(k))
+        alpha, mu = critical_exponent(MetricSpec.word(k))
         assert abs(alpha - math.log(2 * k - 1)) < 1e-15
-        assert pd.exact
-        assert pd.pi0[1] == Fraction(1, 2 * k)
-        assert pd.trans[(1, 2)] == Fraction(1, 2 * k - 1)
+        assert isinstance(mu, BoundaryMeasure) and mu.alpha == alpha
+        assert mu.exact
+        assert mu.pi0[1] == Fraction(1, 2 * k)
+        assert mu.trans[(1, 2)] == Fraction(1, 2 * k - 1)
+        assert mu.vector == {s: 1 for s in canonical_letters(k)}
+        assert mu.eigenvalue_residual == 0 and mu.row_sum_residual() == 0
 
 
 def test_critical_exponent_word_growth_oracle():
@@ -71,11 +77,39 @@ def _cubic_root():
 
 
 def test_critical_exponent_weighted_cubic_oracle():
-    alpha, pd = critical_exponent(MetricSpec.weighted(2, [1, 2]))
+    alpha, mu = critical_exponent(MetricSpec.weighted(2, [1, 2]))
     assert abs(math.exp(-alpha) - _cubic_root()) < 1e-10
-    assert not pd.exact
-    assert pd.row_sum_residual() < 1e-12
-    assert pd.eigenvalue_residual < 1e-12
+    assert isinstance(mu, BoundaryMeasure) and mu.alpha == alpha
+    assert not mu.exact
+    assert mu.row_sum_residual() < 1e-12
+    assert mu.eigenvalue_residual < 1e-12
+    assert abs(sum(mu.vector.values()) - 1.0) < 1e-12  # the power iteration's normalization
+
+
+GREEN_METRIC = green_metric_of_walk(WalkSpec.from_generator_probs([Fraction(1, 5), Fraction(3, 10)]))
+
+
+@pytest.mark.parametrize(
+    "metric, zero",
+    [(MetricSpec.word(2), Fraction(0)), (MetricSpec.weighted(2, [1, 2]), 0.0), (GREEN_METRIC, 0.0)],
+    ids=["word", "weighted", "green"],
+)
+def test_one_measure_per_context_sets_the_arithmetic(metric, zero):
+    # the context holds the one measure; ps_measure hands it out, and its
+    # zero seeds every sum, so an empty or all-zero sum keeps the backend's
+    # type (an int 0 would print as "0" where a float sum prints "0.0")
+    ctx = GroupContext(metric)
+    assert ps_measure(ctx) is ps_measure(ctx) is ctx.mu
+    mu = ctx.mu
+    assert type(mu.zero) is type(zero) and mu.zero == zero
+    assert mu.exact == (metric.kind == "word")
+    empty = mu.mass_set(CylinderSet([], 2))
+    assert type(empty) is type(zero) and empty == 0
+    nothing = StepFunction.constant(Fraction(0), 2)
+    one = StepFunction.constant(Fraction(1), 2)
+    product = inner_product(nothing, one, mu)
+    assert type(product) is type(zero) and product == 0
+    assert type(inner_product(one, one, mu)) is type(zero)
 
 
 def test_critical_exponent_weighted_poincare_scan():

@@ -19,7 +19,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .boundary import Cylinder, CylinderRectangle, shadow_pair
+from .boundary import Cylinder, CylinderRectangle, shadow_cut, shadow_stems
 from .measures import BoundaryMeasure
 from .representation import (
     StepFunction,
@@ -35,6 +35,7 @@ from .words import (
     MetricSpec,
     ReducedWord,
     _hat_prefix,
+    annulus_units,
     canonical_letters,
     enumerate_annulus,
     hat_projection,
@@ -361,7 +362,7 @@ def _grid_depth(R, ctx: GroupContext, budget: int, what: str) -> int:
 
 class _ShadowSweep:
     """The annulus in canonical order over the occupancy grid of depth-m
-    cylinder pairs: iterating yields (g, rows, cols, sub, taken) per
+    cylinder pairs: iterating yields (letters, rows, cols, sub, taken) per
     element whose double shadow still has unclaimed cells, sub the grid
     block of that shadow and taken its unclaimed count, and claims the
     block when the loop resumes.  Once every cell is claimed the rest of
@@ -380,20 +381,23 @@ class _ShadowSweep:
     def full(self) -> bool:
         return self.claimed == self.occupied.size
 
-    def __iter__(self) -> Iterator[Tuple[ReducedWord, Tuple[int, int], Tuple[int, int], np.ndarray, int]]:
-        for g in enumerate_annulus(self.R, self.ctx.h, self.ctx.metric):
+    def __iter__(self) -> Iterator[Tuple[Letters, Tuple[int, int], Tuple[int, int], np.ndarray, int]]:
+        m = self.ctx.metric
+        cut = shadow_cut(m, self.ctx.rho)
+        interval = self.grid.interval
+        for letters, units in annulus_units(self.R, self.ctx.h, m):
             self.count += 1
             if self.count > self.budget:
                 raise BudgetError(f"annulus at R={self.R} exceeds budget {self.budget}")
             if self.full:
                 continue
-            rect = shadow_pair(g, self.ctx)
-            rlo, rhi = self.grid.interval(rect.first.stem)
-            clo, chi = self.grid.interval(rect.second.stem)
+            first, second = shadow_stems(letters, units, cut)
+            rlo, rhi = interval(first)
+            clo, chi = interval(second)
             sub = self.occupied[rlo:rhi, clo:chi]
             taken = sub.size - int(np.count_nonzero(sub))
             if taken:
-                yield g, (rlo, rhi), (clo, chi), sub, taken
+                yield letters, (rlo, rhi), (clo, chi), sub, taken
                 sub[:] = True
                 self.claimed += taken
 
@@ -432,8 +436,8 @@ def _sweep_partition(R, ctx: GroupContext, budget: int) -> WeightFamily:
 
     words: List[Letters] = []
     masses: List = []
-    for g, (rlo, rhi), (clo, chi), sub, taken in sweep:
-        words.append(g.letters)
+    for letters, (rlo, rhi), (clo, chi), sub, taken in sweep:
+        words.append(letters)
         if exact:
             masses.append(taken * cell_sq)
         else:
@@ -1073,6 +1077,7 @@ def rd_convolution_check(
     worst_full = 0.0
     values = [-3, -2, -1, 1, 2, 3]
     for (R, Rp, Rpp) in triples:
+        lo, hi = metric.unit_bounds(Rpp - Fraction(ctx.h), Rpp + Fraction(ctx.h))  # |g| within h of R''
         supp_phi = [g for g in enumerate_annulus(R, ctx.h, metric)]
         supp_psi = [g for g in enumerate_annulus(Rp, ctx.h, metric)]
         for _ in range(trials):
@@ -1080,9 +1085,7 @@ def rd_convolution_check(
             psi = {g: Fraction(values[rng.integers(len(values))]) for g in supp_psi}
             conv = convolve(phi, psi, budget=budget)
             norm_sq_product = l2_norm_sq(phi) * l2_norm_sq(psi)
-            restricted = sum(
-                val * val for g, val in conv.items() if abs(metric.length_of(g.letters) - Rpp) <= ctx.h
-            )
+            restricted = sum(val * val for g, val in conv.items() if lo <= metric.units_of(g.letters) <= hi)
             full = sum(val * val for val in conv.values())
             worst_restricted = max(worst_restricted, math.sqrt(float(restricted / norm_sq_product)))
             worst_full = max(

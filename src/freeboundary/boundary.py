@@ -22,6 +22,7 @@ from .words import (
     canonical_letters,
     common_prefix_letters,
     hat_projection,
+    invert_letters,
     letter_from_str,
     letter_key,
     letter_to_str,
@@ -339,12 +340,13 @@ class CylinderRectangle:
         return f"{self.first} x {self.second}"
 
 
-def _prefix_reaching(letters: Letters, t, m: MetricSpec) -> Letters:
-    """The shortest prefix of ``letters`` whose metric length reaches t."""
+def _prefix_reaching(letters: Letters, need, step: Sequence) -> Letters:
+    """The shortest prefix of ``letters`` whose summed per-generator
+    ``step`` reaches ``need``."""
     n = 0
-    length = 0
-    while length < t:
-        length += m.letter_length(letters[n])
+    total = 0
+    while total < need:
+        total += step[abs(letters[n]) - 1]
         n += 1
     return letters[:n]
 
@@ -353,11 +355,39 @@ def ball_cylinder(xi: BoundaryPoint, t, m: MetricSpec) -> Cylinder:
     """The visual ball B(xi, e^(-eps*t)) as a cylinder, exactly.
 
     The ball is the cylinder of the shortest prefix of xi whose metric
-    length reaches t; nonpositive t gives the whole boundary.
+    length reaches t; nonpositive t gives the whole boundary.  In units,
+    a prefix of P units reaches t = num/den iff den*P >= scale*num.
     """
     # every letter is at least min_letter_length long, so this many reach t
     n = math.floor(t / m.min_letter_length) + 2
-    return Cylinder(_prefix_reaching(xi.prefix_letters(n), t, m))
+    if m.kind == "green":
+        step, need = m.units, t
+    else:
+        t = Fraction(t)
+        step, need = tuple(t.denominator * u for u in m.units), m.scale * t.numerator
+    return Cylinder(_prefix_reaching(xi.prefix_letters(n), need, step))
+
+
+def shadow_cut(m: MetricSpec, rho) -> Tuple[Tuple, object, object]:
+    """The double-shadow cut at rho as (step, den, offset): the stem of g
+    (L units long) is its shortest prefix whose summed ``step`` reaches
+    den*L - offset.  With rho = num/den this is the integer test
+    2*den*P >= den*L - 2*scale*num for a prefix of P units, that is
+    P/scale >= |g|/2 - rho; for Green, 2*P >= L - 2*rho in floats, which
+    scaling by 2 keeps bit-equal to P >= L/2 - rho.
+    """
+    if m.kind == "green":
+        return tuple(2 * u for u in m.units), 1, 2 * float(rho)
+    r = Fraction(rho)
+    return tuple(2 * r.denominator * u for u in m.units), r.denominator, 2 * m.scale * r.numerator
+
+
+def shadow_stems(letters: Letters, units, cut) -> Tuple[Letters, Letters]:
+    """The stems of the double shadow of the word ``letters``, ``units``
+    long, under ``cut`` (from ``shadow_cut``): prefixes of g and g^-1."""
+    step, den, offset = cut
+    need = den * units - offset
+    return _prefix_reaching(letters, need, step), _prefix_reaching(invert_letters(letters), need, step)
 
 
 def shadow_pair(g: ReducedWord, ctx: GroupContext) -> CylinderRectangle:
@@ -368,10 +398,5 @@ def shadow_pair(g: ReducedWord, ctx: GroupContext) -> CylinderRectangle:
     For |g| < 2*rho the balls swallow the boundary: C_e x C_e.
     """
     m = ctx.metric
-    length = m.length_of(g.letters)
-    if m.kind == "green":
-        t = length / 2.0 - float(ctx.rho)
-    else:
-        t = Fraction(length, 2) - Fraction(ctx.rho)
-    first, second = (Cylinder(_prefix_reaching(w, t, m)) for w in (g.letters, (~g).letters))
-    return CylinderRectangle(first, second)
+    first, second = shadow_stems(g.letters, m.units_of(g.letters), shadow_cut(m, ctx.rho))
+    return CylinderRectangle(Cylinder(first), Cylinder(second))

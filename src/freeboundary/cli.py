@@ -284,9 +284,14 @@ class RunConfig:
             _check_keys(case, {"name", "v1", "w1", "v2", "w2"}, f"cases[{i}]")
         self.walk = _parse_walk(raw["walk"], self.k, "walk") if "walk" in raw else None
         self._one = StepFunction.constant(Fraction(1), self.k)
+        self._context: Optional[GroupContext] = None
 
     def context(self, rho: Optional[Fraction] = None) -> GroupContext:
-        return GroupContext(self.metric, epsilon=self.epsilon, rho=self.rho if rho is None else rho, h=self.h)
+        """The run's context, at ``rho`` if given; all of them share one
+        boundary measure, solved on the first call."""
+        if self._context is None:
+            self._context = GroupContext(self.metric, epsilon=self.epsilon, rho=self.rho, h=self.h)
+        return self._context if rho is None else self._context.with_rho(rho)
 
     def sphere_radii(self) -> List[int]:
         """The grid as word-sphere radii: each entry a JSON integer."""

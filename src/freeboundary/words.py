@@ -12,6 +12,7 @@ Cayley graph makes every Gromov product an exact common-prefix length.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -124,11 +125,18 @@ class MetricSpec:
     integer arithmetic.  Weighted: exact rationals.  Green: float lengths
     -log f_s solved from a random walk (see measures.green_metric_of_walk),
     tolerance 1e-12 documented on all derived quantities.
+
+    ``units`` holds each generator's length in units of ``1/scale``:
+    integers over the common denominator ``scale`` of the lengths for the
+    word and weighted metrics, so their hot loops add and compare ints;
+    the Green lengths themselves, with ``scale = 1``.
     """
 
     kind: str  # "word" | "weighted" | "green"
     k: int
     lengths: Tuple = ()  # per generator 1..k; empty for word metric
+    scale: int = field(init=False, repr=False, compare=False)
+    units: Tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("word", "weighted", "green"):
@@ -140,6 +148,14 @@ class MetricSpec:
                 raise ValueError("need one length per generator")
             if any(l <= 0 for l in self.lengths):
                 raise ValueError("letter lengths must be positive")
+        scale, units = 1, self.lengths
+        if self.kind == "word":
+            units = (1,) * self.k
+        elif self.kind == "weighted":
+            scale = math.lcm(*(Fraction(l).denominator for l in self.lengths))
+            units = tuple(int(Fraction(l) * scale) for l in self.lengths)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "units", units)
 
     @classmethod
     def word(cls, k: int) -> "MetricSpec":
@@ -166,13 +182,32 @@ class MetricSpec:
             return 1
         return min(self.lengths)
 
-    def length_of(self, letters: Letters):
+    def units_of(self, letters: Letters):
+        """The metric length of ``letters`` in units of ``1/scale``."""
         if self.kind == "word":
             return len(letters)
-        total = 0
-        for s in letters:
-            total += self.lengths[abs(s) - 1]
-        return total
+        units = self.units
+        return sum(units[abs(s) - 1] for s in letters)
+
+    def length_of(self, letters: Letters):
+        if self.kind == "weighted":
+            return Fraction(self.units_of(letters), self.scale)
+        return self.units_of(letters)
+
+    def unit_bounds(self, lo, hi):
+        """The closed length interval [lo, hi] in units, each end moved
+        exactly to the nearest unit value inside: the integers
+        ceil(scale*lo) and floor(scale*hi) for the exact metrics, the
+        nearest floats for Green (float bounds stay as they are)."""
+        if self.kind == "green":
+            flo, fhi = float(lo), float(hi)
+            return (
+                math.nextafter(flo, math.inf) if flo < lo else flo,
+                math.nextafter(fhi, -math.inf) if fhi > hi else fhi,
+            )
+        if self.scale != 1:
+            lo, hi = self.scale * Fraction(lo), self.scale * Fraction(hi)
+        return math.ceil(lo), math.floor(hi)
 
 
 def metric_length(u: ReducedWord, m: MetricSpec):
@@ -197,37 +232,34 @@ def gromov_product(x: ReducedWord, y: ReducedWord, m: MetricSpec):
     return m.length_of(x.letters[:c])
 
 
+def annulus_units(R, h, m: MetricSpec) -> Iterator[Tuple[Letters, object]]:
+    """(letters, length in units of 1/m.scale) of every g with metric
+    length in [R-h, R+h], in canonical order.
+
+    Depth-first in preorder; a prefix longer than R+h cuts its branch.
+    The bounds R-h and R+h are converted to units once (``unit_bounds``).
+    """
+    lo, hi = m.unit_bounds(R - h, R + h)
+    if hi < 0:
+        return
+    # children are pushed last letter first, so they pop in canonical order
+    steps = [(s, m.units[abs(s) - 1]) for s in reversed(canonical_letters(m.k))]
+    stack = [((), 0)]
+    while stack:
+        word, length = stack.pop()
+        if lo <= length:
+            yield word, length
+        last = -word[-1] if word else 0
+        stack.extend((word + (s,), length + u) for s, u in steps if s != last and length + u <= hi)
+
+
 def enumerate_annulus(R, h, m: MetricSpec) -> Iterator[ReducedWord]:
     """Stream all g with metric length in [R-h, R+h], in canonical order.
 
-    Depth-first with pruning: a prefix longer than R+h cuts its branch.
-    Every qualifying word is yielded exactly once (preorder).
+    Every qualifying word is yielded exactly once (see ``annulus_units``).
     """
-    lo, hi = R - h, R + h
-    if hi < 0:
-        return
-    letters = canonical_letters(m.k)
-    max_len = int(math.floor(float(hi) / float(m.min_letter_length))) + 1
-
-    stack_letters: list[Letter] = []
-
-    def walk(length) -> Iterator[ReducedWord]:
-        if lo <= length <= hi:
-            yield ReducedWord(tuple(stack_letters), _reduced=True)
-        if len(stack_letters) >= max_len:
-            return
-        last = stack_letters[-1] if stack_letters else None
-        for s in letters:
-            if last is not None and s == -last:
-                continue
-            child = length + m.letter_length(s)
-            if child > hi:
-                continue
-            stack_letters.append(s)
-            yield from walk(child)
-            stack_letters.pop()
-
-    yield from walk(0)
+    for word, _ in annulus_units(R, h, m):
+        yield ReducedWord(word, _reduced=True)
 
 
 def enumerate_sphere(n: int, m: MetricSpec) -> Iterator[ReducedWord]:
@@ -306,6 +338,15 @@ class GroupContext:
 
         self.alpha, self.mu = critical_exponent(self.metric)
         self.omega = self.mu.omega
+
+    def with_rho(self, rho) -> "GroupContext":
+        """This context at shadow parameter rho, sharing its measure:
+        critical_exponent is not solved again."""
+        if rho < 0:
+            raise ValueError(f"need rho >= 0; got {rho}")
+        out = copy.copy(self)
+        out.rho = rho
+        return out
 
     @property
     def k(self) -> int:

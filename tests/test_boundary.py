@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeboundary import (
     BoundaryPoint,
@@ -21,7 +23,7 @@ from freeboundary import (
 )
 from freeboundary.boundary import ball_cylinder, translate_cylinder
 from freeboundary.measures import WalkSpec, green_metric_of_walk
-from freeboundary.words import canonical_letters
+from freeboundary.words import canonical_letters, reduce_letters
 
 W = ReducedWord.from_str
 P = BoundaryPoint.from_str
@@ -240,10 +242,67 @@ def test_shadow_pair_is_the_ball_pair_of_hat_and_check(metric, r_max):
                     assert cyl == ball_cylinder(xi, t, metric) == _ball_by_definition(xi, t, metric), (g, rho)
 
 
+CUT_CONTEXTS = [
+    GroupContext(m)
+    for m in (
+        MetricSpec.word(2),
+        MetricSpec.weighted(2, [1, Fraction(4, 3)]),
+        MetricSpec.weighted(2, [1, Fraction(15, 11)]),
+        MetricSpec.weighted(2, [1, Fraction(19, 14)]),
+        MetricSpec.weighted(3, [1, Fraction(3, 2), Fraction(5, 2)]),
+        green_metric_of_walk(WalkSpec.from_generator_probs([Fraction(1, 8), Fraction(3, 8)])),
+    )
+]
+
+
+def reference_stem(letters, rho, m):
+    """The shortest prefix reaching |g|/2 - rho: Fraction sums of the
+    letter lengths, or the float sums and target for Green."""
+    if m.kind == "green":
+        total = 0
+        for s in letters:
+            total += m.letter_length(s)
+        t, length = total / 2.0 - float(rho), 0
+    else:
+        t = sum((Fraction(m.letter_length(s)) for s in letters), Fraction(0)) / 2 - Fraction(rho)
+        length = Fraction(0)
+    n = 0
+    while length < t:
+        length += m.letter_length(letters[n])
+        n += 1
+    return letters[:n]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(
+    st.sampled_from(CUT_CONTEXTS),
+    st.sampled_from([0, Fraction(1, 2), 1, Fraction(3, 2), 2, 0.3]),
+    st.data(),
+)
+def test_shadow_pair_matches_the_fraction_cut(ctx, rho, data):
+    """The integer cut 2*den*P >= den*L - 2*scale*num picks the stems of
+    the Fraction cut P >= |g|/2 - rho (the float cut for Green)."""
+    m = ctx.metric
+    raw = data.draw(st.lists(st.sampled_from(canonical_letters(m.k)), max_size=10))
+    g = ReducedWord(reduce_letters(raw), _reduced=True)
+    rect = shadow_pair(g, ctx.with_rho(rho))
+    assert rect.first.stem == reference_stem(g.letters, rho, m)
+    assert rect.second.stem == reference_stem((~g).letters, rho, m)
+
+
 @pytest.mark.parametrize("kwargs", [{"rho": -1}, {"rho": Fraction(-1, 2)}, {"h": -1}, {"epsilon": 0}, {"epsilon": -1}])
 def test_context_refuses_out_of_range_parameters(kwargs):
     with pytest.raises(ValueError):
         GroupContext(MetricSpec.word(2), **kwargs)
+
+
+def test_with_rho_shares_the_measure():
+    ctx = GroupContext(MetricSpec.weighted(2, [1, 2]))
+    other = ctx.with_rho(Fraction(5, 2))
+    assert other.rho == Fraction(5, 2) and ctx.rho == 1
+    assert other.mu is ctx.mu and other.alpha == ctx.alpha and other.h == ctx.h
+    with pytest.raises(ValueError):
+        ctx.with_rho(-1)
 
 
 def test_ball_cylinder_weighted_rounding():

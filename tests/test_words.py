@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from freeboundary import (
+    GroupContext,
     MetricSpec,
     ReducedWord,
     enumerate_annulus,
@@ -17,7 +20,7 @@ from freeboundary import (
     sphere_size,
     translation_length,
 )
-from freeboundary.words import canonical_letters, letter_key
+from freeboundary.words import canonical_letters, letter_key, reduce_letters
 
 W = ReducedWord.from_str
 WORD = MetricSpec.word(2)
@@ -141,6 +144,83 @@ def test_weighted_annulus_matches_brute_force():
         )
         got = sorted(g.letters for g in enumerate_annulus(R, h, WEIGHTED))
         assert got == expected
+
+
+ORACLE_METRICS = [
+    MetricSpec.weighted(2, [1, Fraction(4, 3)]),
+    MetricSpec.weighted(2, [1, Fraction(15, 11)]),
+    MetricSpec.weighted(2, [1, Fraction(19, 14)]),
+    MetricSpec.weighted(3, [1, Fraction(3, 2), Fraction(5, 2)]),
+]
+DEFAULT_H = [GroupContext(m).h for m in ORACLE_METRICS]  # floats: R - h rounds
+
+
+def fraction_annulus(R, h, m):
+    """The annulus [R-h, R+h] by Fraction sums of the letter lengths,
+    bounds computed as given, in canonical order (a prefix first, then by
+    letter_key)."""
+    lo, hi = R - h, R + h
+    found, frontier = [], [()]
+    while frontier:
+        deeper = []
+        for w in frontier:
+            length = sum((Fraction(m.letter_length(s)) for s in w), Fraction(0))
+            if length > hi:
+                continue
+            if lo <= length:
+                found.append(w)
+            deeper.extend(w + (s,) for s in canonical_letters(m.k) if not w or s != -w[-1])
+        frontier = deeper
+    return sorted(found, key=lambda w: [letter_key(s) for s in w])
+
+
+@st.composite
+def annulus_cases(draw):
+    """(metric, R, h, word on R - h or R + h or None): R a whole number or
+    a Fraction; h the float default, an exact Fraction putting a drawn word
+    exactly on the boundary, or a Fraction."""
+    i = draw(st.sampled_from(range(len(ORACLE_METRICS))))
+    m = ORACLE_METRICS[i]
+    r_max = 4 if m.k == 2 else 2
+    R = draw(st.one_of(st.integers(0, r_max), st.fractions(0, r_max, max_denominator=12)))
+    kind = draw(st.sampled_from(["default", "on_bound", "fraction"]))
+    on = None
+    if kind == "default":
+        h = DEFAULT_H[i]
+    elif kind == "on_bound":
+        on = reduce_letters(draw(st.lists(st.sampled_from(canonical_letters(m.k)), max_size=4)))
+        h = abs(sum((Fraction(m.letter_length(s)) for s in on), Fraction(0)) - R)
+    else:
+        h = draw(st.fractions(0, 2, max_denominator=15))
+    return m, R, h, on
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(annulus_cases())
+# default h: R + h rounds at (19/14, 3); R - h too at (19/14, 7); (4/3, 5) drops words on R +- 7/3
+@example((ORACLE_METRICS[2], 3, DEFAULT_H[2], None))
+@example((ORACLE_METRICS[2], 7, DEFAULT_H[2], None))
+@example((ORACLE_METRICS[0], 5, DEFAULT_H[0], None))
+def test_annulus_units_match_fraction_sums(case):
+    """Integer units over the common denominator, with the bounds converted
+    once, give the Fraction-sum annulus word for word and in order."""
+    m, R, h, on = case
+    got = [g.letters for g in enumerate_annulus(R, h, m)]
+    assert got == fraction_annulus(R, h, m)
+    if on is not None:
+        assert on in got  # lies exactly on R - h or R + h
+
+
+def test_unit_bounds_move_inward_exactly():
+    m = MetricSpec.weighted(2, [1, Fraction(4, 3)])
+    assert (m.scale, m.units) == (3, (3, 4))
+    assert m.unit_bounds(Fraction(1, 3), 2.5) == (1, 7)
+    assert m.unit_bounds(2, 2) == (6, 6)
+    green = MetricSpec("green", 2, (math.log(3), math.log(5)))
+    lo, hi = green.unit_bounds(Fraction(1, 3), Fraction(7, 3))
+    assert lo >= Fraction(1, 3) > math.nextafter(lo, -math.inf)
+    assert hi <= Fraction(7, 3) < math.nextafter(hi, math.inf)
+    assert green.unit_bounds(0.5, 2.5) == (0.5, 2.5)
 
 
 def test_sphere_size_formula():

@@ -34,7 +34,7 @@ for n in (1, 2, 4, 8, 14):
           f"(sum exactly {sphere_sum_sq(one, one, n, mu, ctx)})")
 
 print("\n== convolution stays controlled on annuli ==")
-s1 = {g: Fraction(1) for g in enumerate_sphere(1, ctx.metric)}
+s1 = {g.letters: 1 for g in enumerate_sphere(1, ctx.metric)}
 c = convolve(s1, s1)
 print(f"1_S1 * 1_S1 = 4 delta_e + 1_S2 (support {len(c)}), ||.||_2^2 = "
       f"{sum(v * v for v in c.values())}")

@@ -40,6 +40,7 @@ from .words import (
     enumerate_annulus,
     hat_projection,
     letter_key,
+    multiply_letters,
     sphere_size,
 )
 
@@ -993,27 +994,24 @@ def gvb_growth(
 
 
 def convolve(
-    phi: Dict[ReducedWord, object],
-    psi: Dict[ReducedWord, object],
+    phi: Dict[Letters, int],
+    psi: Dict[Letters, int],
     budget: int = 10_000_000,
-) -> Dict[ReducedWord, object]:
-    """(phi * psi)(g) = sum_x phi(x) psi(x^-1 g) over finite supports."""
+) -> Dict[Letters, int]:
+    """(phi * psi)(g) = sum_x phi(x) psi(x^-1 g) over finite supports,
+    keyed by reduced letter tuples; integer values give exact sums."""
     if len(phi) * len(psi) > budget:
         raise BudgetError(f"convolution support product {len(phi)}x{len(psi)} exceeds budget")
-    out: Dict[ReducedWord, object] = {}
+    out: Dict[Letters, int] = {}
     for x, a in phi.items():
         for y, b in psi.items():
-            g = x * y
-            prev = out.get(g)
-            out[g] = a * b if prev is None else prev + a * b
+            g = multiply_letters(x, y)
+            out[g] = out.get(g, 0) + a * b
     return {g: val for g, val in out.items() if val}
 
 
-def l2_norm_sq(phi: Dict[ReducedWord, object]):
-    total: object = Fraction(0)
-    for val in phi.values():
-        total = total + val * val
-    return total
+def l2_norm_sq(phi: Dict[Letters, int]) -> int:
+    return sum(val * val for val in phi.values())
 
 
 @dataclass
@@ -1070,7 +1068,12 @@ def rd_convolution_check(
     budget: int = 10_000_000,
 ) -> ConvolutionCheck:
     """Random annulus-supported functions: record the worst observed
-    restricted-convolution norm ratio and the full ratio divided by 1+R."""
+    restricted-convolution norm ratio and the full ratio divided by 1+R.
+
+    Each function takes integer values -3..3 (never 0) on the letter
+    tuples of its annulus, so the norms are exact ints and each ratio
+    ``int / int`` is correctly rounded once.  Both annuli of a triple must
+    hold a word (the CLI refuses a triple whose annulus is empty)."""
     rng = np.random.default_rng(seed)
     metric = ctx.metric
     worst_restricted = 0.0
@@ -1078,17 +1081,14 @@ def rd_convolution_check(
     values = [-3, -2, -1, 1, 2, 3]
     for (R, Rp, Rpp) in triples:
         lo, hi = metric.unit_bounds(Rpp - Fraction(ctx.h), Rpp + Fraction(ctx.h))  # |g| within h of R''
-        supp_phi = [g for g in enumerate_annulus(R, ctx.h, metric)]
-        supp_psi = [g for g in enumerate_annulus(Rp, ctx.h, metric)]
+        supp_phi = [g.letters for g in enumerate_annulus(R, ctx.h, metric)]
+        supp_psi = [g.letters for g in enumerate_annulus(Rp, ctx.h, metric)]
         for _ in range(trials):
-            phi = {g: Fraction(values[rng.integers(len(values))]) for g in supp_phi}
-            psi = {g: Fraction(values[rng.integers(len(values))]) for g in supp_psi}
+            phi = {g: values[rng.integers(len(values))] for g in supp_phi}
+            psi = {g: values[rng.integers(len(values))] for g in supp_psi}
             conv = convolve(phi, psi, budget=budget)
             norm_sq_product = l2_norm_sq(phi) * l2_norm_sq(psi)
-            restricted = sum(val * val for g, val in conv.items() if lo <= metric.units_of(g.letters) <= hi)
-            full = sum(val * val for val in conv.values())
-            worst_restricted = max(worst_restricted, math.sqrt(float(restricted / norm_sq_product)))
-            worst_full = max(
-                worst_full, math.sqrt(float(full / norm_sq_product)) / (1.0 + float(R))
-            )
+            restricted = sum(val * val for g, val in conv.items() if lo <= metric.units_of(g) <= hi)
+            worst_restricted = max(worst_restricted, math.sqrt(restricted / norm_sq_product))
+            worst_full = max(worst_full, math.sqrt(l2_norm_sq(conv) / norm_sq_product) / (1.0 + float(R)))
     return ConvolutionCheck(list(triples), worst_restricted, worst_full, trials)

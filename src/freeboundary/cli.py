@@ -61,6 +61,7 @@ from .words import (
     Letters,
     MetricSpec,
     ReducedWord,
+    annulus_units,
     canonical_letters,
     enumerate_annulus,
     letter_to_str,
@@ -696,6 +697,10 @@ def cmd_rd(cfg: RunConfig, emit: Emitter) -> int:
 
 def cmd_conv(cfg: RunConfig, emit: Emitter) -> int:
     ctx = cfg.context()
+    for i, (R, Rp, _) in enumerate(cfg.triples):
+        for r in (R, Rp):  # an empty support has norm 0, and every ratio divides by it
+            if next(annulus_units(r, ctx.h, ctx.metric), None) is None:
+                raise ConfigError(f"triples[{i}]", f"no word has metric length within h = {ctx.h} of {r}")
     t0 = time.monotonic()
     fibers = fiber_size_report(cfg.fiber_r_max, cfg.k)
     emit.timings["fibers"] = time.monotonic() - t0

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from freeboundary import (
     ReducedWord,
     StepFunction,
     TestFunction,
+    WalkSpec,
     annular_rd_ratio,
     apply_pi,
     build_partition_weights,
@@ -29,6 +31,7 @@ from freeboundary import (
     equidistribution_error,
     equidistribution_pairing,
     fiber_size_report,
+    green_metric_of_walk,
     gvb_growth,
     harish_chandra_length,
     hat_projection,
@@ -61,7 +64,7 @@ from freeboundary.asymptotics import (
     _table_rectangle_error,
     sphere_class_table,
 )
-from freeboundary.words import canonical_letters, multiply_letters
+from freeboundary.words import canonical_letters, enumerate_annulus, multiply_letters, reduce_letters
 
 W = ReducedWord.from_str
 
@@ -620,14 +623,14 @@ def test_gvb_growth_values(word_ctx, word_mu, one):
 
 
 def test_convolution_examples(word_ctx):
-    da = {W("a"): Fraction(1)}
-    db = {W("b"): Fraction(1)}
-    assert convolve(da, db) == {W("ab"): Fraction(1)}
-    de = {W(""): Fraction(1)}
-    s1 = {g: Fraction(1) for g in enumerate_sphere(1, word_ctx.metric)}
+    da = {(1,): 1}
+    db = {(2,): 1}
+    assert convolve(da, db) == {(1, 2): 1}
+    de = {(): 1}
+    s1 = {g.letters: 1 for g in enumerate_sphere(1, word_ctx.metric)}
     assert convolve(de, s1) == s1 and convolve(s1, de) == s1
     c = convolve(s1, s1)
-    assert c[W("")] == 4
+    assert c[()] == 4
     assert sum(1 for g in c if len(g) == 2) == 12 and len(c) == 13
     from freeboundary.asymptotics import l2_norm_sq
 
@@ -635,9 +638,91 @@ def test_convolution_examples(word_ctx):
 
 
 def test_convolution_budget():
-    s3 = {g: Fraction(1) for g in enumerate_sphere(3, MetricSpec.word(2))}
+    s3 = {g.letters: 1 for g in enumerate_sphere(3, MetricSpec.word(2))}
     with pytest.raises(BudgetError):
         convolve(s3, s3, budget=10)
+
+
+def _reference_convolve(phi, psi):
+    """Group-algebra convolution over ReducedWord keys and Fraction values."""
+    out = {}
+    for x, a in phi.items():
+        for y, b in psi.items():
+            g = x * y
+            prev = out.get(g)
+            out[g] = a * b if prev is None else prev + a * b
+    return {g: val for g, val in out.items() if val}
+
+
+def _reference_rd_convolution_check(triples, ctx, trials, seed):
+    """The trial loop of rd_convolution_check in Fractions and ReducedWords:
+    the same draws, norms summed from Fraction(0), ratios rounded by
+    float(Fraction).  Returns both worst ratios and every trial's pair of
+    functions with its convolution."""
+    rng = np.random.default_rng(seed)
+    metric = ctx.metric
+    worst_restricted = worst_full = 0.0
+    values = [-3, -2, -1, 1, 2, 3]
+    runs = []
+    for (R, Rp, Rpp) in triples:
+        lo, hi = metric.unit_bounds(Rpp - Fraction(ctx.h), Rpp + Fraction(ctx.h))
+        supp_phi = list(enumerate_annulus(R, ctx.h, metric))
+        supp_psi = list(enumerate_annulus(Rp, ctx.h, metric))
+        for _ in range(trials):
+            phi = {g: Fraction(values[rng.integers(len(values))]) for g in supp_phi}
+            psi = {g: Fraction(values[rng.integers(len(values))]) for g in supp_psi}
+            conv = _reference_convolve(phi, psi)
+            norm_sq_product = sum((v * v for v in phi.values()), Fraction(0)) * sum(
+                (v * v for v in psi.values()), Fraction(0)
+            )
+            restricted = sum((v * v for g, v in conv.items() if lo <= metric.units_of(g.letters) <= hi), Fraction(0))
+            full = sum((v * v for v in conv.values()), Fraction(0))
+            worst_restricted = max(worst_restricted, math.sqrt(float(restricted / norm_sq_product)))
+            worst_full = max(worst_full, math.sqrt(float(full / norm_sq_product)) / (1.0 + float(R)))
+            runs.append((phi, psi, conv))
+    return worst_restricted, worst_full, runs
+
+
+def _letters_keys(f):
+    return {g.letters: val for g, val in f.items()}
+
+
+_CONV_CONTEXTS = {
+    "word-k2": lambda: GroupContext(MetricSpec.word(2)),
+    "word-k3": lambda: GroupContext(MetricSpec.word(3)),
+    "weighted-1-4_3": lambda: GroupContext(MetricSpec.weighted(2, [1, Fraction(4, 3)])),
+    "green-1_8-3_8": lambda: GroupContext(
+        green_metric_of_walk(WalkSpec.from_generator_probs([Fraction(1, 8), Fraction(3, 8)]))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONV_CONTEXTS))
+def test_convolution_check_matches_fraction_reference(name):
+    ctx = _CONV_CONTEXTS[name]()
+    triples = [(1, 1, 1), (1, 2, 2), (2, 2, 3)]
+    for seed in (0, 1, 7):
+        worst_restricted, worst_full, runs = _reference_rd_convolution_check(triples, ctx, 2, seed)
+        for phi, psi, conv in runs:
+            assert convolve(_letters_keys(phi), _letters_keys(psi)) == _letters_keys(conv)
+        check = rd_convolution_check(triples, ctx, trials=2, seed=seed)
+        assert check.max_restricted_ratio == worst_restricted, (name, seed)
+        assert check.max_full_ratio_over_1pR == worst_full, (name, seed)
+
+
+_small_support = st.dictionaries(
+    st.lists(st.sampled_from([1, -1, 2, -2]), max_size=4).map(reduce_letters),
+    st.integers(-3, 3).filter(bool),
+    max_size=5,
+)
+_word = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=6).map(reduce_letters)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(_word, _word, _small_support, _small_support, _small_support)
+def test_convolution_is_the_group_law(x, y, f, g, h):
+    assert convolve({x: 1}, {y: 1}) == {multiply_letters(x, y): 1}
+    assert convolve(convolve(f, g), h) == convolve(f, convolve(g, h))
 
 
 def _product_fibers(r_max, k):

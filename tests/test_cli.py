@@ -320,6 +320,15 @@ def test_cache_entry_from_other_code_is_a_miss(tmp_path, monkeypatch):
     assert len(list((out / "cache").glob("cover-*.json"))) == 4
 
 
+# every letter has length 2 and h = 0, so only even radii hold words
+_EMPTY_ANNULUS = {
+    "metric": {"kind": "weighted", "lengths": {"a": "2", "b": "2"}},
+    "h": "0",
+    "fiber_r_max": 2,
+    "trials": 1,
+}
+
+
 @pytest.mark.parametrize(
     "subcommand, patch, path",
     [
@@ -369,6 +378,9 @@ def test_cache_entry_from_other_code_is_a_miss(tmp_path, monkeypatch):
         ("orth", {"grid": [1, 2], "cases": [{"name": "x", "v1": "1"}, {"name": "x"}]}, "cases[1].name"),
         ("orth", {"grid": [1, 2], "cases": [{"name": "case1"}, {}]}, "cases[1].name"),
         ("orth", {"grid": [1, 2], "cases": [{"name": ["x"]}]}, "cases[0].name"),
+        # conv refuses a triple whose R or R' annulus holds no word (its norm would be 0)
+        ("conv", {**_EMPTY_ANNULUS, "triples": [[1, 2, 2]]}, "triples[0]"),
+        ("conv", {**_EMPTY_ANNULUS, "triples": [[2, 2, 2], [2, 3, 2]]}, "triples[1]"),
     ],
 )
 def test_bad_config_values_are_field_anchored(tmp_path, capsys, subcommand, patch, path):

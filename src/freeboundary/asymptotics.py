@@ -5,9 +5,9 @@ vector-bound growth experiment.
 Sphere sums exploit an exactness of the word-metric tree: a coefficient
 <pi~(g)v, w> for step vectors of letter depth d depends on g only through
 (|g|, first d letters, last d letters) once |g| >= 2d.  Summing over a
-sphere therefore reduces to a few hundred classes whose cardinalities are
-entries of powers of the letter-adjacency matrix -- exact integers -- so
-sweeps stay exact at any radius.
+sphere therefore reduces to a few hundred classes whose cardinalities,
+entries of powers of the letter-adjacency matrix, have a closed form in
+exact integers (see _junctions), so sweeps stay exact at any radius.
 """
 
 from __future__ import annotations
@@ -55,61 +55,33 @@ class CoverError(RuntimeError):
 
 # -- letter adjacency counts ---------------------------------------------
 
-_ADJ_POWERS: Dict[Tuple[int, int], List[List[int]]] = {}
-
-
-def _letter_index(s: int, k: int) -> int:
-    return 2 * (abs(s) - 1) + (0 if s > 0 else 1)
-
-
-def _adjacency_power(k: int, m: int) -> List[List[int]]:
-    """A^m with A[x][y] = 1 iff y may follow x in a reduced word; exact."""
-    key = (k, m)
-    if key in _ADJ_POWERS:
-        return _ADJ_POWERS[key]
-    size = 2 * k
-    letters = canonical_letters(k)
-    if m == 0:
-        out = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    elif m == 1:
-        out = [
-            [0 if letters[j] == -letters[i] else 1 for j in range(size)]
-            for i in range(size)
-        ]
-    else:
-        half = _adjacency_power(k, m // 2)
-        out = _mat_mul(half, half)
-        if m % 2:
-            out = _mat_mul(out, _adjacency_power(k, 1))
-    _ADJ_POWERS[key] = out
-    return out
-
-
-def _mat_mul(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
-    size = len(a)
-    return [
-        [sum(a[i][l] * b[l][j] for l in range(size)) for j in range(size)]
-        for i in range(size)
-    ]
+# Stays empty: the counts below are a closed form and nothing is memoized.
+# The benchmark harness still clears this table by name between runs.
+_ADJ_POWERS: Dict = {}
 
 
 def _junctions(m: int, k: int) -> Dict[Tuple[int, int], Tuple[int, Letters]]:
     """{(x, y): (count, u)} over the junction letters x, y of the reduced
-    words x u y with |u| = m >= 0: their number A^(m+1)[x][y], and the
-    canonically first middle u.
+    words x u y with |u| = m >= 0: their number A^j[x][y] with j = m + 1,
+    and the canonically first middle u.
+
+    A = J - P (J all ones, P the inversion x -> x^-1) has the spectrum
+    {2k-1, 1, -1}, so A^j = q^j J/2k + (-P)^j (I - J/2k) with q = 2k - 1:
+    A^j[x][y] = (q^j - (-1)^j)/2k + (-1)^j [y = x for even j, x^-1 for odd].
 
     That u is a^(m-1) b: a is the first letter other than x^-1, and b the
     first other than y^-1 and the inverse of its predecessor (a, or x when
     m = 1).  For m >= 1 every count is positive, as A^2 > 0 for k >= 2.
     """
     letters = canonical_letters(k)
-    power = _adjacency_power(k, m + 1)
+    sign = -1 if m % 2 == 0 else 1  # (-1)^j
+    base = ((2 * k - 1) ** (m + 1) - sign) // (2 * k)
     out = {}
     for x in letters:
         a = next(c for c in letters if c != -x)
         prev = a if m >= 2 else x
         for y in letters:
-            count = power[_letter_index(x, k)][_letter_index(y, k)]
+            count = base + sign if y == sign * x else base
             if m == 0:
                 out[x, y] = (count, ())
             else:
@@ -185,13 +157,11 @@ class SphereGrid:
 
     def unrank(self, idx: int) -> Letters:
         out: List[int] = []
-        for i in range(self.m):
-            pos, idx = divmod(idx, self._weights[i])
-            if i == 0:
-                out.append(self.letters[pos])
-            else:
-                allowed = [s for s in self.letters if s != -out[-1]]
-                out.append(allowed[pos])
+        for weight in self._weights:
+            pos, idx = divmod(idx, weight)
+            if out:
+                pos += pos >= self._pos[-out[-1]]
+            out.append(self.letters[pos])
         return tuple(out)
 
 
@@ -1060,6 +1030,17 @@ class ConvolutionCheck:
     trials: int
 
 
+def empty_annulus_error(triple: Sequence, ctx: GroupContext) -> Optional[str]:
+    """Why the triple (R, R', R'') cannot be checked, or None: the first of
+    its annuli of half-width ctx.h that holds no word.  An empty R or R'
+    support has norm 0, which every ratio divides by; an empty R'' annulus
+    makes every restricted ratio 0."""
+    for r in triple:
+        if next(annulus_units(r, ctx.h, ctx.metric), None) is None:
+            return f"no word has metric length within h = {ctx.h} of {r}"
+    return None
+
+
 def rd_convolution_check(
     triples: Sequence[Tuple[int, int, int]],
     ctx: GroupContext,
@@ -1072,8 +1053,12 @@ def rd_convolution_check(
 
     Each function takes integer values -3..3 (never 0) on the letter
     tuples of its annulus, so the norms are exact ints and each ratio
-    ``int / int`` is correctly rounded once.  Both annuli of a triple must
-    hold a word (the CLI refuses a triple whose annulus is empty)."""
+    ``int / int`` is correctly rounded once.  A triple with an empty
+    annulus (see empty_annulus_error) raises ValueError."""
+    for triple in triples:
+        error = empty_annulus_error(triple, ctx)
+        if error:
+            raise ValueError(f"triple {tuple(triple)}: {error}")
     rng = np.random.default_rng(seed)
     metric = ctx.metric
     worst_restricted = 0.0

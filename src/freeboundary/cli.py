@@ -33,6 +33,7 @@ from .asymptotics import (
     TestFunction,
     build_partition_weights,
     check_shadow_cover,
+    empty_annulus_error,
     fiber_size_report,
     gvb_growth,
     max_rectangle_error,
@@ -61,7 +62,6 @@ from .words import (
     Letters,
     MetricSpec,
     ReducedWord,
-    annulus_units,
     canonical_letters,
     enumerate_annulus,
     letter_to_str,
@@ -169,6 +169,12 @@ def _parse_walk(spec, k: int, path: str) -> WalkSpec:
         raise ConfigError(path, str(exc)) from None
 
 
+def _check_rank(letters, k: int, path: str) -> None:
+    for s in letters:
+        if abs(s) > k:
+            raise ConfigError(path, f"letter {letter_to_str(s)!r} is outside rank {k}")
+
+
 def _parse_vector(spec, k: int, path: str) -> StepFunction:
     if not isinstance(spec, dict):
         raise ConfigError(path, "vector spec must be an object")
@@ -183,6 +189,7 @@ def _parse_vector(spec, k: int, path: str) -> StepFunction:
             cyl = Cylinder.from_str(stem)
         except ValueError as exc:
             raise ConfigError(f"{path}.cells[{i}]", str(exc)) from None
+        _check_rank(cyl.stem, k, f"{path}.cells[{i}]")
         cells.append((cyl, _parse_fraction(value, f"{path}.cells[{i}]")))
     try:
         if cells:
@@ -206,6 +213,7 @@ def _parse_function(spec, k: int, path: str) -> TestFunction:
             g = ReducedWord.from_str(word)
         except ValueError as exc:
             raise ConfigError(f"{path}.interior.{word}", str(exc)) from None
+        _check_rank(g.letters, k, f"{path}.interior.{word}")
         interior[g] = _parse_fraction(value, f"{path}.interior.{word}")
     return TestFunction(boundary, interior)
 
@@ -697,10 +705,10 @@ def cmd_rd(cfg: RunConfig, emit: Emitter) -> int:
 
 def cmd_conv(cfg: RunConfig, emit: Emitter) -> int:
     ctx = cfg.context()
-    for i, (R, Rp, _) in enumerate(cfg.triples):
-        for r in (R, Rp):  # an empty support has norm 0, and every ratio divides by it
-            if next(annulus_units(r, ctx.h, ctx.metric), None) is None:
-                raise ConfigError(f"triples[{i}]", f"no word has metric length within h = {ctx.h} of {r}")
+    for i, triple in enumerate(cfg.triples):
+        error = empty_annulus_error(triple, ctx)
+        if error:
+            raise ConfigError(f"triples[{i}]", error)
     t0 = time.monotonic()
     fibers = fiber_size_report(cfg.fiber_r_max, cfg.k)
     emit.timings["fibers"] = time.monotonic() - t0

@@ -22,8 +22,9 @@ Letter = int
 Letters = Tuple[Letter, ...]
 
 
-def letter_key(s: Letter) -> Tuple[int, int]:
-    return (abs(s), 0 if s > 0 else 1)
+def letter_key(s: Letter) -> int:
+    """The rank 2(|s| - 1) + [s < 0] of s in the canonical letter order."""
+    return 2 * (abs(s) - 1) + (s < 0)
 
 
 def canonical_letters(k: int) -> Tuple[Letter, ...]:

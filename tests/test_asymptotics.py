@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -64,7 +65,7 @@ from freeboundary.asymptotics import (
     _table_rectangle_error,
     sphere_class_table,
 )
-from freeboundary.words import canonical_letters, enumerate_annulus, multiply_letters, reduce_letters
+from freeboundary.words import canonical_letters, enumerate_annulus, letter_key, multiply_letters, reduce_letters
 
 W = ReducedWord.from_str
 
@@ -176,6 +177,52 @@ def _first_middle(x, y, m, letters):
             if rest is not None:
                 return (c,) + rest
     return None
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_adjacency_power(k, m):
+    """A^m by repeated squaring of the letter-adjacency matrix, A[x][y] = 1
+    iff y may follow x in a reduced word; rows and columns in canonical
+    letter order."""
+    size = 2 * k
+    letters = canonical_letters(k)
+    if m == 0:
+        return [[int(i == j) for j in range(size)] for i in range(size)]
+    if m == 1:
+        return [[int(letters[j] != -letters[i]) for j in range(size)] for i in range(size)]
+    half = _reference_adjacency_power(k, m // 2)
+    out = _mat_mul(half, half)
+    return _mat_mul(out, _reference_adjacency_power(k, 1)) if m % 2 else out
+
+
+def _mat_mul(a, b):
+    size = len(a)
+    return [[sum(a[i][l] * b[l][j] for l in range(size)) for j in range(size)] for i in range(size)]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_junction_counts_match_matrix_powers(k):
+    letters = canonical_letters(k)
+    for m in range(65):
+        power = _reference_adjacency_power(k, m + 1)
+        table = _junctions(m, k)
+        for i, x in enumerate(letters):
+            for j, y in enumerate(letters):
+                assert table[x, y][0] == power[i][j], (x, y, m)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_junction_counts_sum_to_the_sphere(k):
+    for m in range(2001):
+        assert sum(c for c, _ in _junctions(m, k).values()) == sphere_size(m + 2, k), m
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(2, 5).flatmap(lambda k: st.lists(st.lists(st.integers(-k, k).filter(bool), max_size=6), max_size=20)))
+def test_letter_key_sorts_like_the_sign_tuple(seqs):
+    words = [reduce_letters(w) for w in seqs]
+    old = sorted(words, key=lambda w: [(abs(s), 0 if s > 0 else 1) for s in w])
+    assert sorted(words, key=lambda w: [letter_key(s) for s in w]) == old
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -775,6 +822,13 @@ def test_rd_convolution_check(word_ctx):
     check = rd_convolution_check([(2, 2, 2), (2, 3, 3)], word_ctx, trials=2, seed=1)
     assert 0 < check.max_restricted_ratio <= 4.0
     assert check.max_full_ratio_over_1pR <= 4.0
+
+
+def test_rd_convolution_check_refuses_empty_annuli():
+    ctx = GroupContext(MetricSpec.weighted(2, [2, 2]), h=0)  # only even radii hold words
+    for triple, r in [((1, 2, 2), 1), ((2, 3, 2), 3), ((2, 2, 1), 1)]:
+        with pytest.raises(ValueError, match=re.escape(f"triple {triple}: no word has metric length within h = 0 of {r}")):
+            rd_convolution_check([(2, 2, 2), triple], ctx, trials=1)
 
 
 def test_budget_errors(word_ctx):

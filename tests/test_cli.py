@@ -381,6 +381,11 @@ _EMPTY_ANNULUS = {
         # conv refuses a triple whose R or R' annulus holds no word (its norm would be 0)
         ("conv", {**_EMPTY_ANNULUS, "triples": [[1, 2, 2]]}, "triples[0]"),
         ("conv", {**_EMPTY_ANNULUS, "triples": [[2, 2, 2], [2, 3, 2]]}, "triples[1]"),
+        # ... and one whose R'' annulus holds no word (every restricted ratio would be 0)
+        ("conv", {**_EMPTY_ANNULUS, "triples": [[2, 2, 1]]}, "triples[0]"),
+        # letters beyond the rank name no generator
+        ("orth", {"grid": [2], "functions": {"f1": {"interior": {"cc": "1"}}}}, "functions.f1.interior.cc"),
+        ("orth", {"grid": [2], "vectors": {"v": {"cells": [["c", "1"]]}}}, "vectors.v.cells[0]"),
     ],
 )
 def test_bad_config_values_are_field_anchored(tmp_path, capsys, subcommand, patch, path):

@@ -41,8 +41,8 @@ print("\n== greedy partition weights: exact masses summing to 1 ==")
 F = PairStepFunction.rectangle(Cylinder.from_str("a"), Cylinder.from_str("b"), 2)
 for R in (4, 6, 8, 10):
     wf = build_partition_weights(R, ctx)
-    err = equidistribution_error(F, wf, mu)
-    probe = max_uniform_rectangle_error(wf, mu, R // 2)
+    err = equidistribution_error(F, wf)
+    probe = max_uniform_rectangle_error(wf, R // 2)
     print(
         f"R={R}: support {wf.support_size()}/{wf.annulus_size}, total {wf.total()}, "
         f"err(C_a x C_b) = {float(err):.6f}, probe error = {float(probe):.3g}"
@@ -57,7 +57,7 @@ f1 = f2 = TestFunction.one(2)
 target = orthogonality_target(f1, f2, ca, ca, one, one, mu)
 print(f"diagonal case, target <1_Ca,1_Ca> = {target}")
 for n in (6, 12, 48, 120):
-    val = phi_r(f1, f2, ca, ca, one, one, sphere_weights(n, ctx), mu)
+    val = phi_r(f1, f2, ca, ca, one, one, sphere_weights(n, ctx))
     print(f"  Phi_{n} = {float(val):.6f}  rel err {abs(float(val) - 0.25) / 0.25:.3f}")
-orth = phi_r(f1, f2, ca, cb, one, one, sphere_weights(12, ctx), mu)
+orth = phi_r(f1, f2, ca, cb, one, one, sphere_weights(12, ctx))
 print(f"orthogonal case at n=12: |Phi| = {abs(float(orth)):.5f} -> 0")

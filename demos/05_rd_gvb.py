@@ -19,19 +19,17 @@ from freeboundary import (
     enumerate_sphere,
     fiber_size_report,
     gvb_growth,
-    ps_measure,
     sphere_sum_sq,
 )
 
 W = ReducedWord.from_str
 ctx = GroupContext(MetricSpec.word(2))
-mu = ps_measure(ctx)
 one = StepFunction.constant(Fraction(1), 2)
 
 print("== annular RD ratios r_n = sqrt(sum |<pi(g)1,1>|^2) / (1+n) ==")
 for n in (1, 2, 4, 8, 14):
-    print(f"r_{n} = {annular_rd_ratio(one, one, n, mu, ctx):.6f}  "
-          f"(sum exactly {sphere_sum_sq(one, one, n, mu, ctx)})")
+    print(f"r_{n} = {annular_rd_ratio(one, one, n, ctx):.6f}  "
+          f"(sum exactly {sphere_sum_sq(one, one, n, ctx)})")
 
 print("\n== convolution stays controlled on annuli ==")
 s1 = {g.letters: 1 for g in enumerate_sphere(1, ctx.metric)}
@@ -43,7 +41,7 @@ print(f"fibers (class census to R,R'<=4): extremal size 1 = {fibers.extremal_ok}
       f"max by defect {fibers.max_by_defect}")
 
 print("\n== good vector bound fails: q_n unbounded with exponent ~ 2 ==")
-report = gvb_growth(one, one, list(range(4, 15)), ctx, mu)
+report = gvb_growth(one, one, list(range(4, 15)), ctx)
 for i, n in enumerate(report.grid):
     if n in (4, 8, 14):
         print(f"q_{n} = {report.values_exact[i]}, q_n/((1+n)^2) = {report.extras['ratio'][i]:.4f}")

@@ -8,6 +8,10 @@ Sphere sums exploit an exactness of the word-metric tree: a coefficient
 sphere therefore reduces to a few hundred classes whose cardinalities,
 entries of powers of the letter-adjacency matrix, have a closed form in
 exact integers (see _junctions), so sweeps stay exact at any radius.
+
+A function given a GroupContext or a WeightFamily reads the boundary
+measure from it (ctx.mu, weights.ctx.mu); only those handed nothing
+but a measure take one.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .words import (
     _hat_prefix,
     annulus_units,
     canonical_letters,
+    check_rank,
     enumerate_annulus,
     hat_projection,
     letter_key,
@@ -166,8 +171,8 @@ class SphereGrid:
 
 
 def _resolution_depth(R, ctx: GroupContext) -> int:
-    min_len = float(ctx.metric.min_letter_length)
-    return int(math.ceil(float(R + ctx.h) / (2.0 * min_len))) + 1
+    """ceil((R + h) / (2 * min letter length)) + 1, in exact arithmetic."""
+    return math.ceil((Fraction(R) + Fraction(ctx.h)) / (2 * Fraction(ctx.metric.min_letter_length))) + 1
 
 
 # -- weight families -------------------------------------------------------
@@ -545,18 +550,18 @@ class PairStepFunction:
         return total
 
 
-def equidistribution_pairing(F: PairStepFunction, weights: WeightFamily, mu: BoundaryMeasure):
+def equidistribution_pairing(F: PairStepFunction, weights: WeightFamily):
     """(sum_g w(g) F(hat g, check g), integral of F against mu x mu)."""
     d1, d2 = F.depths()
     table = weights.pair_table(d1, d2)
-    lhs = mu.zero
+    lhs = weights.ctx.mu.zero
     for (p1, p2), mass in table.items():
         lhs = lhs + mass * F.value_at_prefixes(p1, p2)
-    return lhs, F.integral(mu)
+    return lhs, F.integral(weights.ctx.mu)
 
 
-def equidistribution_error(F: PairStepFunction, weights: WeightFamily, mu: BoundaryMeasure):
-    lhs, rhs = equidistribution_pairing(F, weights, mu)
+def equidistribution_error(F: PairStepFunction, weights: WeightFamily):
+    lhs, rhs = equidistribution_pairing(F, weights)
     return abs(lhs - rhs)
 
 
@@ -586,7 +591,7 @@ def _table_rectangle_error(table: Dict[Tuple[Letters, Letters], object], m1: Dic
     return worst
 
 
-def max_rectangle_error(weights: WeightFamily, mu: BoundaryMeasure, max_depth: int):
+def max_rectangle_error(weights: WeightFamily, max_depth: int):
     """Max equidistribution error over all rectangles of depth <= max_depth
     (both factors range over depths 0..max_depth independently).
 
@@ -594,8 +599,8 @@ def max_rectangle_error(weights: WeightFamily, mu: BoundaryMeasure, max_depth: i
     table, summed in its stored order.
     """
     table = weights.pair_table(max_depth, max_depth)
-    zero = mu.zero
-    masses = [_cylinder_masses(mu, d) for d in range(max_depth + 1)]
+    zero = weights.ctx.mu.zero
+    masses = [_cylinder_masses(weights.ctx.mu, d) for d in range(max_depth + 1)]
     worst = zero
     for d1 in range(max_depth + 1):
         for d2 in range(max_depth + 1):
@@ -604,15 +609,15 @@ def max_rectangle_error(weights: WeightFamily, mu: BoundaryMeasure, max_depth: i
     return worst
 
 
-def max_uniform_rectangle_error(weights: WeightFamily, mu: BoundaryMeasure, depth: int):
+def max_uniform_rectangle_error(weights: WeightFamily, depth: int):
     """Max equidistribution error over rectangles of exact depth x depth.
 
     Probing at depths finer than the shadow stems is what exposes a
     nonzero error on the tree: at or below the stem depth the greedy
     partition reproduces product masses exactly.
     """
-    masses = _cylinder_masses(mu, depth)
-    return _table_rectangle_error(weights.pair_table(depth, depth), masses, masses, mu.zero)
+    masses = _cylinder_masses(weights.ctx.mu, depth)
+    return _table_rectangle_error(weights.pair_table(depth, depth), masses, masses, weights.ctx.mu.zero)
 
 
 # -- test functions and the orthogonality functional -----------------------
@@ -622,12 +627,17 @@ def max_uniform_rectangle_error(weights: WeightFamily, mu: BoundaryMeasure, dept
 class TestFunction:
     """Continuous function on the compactification: a boundary step part
     composed with the retraction, plus a finitely supported interior
-    perturbation (vanishing at infinity, hence continuous)."""
+    perturbation (vanishing at infinity, hence continuous) whose words
+    lie in the boundary part's rank."""
 
     __test__ = False  # not a pytest class despite the Test prefix
 
     boundary: StepFunction
     interior: Dict[ReducedWord, object] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for g in self.interior:
+            check_rank(g.letters, self.boundary.k)
 
     @classmethod
     def one(cls, k: int) -> "TestFunction":
@@ -650,11 +660,10 @@ def phi_r(
     w1: StepFunction,
     w2: StepFunction,
     weights: WeightFamily,
-    mu: BoundaryMeasure,
 ):
     """The orthogonality functional: the weighted annulus average of
     f1(g) f2(g^-1) <pi~(g)v1, w1> conj(<pi~(g)v2, w2>)."""
-    return phi_r_pairs(f1, f2, [(v1, w1), (v2, w2)], weights, mu)[0][1]
+    return phi_r_pairs(f1, f2, [(v1, w1), (v2, w2)], weights)[0][1]
 
 
 def phi_r_pairs(
@@ -662,7 +671,6 @@ def phi_r_pairs(
     f2: TestFunction,
     pairs: Sequence[Tuple[StepFunction, StepFunction]],
     weights: WeightFamily,
-    mu: BoundaryMeasure,
 ) -> List[List[object]]:
     """Phi_R for every ordered combination of coefficient slots.
 
@@ -681,6 +689,7 @@ def phi_r_pairs(
         f2.depth(),
         max(max(v.depth(), w.depth()) for v, w in pairs),
     )
+    mu = weights.ctx.mu
     out: List[List[object]] = [[mu.zero for _ in pairs] for _ in pairs]
 
     def add(g: ReducedWord, factor) -> None:
@@ -813,7 +822,6 @@ def orthogonality_sweep(
     cases: Sequence[OrthCase],
     grid: Sequence,
     ctx: GroupContext,
-    mu: BoundaryMeasure,
     weights_kind: str = "sphere",
     budget: int = 10_000_000,
     tolerance: float = 0.05,
@@ -833,7 +841,7 @@ def orthogonality_sweep(
     index = {vw: i for i, vw in enumerate(dict.fromkeys(used))}
     pairs = list(index)
     slots = [(index[c.v1, c.w1], index[c.v2, c.w2]) for c in cases]
-    targets = [orthogonality_target(f1, f2, c.v1, c.v2, c.w1, c.w2, mu) for c in cases]
+    targets = [orthogonality_target(f1, f2, c.v1, c.v2, c.w1, c.w2, ctx.mu) for c in cases]
     reports = [SweepReport(name=case.name, reference_rate=float(ctx.epsilon) / 2.0) for case in cases]
     partial = False
     for R in grid:
@@ -842,7 +850,7 @@ def orthogonality_sweep(
                 weights = sphere_weights(R, ctx)
             else:
                 weights = build_partition_weights(R, ctx, budget=budget)
-            table = phi_r_pairs(f1, f2, pairs, weights, mu)
+            table = phi_r_pairs(f1, f2, pairs, weights)
         except BudgetError:
             partial = True
             break
@@ -868,13 +876,13 @@ def orthogonality_sweep(
 # -- annular rapid decay and GVB --------------------------------------------
 
 
-def sphere_sum_sq(v: StepFunction, w: StepFunction, n: int, mu: BoundaryMeasure, ctx: GroupContext):
+def sphere_sum_sq(v: StepFunction, w: StepFunction, n: int, ctx: GroupContext):
     """sum over S_n of <pi(g)v, w>^2, exactly (word metric)."""
     if ctx.metric.kind != "word":
         raise ValueError("sphere sums require the word metric")
-    total = mu.zero
+    total = ctx.mu.zero
     for c, rep in sphere_class_table(n, max(1, v.depth(), w.depth()), ctx.k):
-        coef = matrix_coefficient(rep, v, w, mu)
+        coef = matrix_coefficient(rep, v, w, ctx.mu)
         total = total + c * (coef * coef)
     return total
 
@@ -883,26 +891,20 @@ def _rd_ratio(total, n: int, scale: float) -> float:
     return math.sqrt(as_float(total)) / ((1 + n) * math.sqrt(scale))
 
 
-def _sum_sq_series(v: StepFunction, w: StepFunction, grid: Sequence[int], ctx: GroupContext, mu: BoundaryMeasure):
+def _sum_sq_series(v: StepFunction, w: StepFunction, grid: Sequence[int], ctx: GroupContext):
     """(q_n = sphere_sum_sq at each n of the grid, ||v||^2 ||w||^2 as a float)."""
-    scale = as_float(norm_sq(v, mu)) * as_float(norm_sq(w, mu))
-    return [sphere_sum_sq(v, w, n, mu, ctx) for n in grid], scale
+    scale = as_float(norm_sq(v, ctx.mu)) * as_float(norm_sq(w, ctx.mu))
+    return [sphere_sum_sq(v, w, n, ctx) for n in grid], scale
 
 
-def annular_rd_ratio(v: StepFunction, w: StepFunction, n: int, mu: BoundaryMeasure, ctx: GroupContext) -> float:
+def annular_rd_ratio(v: StepFunction, w: StepFunction, n: int, ctx: GroupContext) -> float:
     """r_n = (sum_{S_n} <pi(g)v,w>^2)^(1/2) / ((1+n) ||v|| ||w||)."""
-    (total,), scale = _sum_sq_series(v, w, [n], ctx, mu)
+    (total,), scale = _sum_sq_series(v, w, [n], ctx)
     return _rd_ratio(total, n, scale)
 
 
-def rd_sweep(
-    v: StepFunction,
-    w: StepFunction,
-    grid: Sequence[int],
-    ctx: GroupContext,
-    mu: BoundaryMeasure,
-) -> SweepReport:
-    sums, scale = _sum_sq_series(v, w, grid, ctx, mu)
+def rd_sweep(v: StepFunction, w: StepFunction, grid: Sequence[int], ctx: GroupContext) -> SweepReport:
+    sums, scale = _sum_sq_series(v, w, grid, ctx)
     ratios = [_rd_ratio(total, n, scale) for n, total in zip(grid, sums)]
     sup_r = max(ratios)
     band = [r for n, r in zip(grid, ratios) if n >= 2]
@@ -923,20 +925,14 @@ _RD_LOWER_BAND = 0.3  # inf of r_n over n >= 2 that counts as bounded below
 _GVB_EXPONENT_BAND = (1.8, 2.2)  # growth exponents that count as "about 2"
 
 
-def gvb_growth(
-    v: StepFunction,
-    w: StepFunction,
-    grid: Sequence[int],
-    ctx: GroupContext,
-    mu: BoundaryMeasure,
-) -> SweepReport:
+def gvb_growth(v: StepFunction, w: StepFunction, grid: Sequence[int], ctx: GroupContext) -> SweepReport:
     """q_n = sum_{S_n} <pi(g)v,w>^2 and its growth exponent in (1+n).
 
     Unbounded q_n with exponent about 2 is the computational content of
     the monotony argument: no vector can satisfy the good-vector bound,
     hence the verdict "GVB fails".
     """
-    sums, scale = _sum_sq_series(v, w, grid, ctx, mu)
+    sums, scale = _sum_sq_series(v, w, grid, ctx)
     qs = [as_float(q) for q in sums]
     ratios = [q / ((1 + n) ** 2 * scale) for n, q in zip(grid, qs)]
     exponent, r2, window = fit_growth(list(grid), qs)

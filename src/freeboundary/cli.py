@@ -63,6 +63,7 @@ from .words import (
     MetricSpec,
     ReducedWord,
     canonical_letters,
+    check_rank,
     enumerate_annulus,
     letter_to_str,
     sphere_size,
@@ -144,10 +145,17 @@ def _generator_table(spec, k: int, path: str, table: str, entry: str) -> List[Fr
     return values
 
 
+# the keys each metric kind reads: another kind's table would be dropped unread
+_METRIC_KEYS = {"word": {"kind"}, "weighted": {"kind", "lengths"}, "green": {"kind", "walk"}}
+
+
 def _parse_metric(cfg: dict, k: int) -> MetricSpec:
     spec = cfg.get("metric", {"kind": "word"})
     _check_keys(spec, {"kind", "lengths", "walk"}, "metric")
     kind = spec.get("kind", "word")
+    if kind not in ("word", "weighted", "green"):
+        raise ConfigError("metric.kind", f"unknown metric kind {kind!r}")
+    _check_keys(spec, _METRIC_KEYS[kind], "metric")
     if kind == "word":
         return MetricSpec.word(k)
     if kind == "weighted":
@@ -155,10 +163,7 @@ def _parse_metric(cfg: dict, k: int) -> MetricSpec:
         return MetricSpec.weighted(
             k, _generator_table(lengths, k, "metric.lengths", "weighted metric needs a lengths table", "length")
         )
-    if kind == "green":
-        walk = _parse_walk(spec.get("walk"), k, "metric.walk")
-        return green_metric_of_walk(walk)
-    raise ConfigError("metric.kind", f"unknown metric kind {kind!r}")
+    return green_metric_of_walk(_parse_walk(spec.get("walk"), k, "metric.walk"))
 
 
 def _parse_walk(spec, k: int, path: str) -> WalkSpec:
@@ -170,9 +175,10 @@ def _parse_walk(spec, k: int, path: str) -> WalkSpec:
 
 
 def _check_rank(letters, k: int, path: str) -> None:
-    for s in letters:
-        if abs(s) > k:
-            raise ConfigError(path, f"letter {letter_to_str(s)!r} is outside rank {k}")
+    try:
+        check_rank(letters, k)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 def _parse_vector(spec, k: int, path: str) -> StepFunction:
@@ -575,16 +581,15 @@ def cmd_cover(cfg: RunConfig, emit: Emitter) -> int:
 
 def cmd_equidist(cfg: RunConfig, emit: Emitter) -> int:
     ctx = cfg.context()
-    mu = ps_measure(ctx)
     tol = 0.02 if cfg.tolerance is None else cfg.tolerance
     rows = []
     probe_errors = []
     t0 = time.monotonic()
     for R in cfg.grid:
         weights = build_partition_weights(R, ctx, budget=cfg.budget)
-        err = max_rectangle_error(weights, mu, cfg.depth)
+        err = max_rectangle_error(weights, cfg.depth)
         probe_depth = _resolution_depth(R, ctx) - 1
-        probe = max_uniform_rectangle_error(weights, mu, probe_depth)
+        probe = max_uniform_rectangle_error(weights, probe_depth)
         probe_errors.append(as_float(probe))
         rows.append(
             {
@@ -628,7 +633,6 @@ def cmd_orth(cfg: RunConfig, emit: Emitter) -> int:
     grid = cfg.sphere_radii() if cfg.weights_kind == "sphere" else cfg.grid
     tol = 0.05 if cfg.tolerance is None else cfg.tolerance
     ctx = cfg.context()
-    mu = ps_measure(ctx)
     cases = []
     for i, case in enumerate(cfg.cases or [{}]):
         name = case.get("name", f"case{i}")
@@ -640,7 +644,7 @@ def cmd_orth(cfg: RunConfig, emit: Emitter) -> int:
         cases.append(OrthCase(name, *slots))
     t0 = time.monotonic()
     reports = orthogonality_sweep(
-        cfg.f1, cfg.f2, cases, grid, ctx, mu, weights_kind=cfg.weights_kind, budget=cfg.budget, tolerance=tol
+        cfg.f1, cfg.f2, cases, grid, ctx, weights_kind=cfg.weights_kind, budget=cfg.budget, tolerance=tol
     )
     emit.timings["orth"] = time.monotonic() - t0
     rows = [
@@ -682,12 +686,11 @@ def cmd_orth(cfg: RunConfig, emit: Emitter) -> int:
 
 def cmd_rd(cfg: RunConfig, emit: Emitter) -> int:
     ctx = cfg.context()
-    mu = ps_measure(ctx)
     v = cfg.vector(cfg.v)
     w = cfg.vector(cfg.w)
     grid = cfg.sphere_radii()
     t0 = time.monotonic()
-    report = rd_sweep(v, w, grid, ctx, mu)
+    report = rd_sweep(v, w, grid, ctx)
     emit.timings["rd"] = time.monotonic() - t0
     rows = [
         {"n": n, "ratio": repr(report.values[i]), "sum_sq_exact": report.values_exact[i]}
@@ -743,12 +746,11 @@ def cmd_conv(cfg: RunConfig, emit: Emitter) -> int:
 
 def cmd_gvb(cfg: RunConfig, emit: Emitter) -> int:
     ctx = cfg.context()
-    mu = ps_measure(ctx)
     v = cfg.vector(cfg.v)
     w = cfg.vector(cfg.w)
     grid = cfg.sphere_radii()
     t0 = time.monotonic()
-    report = gvb_growth(v, w, grid, ctx, mu)
+    report = gvb_growth(v, w, grid, ctx)
     emit.timings["gvb"] = time.monotonic() - t0
     rows = [
         {
@@ -762,8 +764,9 @@ def cmd_gvb(cfg: RunConfig, emit: Emitter) -> int:
     emit.write_csv("gvb.csv", rows)
     emit.write_json("gvb_summary.json", report.summary())
     emit.write_plot_script("gvb", "gvb.csv", "n", "q")
+    exponent, r2 = ("n/a" if x is None else f"{x:.4f}" for x in (report.fitted_exponent, report.fit_r2))
     print(
-        f"q_n growth exponent {report.fitted_exponent:.4f} (r2 {report.fit_r2:.4f}) "
+        f"q_n growth exponent {exponent} (r2 {r2}) "
         f"over top half of n={grid[0]}..{grid[-1]} -> verdict: {report.verdict}"
     )
     return 0 if report.passed else 2

@@ -80,7 +80,7 @@ def critical_exponent(m: MetricSpec) -> Tuple[float, BoundaryMeasure]:
         vector = {s: Fraction(1) for s in letters}
         pi0 = {s: Fraction(1, 2 * k) for s in letters}
         trans = {(s, t): Fraction(1, omega) for s in letters for t in letters if t != -s}
-        return alpha, BoundaryMeasure(m, alpha, omega, True, vector, pi0, trans)
+        return alpha, BoundaryMeasure(m, alpha, omega, vector, pi0, trans)
 
     min_len = float(m.min_letter_length)
     lo, hi = 0.0, math.log(2 * k - 1) / min_len
@@ -105,7 +105,7 @@ def critical_exponent(m: MetricSpec) -> Tuple[float, BoundaryMeasure]:
         row_sum = sum(row.values())  # 1 up to the bisection tolerance
         for t, val in row.items():
             trans[(x, t)] = val / row_sum
-    return alpha, BoundaryMeasure(m, alpha, math.exp(alpha), False, vector, pi0, trans, residual)
+    return alpha, BoundaryMeasure(m, alpha, math.exp(alpha), vector, pi0, trans, residual)
 
 
 class BoundaryMeasure:
@@ -114,10 +114,10 @@ class BoundaryMeasure:
 
     mass(C_e) = 1; mass(C_{w t}) = mass(C_w) * P(last(w), t).  The word
     metric backend is exact (Fractions, growth rate an integer); weighted
-    and Green backends carry floats with a 1e-12 tolerance policy.  Sums
-    over the measure start from ``zero``, the backend's additive identity
-    (so an empty float sum still prints as a float), and mass walks from
-    ``one``.
+    and Green backends carry floats with a 1e-12 tolerance policy, so
+    ``exact`` follows the metric's kind.  Sums over the measure start from
+    ``zero``, the backend's additive identity (so an empty float sum still
+    prints as a float), and mass walks from ``one``.
     """
 
     def __init__(
@@ -125,7 +125,6 @@ class BoundaryMeasure:
         metric: MetricSpec,
         alpha: float,
         omega: Union[int, float],
-        exact: bool,
         vector: Dict[Letter, Union[Fraction, float]],
         pi0: Dict[Letter, Union[Fraction, float]],
         trans: Dict[Tuple[Letter, Letter], Union[Fraction, float]],
@@ -135,8 +134,8 @@ class BoundaryMeasure:
         self.k = metric.k
         self.alpha = alpha
         self.omega = omega
-        self.exact = exact
-        self.zero, self.one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+        self.exact = metric.kind == "word"
+        self.zero, self.one = (Fraction(0), Fraction(1)) if self.exact else (0.0, 1.0)
         self.vector = vector
         self.pi0 = pi0
         self.trans = trans

@@ -26,13 +26,14 @@ from typing import Iterator, List, Sequence, Tuple, Union
 from .boundary import BoundaryPoint, Cylinder, CylinderSet, cylinder_image, translate_cylinder
 from .measures import BoundaryMeasure, gromov_level_cells
 from .scalars import QSqrt, as_float
-from .words import Letters, ReducedWord, common_prefix_letters, hat_projection
+from .words import Letters, ReducedWord, check_rank, common_prefix_letters, hat_projection
 
 Value = Union[Fraction, QSqrt, float, int]
 
 
 class StepFunction:
-    """Finitely-valued boundary function over a disjoint cylinder cover."""
+    """Finitely-valued boundary function over a disjoint cylinder cover.
+    Constructors refuse letters outside rank k; validate=False skips all checks."""
 
     __slots__ = ("cells", "k")
 
@@ -40,6 +41,8 @@ class StepFunction:
         self.cells = tuple(cells)
         self.k = k
         if validate:
+            for c, _ in self.cells:
+                check_rank(c.stem, k)
             cover = CylinderSet([c for c, _ in self.cells], k)
             if not cover.is_all:
                 raise ValueError("cells do not cover the boundary")
@@ -57,6 +60,7 @@ class StepFunction:
     def indicator(cls, c: Union[Cylinder, str], k: int, value: Value = Fraction(1)) -> "StepFunction":
         if isinstance(c, str):
             c = Cylinder.from_str(c)
+        check_rank(c.stem, k)
         if c.is_all:
             return cls.constant(value, k)
         rest = CylinderSet.of(c, k).complement()
@@ -75,6 +79,7 @@ class StepFunction:
         cyls = []
         for c, v in pairs:
             cyl = Cylinder.from_str(c) if isinstance(c, str) else c
+            check_rank(cyl.stem, k)
             cyls.append((cyl, v))
         cells: List[Tuple[Cylinder, Value]] = [(c, constant + v) for c, v in cyls]
         rest = CylinderSet([c for c, _ in cyls], k).complement() if cyls else CylinderSet.whole(k)

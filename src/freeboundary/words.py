@@ -16,7 +16,7 @@ import copy
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 Letter = int
 Letters = Tuple[Letter, ...]
@@ -45,6 +45,13 @@ def letter_from_str(c: str) -> Letter:
     if not (1 <= i <= 26) or not c.isalpha():
         raise ValueError(f"invalid letter {c!r}")
     return i if c.islower() else -i
+
+
+def check_rank(letters: Letters, k: int) -> None:
+    """Refuse a letter that names no generator of F_k."""
+    for s in letters:
+        if abs(s) > k:
+            raise ValueError(f"letter {letter_to_str(s)!r} is outside rank {k}")
 
 
 def reduce_letters(seq: Sequence[Letter]) -> Letters:
@@ -318,16 +325,14 @@ class GroupContext:
     by construction.  rho is the shadow parameter, h the annulus
     half-width (word metric default 0; otherwise max letter length + 1 so
     annuli are never empty).  mu is the metric's Patterson-Sullivan
-    measure (a measures.BoundaryMeasure), built once with alpha: it holds
-    the Perron data and decides between exact and float arithmetic.
+    measure (a measures.BoundaryMeasure), built once: alpha and omega read
+    its Perron data, and it decides between exact and float arithmetic.
     """
 
     metric: MetricSpec
     epsilon: float = 1.0
     rho: float = 1
     h: Optional[float] = None
-    alpha: float = field(init=False)
-    omega: float = field(init=False)
     mu: object = field(init=False, default=None, compare=False)
 
     def __post_init__(self):
@@ -337,8 +342,7 @@ class GroupContext:
             raise ValueError(f"need epsilon > 0, rho >= 0, h >= 0; got {self.epsilon}, {self.rho}, {self.h}")
         from .measures import critical_exponent  # deferred: measures imports words
 
-        self.alpha, self.mu = critical_exponent(self.metric)
-        self.omega = self.mu.omega
+        _, self.mu = critical_exponent(self.metric)
 
     def with_rho(self, rho) -> "GroupContext":
         """This context at shadow parameter rho, sharing its measure:
@@ -352,6 +356,14 @@ class GroupContext:
     @property
     def k(self) -> int:
         return self.metric.k
+
+    @property
+    def alpha(self) -> float:
+        return self.mu.alpha
+
+    @property
+    def omega(self) -> Union[int, float]:
+        return self.mu.omega
 
     @property
     def dimension(self) -> float:

@@ -133,16 +133,16 @@ GRID = [4, 6, 8, 10, 12]
 
 
 @pytest.fixture(scope="module")
-def shadow_errors(ctx, mu):
+def shadow_errors(ctx):
     """Exact depth<=2 errors and fine-scale probe errors per R."""
     errors = {}
     probes = {}
     supports = {}
     for R in GRID:
         weights = build_partition_weights(R, ctx)
-        errors[R] = max_rectangle_error(weights, mu, 2)
+        errors[R] = max_rectangle_error(weights, 2)
         probe_depth = R // 2  # one level below the stem depth R/2 - 1 + 1
-        probes[R] = max_uniform_rectangle_error(weights, mu, probe_depth)
+        probes[R] = max_uniform_rectangle_error(weights, probe_depth)
         supports[R] = (weights.support_size(), weights.annulus_size, weights.max_mass())
     return errors, probes, supports
 
@@ -216,7 +216,7 @@ def test_criterion_4_as_stated(ctx, mu):
     pairs = [(menu[a], menu[b]) for a in names for b in names]
     pair_names = [(a, b) for a in names for b in names]
     weights = sphere_weights(12, ctx)
-    grid_vals = phi_r_pairs(f1, f2, pairs, weights, mu)
+    grid_vals = phi_r_pairs(f1, f2, pairs, weights)
     floor = Fraction(1, 16)
     failures = []
     for i, (v1, w1) in enumerate(pairs):
@@ -240,13 +240,13 @@ def test_criterion_4_as_stated(ctx, mu):
     assert ok, "unattainable as stated at R=12: " + "; ".join(failures)
 
 
-def test_criterion_4_orthogonal_case(ctx, mu):
+def test_criterion_4_orthogonal_case(ctx):
     f1 = f2 = TestFunction.one(2)
     one = StepFunction.constant(Fraction(1), 2)
     ca = StepFunction.indicator("a", 2)
     cb = StepFunction.indicator("b", 2)
     weights = sphere_weights(12, ctx)
-    value = phi_r(f1, f2, ca, cb, one, one, weights, mu)
+    value = phi_r(f1, f2, ca, cb, one, one, weights)
     ok = abs(float(value)) <= 0.02
     report(4, ok, f"orthogonal case |Phi_12| = {abs(float(value)):.5f} <= 0.02")
     assert ok
@@ -260,7 +260,7 @@ def test_criterion_4_supplementary_large_radius(ctx, mu):
     f1 = f2 = TestFunction.one(2)
     pairs = [(v, w) for v in menu.values() for w in menu.values()]
     weights = sphere_weights(120, ctx)
-    grid_vals = phi_r_pairs(f1, f2, pairs, weights, mu)
+    grid_vals = phi_r_pairs(f1, f2, pairs, weights)
     floor = Fraction(1, 16)
     worst = Fraction(0)
     for i, (v1, w1) in enumerate(pairs):
@@ -279,12 +279,12 @@ def test_criterion_4_supplementary_large_radius(ctx, mu):
     assert ok
 
 
-def test_criterion_5_annular_rd(ctx, mu):
+def test_criterion_5_annular_rd(ctx):
     one = StepFunction.constant(Fraction(1), 2)
-    s1 = sphere_sum_sq(one, one, 1, mu, ctx)
-    s2 = sphere_sum_sq(one, one, 2, mu, ctx)
+    s1 = sphere_sum_sq(one, one, 1, ctx)
+    s2 = sphere_sum_sq(one, one, 2, ctx)
     exact_ok = s1 == 3 and s2 == Fraction(16, 3)
-    ratios = {n: annular_rd_ratio(one, one, n, mu, ctx) for n in range(1, 15)}
+    ratios = {n: annular_rd_ratio(one, one, n, ctx) for n in range(1, 15)}
     sup_r = max(ratios.values())
     inf_r = min(r for n, r in ratios.items() if n >= 2)
     ok = (
@@ -303,10 +303,10 @@ def test_criterion_5_annular_rd(ctx, mu):
     assert ok
 
 
-def test_criterion_6_gvb_failure(ctx, mu):
+def test_criterion_6_gvb_failure(ctx):
     t0 = time.monotonic()
     one = StepFunction.constant(Fraction(1), 2)
-    rep = gvb_growth(one, one, list(range(4, 15)), ctx, mu)
+    rep = gvb_growth(one, one, list(range(4, 15)), ctx)
     elapsed = time.monotonic() - t0
     ok = (
         rep.fitted_exponent is not None

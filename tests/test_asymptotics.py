@@ -44,7 +44,6 @@ from freeboundary import (
     orthogonality_target,
     phi_r,
     phi_r_pairs,
-    ps_measure,
     rd_convolution_check,
     rd_sweep,
     shadow_pair,
@@ -58,6 +57,7 @@ from freeboundary.asymptotics import (
     WeightFamily,
     _cylinder_masses,
     _fiber_count,
+    _grid_depth,
     _junctions,
     _resolution_depth,
     _sweep_cover,
@@ -375,48 +375,60 @@ def test_partition_weights_basic(word_ctx, word_mu):
             assert mass <= bound
 
 
+def test_resolution_depth_is_exact():
+    # lengths (1/3, 1), h = 0: (R + h) / (2/3) is a whole number at R = 10/3
+    # and 14/3, which float division overshoots by one
+    ctx = GroupContext(MetricSpec.weighted(2, [Fraction(1, 3), 1]), h=0)
+    assert _resolution_depth(Fraction(10, 3), ctx) == 6
+    assert _resolution_depth(Fraction(14, 3), ctx) == 8
+    # so the cover grid at R = 14/3 fits under the default budget's 64 * 10^7 cell pairs
+    assert _grid_depth(Fraction(14, 3), ctx, 10_000_000, "cover") == 8
+    for R in range(13):
+        assert _resolution_depth(R, ctx) == -(-3 * R // 2) + 1
+
+
 def test_partition_raises_without_cover():
     rho0 = GroupContext(MetricSpec.word(2), rho=0)
     with pytest.raises(CoverError):
         build_partition_weights(6, rho0)
 
 
-def test_equidistribution_trivial(word_ctx, word_mu):
+def test_equidistribution_trivial(word_ctx):
     F = PairStepFunction.constant(Fraction(1), 2)
     for R in (4, 6):
         wf = build_partition_weights(R, word_ctx)
-        assert equidistribution_error(F, wf, word_mu) == 0
+        assert equidistribution_error(F, wf) == 0
 
 
-def test_equidistribution_sphere_rectangle(word_ctx, word_mu):
+def test_equidistribution_sphere_rectangle(word_ctx):
     F = PairStepFunction.rectangle(Cylinder.from_str("a"), Cylinder.from_str("b"), 2)
     errs = []
     for n in (2, 6, 10):
         wf = sphere_weights(n, word_ctx)
-        lhs, rhs = equidistribution_pairing(F, wf, word_mu)
+        lhs, rhs = equidistribution_pairing(F, wf)
         assert rhs == Fraction(1, 16)
         errs.append(abs(lhs - rhs))
     assert errs[2] < errs[0]
     assert float(errs[2]) < 1e-4
 
 
-def test_equidistribution_shadow_exactness(word_ctx, word_mu):
+def test_equidistribution_shadow_exactness(word_ctx):
     # stems deeper than the observable depth reproduce product masses
     # exactly; observables finer than the stems see a genuine error
     wf4 = build_partition_weights(4, word_ctx)  # stems have depth 1
     wf6 = build_partition_weights(6, word_ctx)  # stems have depth 2
     deep = PairStepFunction.rectangle(Cylinder.from_str("ab"), Cylinder.from_str("b"), 2)
-    assert equidistribution_error(deep, wf4, word_mu) > 0
-    assert equidistribution_error(deep, wf6, word_mu) == 0
+    assert equidistribution_error(deep, wf4) > 0
+    assert equidistribution_error(deep, wf6) == 0
     shallow = PairStepFunction.rectangle(Cylinder.from_str("a"), Cylinder.from_str("b"), 2)
-    assert equidistribution_error(shallow, wf4, word_mu) == 0
-    assert max_rectangle_error(wf4, word_mu, 2) > 0
-    assert max_rectangle_error(wf6, word_mu, 2) == 0
+    assert equidistribution_error(shallow, wf4) == 0
+    assert max_rectangle_error(wf4, 2) > 0
+    assert max_rectangle_error(wf6, 2) == 0
     # probing below the stem depth exposes the genuine error
-    assert max_uniform_rectangle_error(wf6, word_mu, 3) > 0
+    assert max_uniform_rectangle_error(wf6, 3) > 0
 
 
-def _errors_by_depths(wf, mu, D):
+def _errors_by_depths(wf, D):
     # the worst single rectangle C_u x C_v per depth pair (|u|, |v|), |u|, |v| <= D,
     # each error read from pair_table(|u|, |v|) through equidistribution_error
     stems = {d: [g.letters for g in enumerate_sphere(d, MetricSpec.word(2))] for d in range(D + 1)}
@@ -425,14 +437,14 @@ def _errors_by_depths(wf, mu, D):
     for d1 in range(D + 1):
         for d2 in range(D + 1):
             out[d1, d2] = max(
-                equidistribution_error(PairStepFunction.rectangle(Cylinder(u), Cylinder(v), 2), wf, mu)
+                equidistribution_error(PairStepFunction.rectangle(Cylinder(u), Cylinder(v), 2), wf)
                 for u in stems[d1]
                 for v in stems[d2]
             )
     return out
 
 
-def test_rectangle_errors_match_every_rectangle(word_ctx, word_mu):
+def test_rectangle_errors_match_every_rectangle(word_ctx):
     # max_rectangle_error reads marginals of one pair table; check both
     # errors against the worst single rectangle at every depth pair,
     # d1 != d2 included, up to depth D.  Small spheres and the R = 4 partitions leave cells of the
@@ -440,19 +452,18 @@ def test_rectangle_errors_match_every_rectangle(word_ctx, word_mu):
     # mass: that is the worst error of S_2 at depth 1, of S_4 at depth 2
     # and of the word sphere S_2 weighted on a non-word metric at depth 1
     weighted_ctx = GroupContext(MetricSpec.weighted(2, [1, 2]), h=1)
-    weighted_mu = ps_measure(weighted_ctx)
     s2 = [g.letters for g in enumerate_sphere(2, MetricSpec.word(2))]
     cases = [
-        (sphere_weights(1, word_ctx), word_mu, 3),
-        (sphere_weights(2, word_ctx), word_mu, 3),
-        (sphere_weights(4, word_ctx), word_mu, 2),
-        (build_partition_weights(4, word_ctx), word_mu, 3),
-        (build_partition_weights(4, weighted_ctx), weighted_mu, 3),
-        (WeightFamily(2, weighted_ctx, s2, [1.0 / len(s2)] * len(s2)), weighted_mu, 3),
+        (sphere_weights(1, word_ctx), 3),
+        (sphere_weights(2, word_ctx), 3),
+        (sphere_weights(4, word_ctx), 2),
+        (build_partition_weights(4, word_ctx), 3),
+        (build_partition_weights(4, weighted_ctx), 3),
+        (WeightFamily(2, weighted_ctx, s2, [1.0 / len(s2)] * len(s2)), 3),
     ]
-    for wf, mu, D in cases:
-        fast = {d: (max_rectangle_error(wf, mu, d), max_uniform_rectangle_error(wf, mu, d)) for d in range(D + 1)}
-        slow = _errors_by_depths(wf, mu, D)
+    for wf, D in cases:
+        fast = {d: (max_rectangle_error(wf, d), max_uniform_rectangle_error(wf, d)) for d in range(D + 1)}
+        slow = _errors_by_depths(wf, D)
         for d in range(D + 1):
             want = (max(e for (d1, d2), e in slow.items() if d1 <= d and d2 <= d), slow[d, d])
             if wf.exact:
@@ -473,12 +484,12 @@ def test_absent_rectangle_scan_finds_the_largest_product(weighted_mu, d1, d2):
     assert _table_rectangle_error(table, m1, m2, 0.0) == removed
 
 
-def test_phi_trivial_and_symmetry(word_ctx, word_mu, one, ind_a, ind_b):
+def test_phi_trivial_and_symmetry(word_ctx, one, ind_a, ind_b):
     f1 = f2 = TestFunction.one(2)
     wf = sphere_weights(4, word_ctx)
-    assert phi_r(f1, f2, one, one, one, one, wf, word_mu) == 1
-    lhs = phi_r(f1, f2, ind_a, ind_b, one, ind_a, wf, word_mu)
-    rhs = phi_r(f1, f2, ind_b, ind_a, ind_a, one, wf, word_mu)
+    assert phi_r(f1, f2, one, one, one, one, wf) == 1
+    lhs = phi_r(f1, f2, ind_a, ind_b, one, ind_a, wf)
+    rhs = phi_r(f1, f2, ind_b, ind_a, ind_a, one, wf)
     assert lhs == rhs  # real conjugate symmetry under (v1,w1) <-> (v2,w2)
 
 
@@ -486,7 +497,7 @@ def test_phi_matches_brute_force(word_ctx, word_mu, one, ind_a):
     f1 = f2 = TestFunction.one(2)
     for n in (3, 4):
         wf = sphere_weights(n, word_ctx)
-        fast = phi_r(f1, f2, ind_a, ind_a, one, one, wf, word_mu)
+        fast = phi_r(f1, f2, ind_a, ind_a, one, one, wf)
         slow = QSqrt(0, 0, 3)
         for g in enumerate_sphere(n, word_ctx.metric):
             nc1 = normalized_coefficient(g, ind_a, one, word_mu)
@@ -499,7 +510,7 @@ def test_phi_shadow_weights_matches_brute_force(word_ctx, word_mu, one, ind_a):
     # exercises the explicit-support class-aggregation path end to end
     f1 = f2 = TestFunction.one(2)
     wf = build_partition_weights(6, word_ctx)
-    fast = phi_r(f1, f2, ind_a, ind_a, one, one, wf, word_mu)
+    fast = phi_r(f1, f2, ind_a, ind_a, one, one, wf)
     slow = QSqrt(0, 0, 3)
     for g, mass in wf.entries():
         nc = normalized_coefficient(g, ind_a, one, word_mu)
@@ -511,7 +522,7 @@ def test_phi_shadow_weights_matches_brute_force(word_ctx, word_mu, one, ind_a):
     assert wf.mass_of(W("a")) == 0  # not in the annulus support
 
 
-def test_weighted_metric_shadow_partition(weighted_ctx, weighted_mu):
+def test_weighted_metric_shadow_partition(weighted_ctx):
     # float backend of the cover check and the greedy partition
     rep0 = check_shadow_cover(6, GroupContext(MetricSpec.weighted(2, [1, 2]), rho=0))
     assert not rep0.covered and rep0.witness is not None
@@ -520,32 +531,37 @@ def test_weighted_metric_shadow_partition(weighted_ctx, weighted_mu):
     assert abs(wf.total() - 1.0) < 1e-12
     assert 0 < wf.support_size() < wf.annulus_size
     F = PairStepFunction.rectangle(Cylinder.from_str("a"), Cylinder.from_str("b"), 2)
-    assert equidistribution_error(F, wf, weighted_mu) < 1e-12
+    assert equidistribution_error(F, wf) < 1e-12
 
 
-def test_phi_interior_correction(word_ctx, word_mu, one):
+def test_test_function_refuses_interior_letters_outside_rank():
+    with pytest.raises(ValueError, match="letter 'c' is outside rank 2"):
+        TestFunction(StepFunction.constant(Fraction(1), 2), {W("ac"): Fraction(1)})
+
+
+def test_phi_interior_correction(word_ctx, one):
     f1 = TestFunction(StepFunction.constant(Fraction(1), 2), {W("aa"): Fraction(1, 2)})
     f2 = TestFunction.one(2)
     wf = sphere_weights(2, word_ctx)
-    val = phi_r(f1, f2, one, one, one, one, wf, word_mu)
+    val = phi_r(f1, f2, one, one, one, one, wf)
     assert val == Fraction(25, 24)  # 1 + mu_R(aa) * 1/2
 
 
-def test_phi_pairs_matches_scalar(word_ctx, word_mu, one, ind_a, ind_b):
+def test_phi_pairs_matches_scalar(word_ctx, one, ind_a, ind_b):
     f1 = f2 = TestFunction.one(2)
     pairs = [(one, one), (ind_a, one), (one, ind_b)]
     wf = sphere_weights(5, word_ctx)
-    grid = phi_r_pairs(f1, f2, pairs, wf, word_mu)
+    grid = phi_r_pairs(f1, f2, pairs, wf)
     for i, (v1, w1) in enumerate(pairs):
         for j, (v2, w2) in enumerate(pairs):
-            assert grid[i][j] == phi_r(f1, f2, v1, v2, w1, w2, wf, word_mu)
+            assert grid[i][j] == phi_r(f1, f2, v1, v2, w1, w2, wf)
 
 
-def test_phi_equidistribution_consistency(word_ctx, word_mu, one, ind_a, ind_b):
+def test_phi_equidistribution_consistency(word_ctx, one, ind_a, ind_b):
     F = PairStepFunction.product(ind_a, ind_b)
     wf = sphere_weights(3, word_ctx)
-    lhs, _ = equidistribution_pairing(F, wf, word_mu)
-    phi = phi_r(TestFunction(ind_a), TestFunction(ind_b), one, one, one, one, wf, word_mu)
+    lhs, _ = equidistribution_pairing(F, wf)
+    phi = phi_r(TestFunction(ind_a), TestFunction(ind_b), one, one, one, one, wf)
     assert lhs == phi
 
 
@@ -558,7 +574,7 @@ def test_quadrilinear_boundedness(word_ctx, word_mu, one, ind_a):
     for n in (2, 4, 6, 8):
         wf = sphere_weights(n, word_ctx)
         pairs = [(v, w) for v in vecs for w in vecs]
-        grid = phi_r_pairs(f1, f2, pairs, wf, word_mu)
+        grid = phi_r_pairs(f1, f2, pairs, wf)
         for i, (v1, w1) in enumerate(pairs):
             for j, (v2, w2) in enumerate(pairs):
                 from freeboundary import norm_sq
@@ -573,10 +589,10 @@ def test_quadrilinear_boundedness(word_ctx, word_mu, one, ind_a):
     assert worst <= 4.0  # measured constant, with headroom
 
 
-def test_orthogonality_sweep_orthogonal_case(word_ctx, word_mu, one, ind_a, ind_b):
+def test_orthogonality_sweep_orthogonal_case(word_ctx, one, ind_a, ind_b):
     f1 = f2 = TestFunction.one(2)
     (report,) = orthogonality_sweep(
-        f1, f2, [OrthCase("orthogonal", ind_a, one, ind_b, one)], [4, 8, 12], word_ctx, word_mu, tolerance=0.32
+        f1, f2, [OrthCase("orthogonal", ind_a, one, ind_b, one)], [4, 8, 12], word_ctx, tolerance=0.32
     )
     assert report.targets_exact[0] == "0"
     assert report.values[-1] <= 0.02
@@ -606,14 +622,14 @@ def test_ergodic_corollary_specialization(word_ctx, word_mu, one, ind_a, ind_b):
     vals = []
     for n in (4, 12, 36):
         wf = sphere_weights(n, word_ctx)
-        val = phi_r(TestFunction(f), TestFunction.one(2), v, one, w, one, wf, word_mu)
+        val = phi_r(TestFunction(f), TestFunction.one(2), v, one, w, one, wf)
         vals.append(abs(float(val - rank_one)))
     assert vals[2] < vals[0] and vals[2] < 0.02
 
 
 def test_sphere_sum_consistency(word_ctx, word_mu, one):
     for n in (1, 2, 5, 9):
-        total = sphere_sum_sq(one, one, n, word_mu, word_ctx)
+        total = sphere_sum_sq(one, one, n, word_ctx)
         xi = harish_chandra_length(n, word_mu)
         assert total == sphere_size(n, 2) * xi * xi
 
@@ -647,20 +663,20 @@ def test_class_aggregation_matches_per_word_sums(word_ctx, word_mu):
         for g in enumerate_sphere(n, word_ctx.metric):
             coef = inner_product(apply_pi(g, v, word_mu), w, word_mu)
             slow = slow + coef * coef
-        assert sphere_sum_sq(v, w, n, word_mu, word_ctx) == slow
+        assert sphere_sum_sq(v, w, n, word_ctx) == slow
 
 
-def test_annular_rd_values(word_ctx, word_mu, one):
-    assert abs(annular_rd_ratio(one, one, 1, word_mu, word_ctx) - math.sqrt(3) / 2) < 1e-15
-    assert abs(annular_rd_ratio(one, one, 2, word_mu, word_ctx) - math.sqrt(16 / 3) / 3) < 1e-15
-    report = rd_sweep(one, one, list(range(1, 15)), word_ctx, word_mu)
+def test_annular_rd_values(word_ctx, one):
+    assert abs(annular_rd_ratio(one, one, 1, word_ctx) - math.sqrt(3) / 2) < 1e-15
+    assert abs(annular_rd_ratio(one, one, 2, word_ctx) - math.sqrt(16 / 3) / 3) < 1e-15
+    report = rd_sweep(one, one, list(range(1, 15)), word_ctx)
     assert report.passed
     assert report.constants["inf_ratio_n_ge_2"] >= 0.3
     assert report.constants["sup_ratio"] <= 1.0
 
 
-def test_gvb_growth_values(word_ctx, word_mu, one):
-    report = gvb_growth(one, one, list(range(1, 15)), word_ctx, word_mu)
+def test_gvb_growth_values(word_ctx, one):
+    report = gvb_growth(one, one, list(range(1, 15)), word_ctx)
     assert report.values_exact[0] == "3"
     assert report.values_exact[1] == "16/3"
     assert abs(report.extras["ratio"][0] - 0.75) < 1e-12

@@ -327,6 +327,7 @@ _EMPTY_ANNULUS = {
     "fiber_r_max": 2,
     "trials": 1,
 }
+_WALK = {"a": "1/4", "b": "1/4"}  # the simple random walk on F_2
 
 
 @pytest.mark.parametrize(
@@ -386,6 +387,10 @@ _EMPTY_ANNULUS = {
         # letters beyond the rank name no generator
         ("orth", {"grid": [2], "functions": {"f1": {"interior": {"cc": "1"}}}}, "functions.f1.interior.cc"),
         ("orth", {"grid": [2], "vectors": {"v": {"cells": [["c", "1"]]}}}, "vectors.v.cells[0]"),
+        # a metric takes only its own kind's table: another kind's would be dropped unread
+        ("spec", {"metric": {"kind": "word", "lengths": {"a": "1", "b": "2"}}}, "metric.lengths"),
+        ("spec", {"metric": {"kind": "weighted", "lengths": {"a": "1", "b": "2"}, "walk": _WALK}}, "metric.walk"),
+        ("spec", {"metric": {"kind": "green", "walk": _WALK, "lengths": {"a": "1", "b": "2"}}}, "metric.lengths"),
     ],
 )
 def test_bad_config_values_are_field_anchored(tmp_path, capsys, subcommand, patch, path):
@@ -407,6 +412,17 @@ def test_unreadable_config_is_a_config_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(Path, "read_text", denied)  # root reads a chmod 000 file, so deny it here
     with pytest.raises(ConfigError, match="Permission denied"):
         load_config(tmp_path / "c.json")
+
+
+@pytest.mark.parametrize("grid", [[2], [1, 2]])
+def test_gvb_on_a_short_grid_is_inconclusive(tmp_path, capsys, grid):
+    # the fit window holds one radius, so there is no growth exponent to print
+    cfg = write_config(tmp_path, "g.json", {**BASE, "grid": grid})
+    out = tmp_path / "o"
+    assert main(["gvb", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "q_n growth exponent n/a (r2 n/a)" in capsys.readouterr().out
+    assert json.loads((out / "gvb_summary.json").read_text())["verdict"] == "inconclusive"
+    assert json.loads((out / "run_manifest.json").read_text())["exit_code"] == 2
 
 
 def test_negative_seed_flag_is_field_anchored(tmp_path, capsys):

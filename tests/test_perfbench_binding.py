@@ -37,6 +37,8 @@ def _traced_metrics(tmp_path, subcommand, config):
 def test_layer_tracer_binds_to_the_package(tmp_path):
     metrics = _traced_metrics(tmp_path, "equidist", {"group": {"rank": 2}, "metric": {"kind": "word"}, "grid": [4, 6]})
     assert metrics["asymptotics.build_partition_weights.support"] > 0
+    # equidist reads the measure from its context; xi still fetches it through cli's import
+    metrics = _traced_metrics(tmp_path, "xi", {"group": {"rank": 2}, "metric": {"kind": "word"}, "grid": [2]})
     assert metrics["measures.ps_measure.calls"] > 0
     # the run loop clears this table (kept, always empty) by name and the probes call this
     assert callable(asymptotics._ADJ_POWERS.clear)

@@ -52,6 +52,15 @@ def test_step_function_validation():
         StepFunction([(Cylinder.from_str("a"), 1)], 2)  # does not cover
     with pytest.raises(ValueError):
         StepFunction.from_pairs([("a", 1), ("ab", 2)], 2)  # overlapping stems
+    # a letter past the rank names no generator: refused by name, not as an overlap or a partial cover
+    with pytest.raises(ValueError, match="letter 'c' is outside rank 2"):
+        StepFunction.from_pairs([("c", 1)], 2)
+    with pytest.raises(ValueError, match="letter 'c' is outside rank 2"):
+        StepFunction.indicator("c", 2)
+    with pytest.raises(ValueError, match="letter 'C' is outside rank 2"):
+        StepFunction.indicator(Cylinder.from_str("aC"), 2)
+    with pytest.raises(ValueError, match="letter 'c' is outside rank 2"):
+        StepFunction([(Cylinder.from_str("c"), 1), (Cylinder.from_str("a"), 0)], 2)
 
 
 def test_step_function_value_at():

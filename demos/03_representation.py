@@ -49,6 +49,6 @@ for n in range(6):
 print("\n== normalized coefficients converge to boundary values ==")
 print(f"<pi~(a) 1_Cb, 1> = {normalized_coefficient(W('a'), cb, one, mu)}")
 for n in (3, 6, 12):
-    g = ReducedWord((1,) + (2,) * (n - 1))  # a b^(n-1)
+    g = W("a" + "b" * (n - 1))
     gap = lipschitz_gap(g, ca, ca, mu)
     print(f"gap at |g| = {n}: {gap:.6f}  (decays like (1+n)^(-1/D))")

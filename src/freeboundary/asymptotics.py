@@ -44,7 +44,6 @@ from .words import (
     check_rank,
     enumerate_annulus,
     hat_projection,
-    letter_key,
     multiply_letters,
     sphere_size,
 )
@@ -72,25 +71,27 @@ def _junctions(m: int, k: int) -> Dict[Tuple[int, int], Tuple[int, Letters]]:
 
     A = J - P (J all ones, P the inversion x -> x^-1) has the spectrum
     {2k-1, 1, -1}, so A^j = q^j J/2k + (-P)^j (I - J/2k) with q = 2k - 1:
-    A^j[x][y] = (q^j - (-1)^j)/2k + (-1)^j [y = x for even j, x^-1 for odd].
+    A^j[x][y] = (q^j - (-1)^j)/2k + (-1)^j [y = x for even j, x^-1 for odd],
+    and x^-1 = x ^ 1.
 
     That u is a^(m-1) b: a is the first letter other than x^-1, and b the
     first other than y^-1 and the inverse of its predecessor (a, or x when
     m = 1).  For m >= 1 every count is positive, as A^2 > 0 for k >= 2.
     """
     letters = canonical_letters(k)
-    sign = -1 if m % 2 == 0 else 1  # (-1)^j
+    j_odd = m % 2 == 0
+    sign = -1 if j_odd else 1  # (-1)^j
     base = ((2 * k - 1) ** (m + 1) - sign) // (2 * k)
     out = {}
     for x in letters:
-        a = next(c for c in letters if c != -x)
+        a = next(c for c in letters if c != x ^ 1)
         prev = a if m >= 2 else x
         for y in letters:
-            count = base + sign if y == sign * x else base
+            count = base + sign if y == x ^ j_odd else base
             if m == 0:
                 out[x, y] = (count, ())
             else:
-                b = next(c for c in letters if c != -prev and c != -y)
+                b = next(c for c in letters if c != prev ^ 1 and c != y ^ 1)
                 out[x, y] = (count, (a,) * (m - 1) + (b,))
     return out
 
@@ -109,15 +110,15 @@ def sphere_class_table(n: int, d: int, k: int) -> List[Tuple[int, ReducedWord]]:
     at depth d >= 0, for every n >= 0, in canonical order of the
     representatives, each the first word of its class.
 
-    At d = 0 the sphere is one class, led by 1^n.  Below n = 2d the first
-    and last d letters overlap, so every word of S_n (the identity at
-    n = 0) is its own class.  From n = 2d on the classes are the pairs
-    (p, s) of S_d x S_d whose junction (p[-1], s[0]) has a positive count
-    in _junctions(n - 2d, k); that entry gives the class size and the
-    middle of its first word.
+    At d = 0 the sphere is one class, led by 0^n, a power of the first
+    letter.  Below n = 2d the first and last d letters overlap, so every
+    word of S_n (the identity at n = 0) is its own class.  From n = 2d on
+    the classes are the pairs (p, s) of S_d x S_d whose junction
+    (p[-1], s[0]) has a positive count in _junctions(n - 2d, k); that
+    entry gives the class size and the middle of its first word.
     """
     if d == 0:
-        return [(sphere_size(n, k), ReducedWord((1,) * n, _reduced=True))]
+        return [(sphere_size(n, k), ReducedWord((0,) * n, _reduced=True))]
     word = MetricSpec.word(k)
     if n < 2 * d:
         return [(1, g) for g in enumerate_annulus(n, 0, word)]
@@ -127,7 +128,7 @@ def sphere_class_table(n: int, d: int, k: int) -> List[Tuple[int, ReducedWord]]:
     tails = {}
     for x in canonical_letters(k):
         found = [(c, u + s) for s in stems for c, u in (junctions[x, s[0]],) if c]
-        tails[x] = sorted(found, key=lambda t: list(map(letter_key, t[1])))
+        tails[x] = sorted(found, key=lambda t: t[1])
     return [(c, ReducedWord(p + t, _reduced=True)) for p in stems for c, t in tails[p[-1]]]
 
 
@@ -141,32 +142,30 @@ class SphereGrid:
     def __init__(self, k: int, m: int):
         self.k = k
         self.m = m
-        self.letters = canonical_letters(k)
         self.size = sphere_size(m, k)
-        self._pos = {s: i for i, s in enumerate(self.letters)}
         b = 2 * k - 1
         self._weights = [b ** (m - 1 - i) for i in range(m)]
 
     def interval(self, stem: Letters) -> Tuple[int, int]:
+        """A letter's rank among its siblings is its code, less one past
+        the parent's inverse, which no child may be."""
         if len(stem) > self.m:
             raise ValueError("stem deeper than the grid")
         if not stem:
             return 0, self.size
-        lo = self._pos[stem[0]] * self._weights[0]
+        lo = stem[0] * self._weights[0]
         for i in range(1, len(stem)):
-            pos = self._pos[stem[i]]
-            forbidden = self._pos[-stem[i - 1]]
-            pos -= pos > forbidden
-            lo += pos * self._weights[i]
+            c = stem[i]
+            lo += (c - (c > stem[i - 1] ^ 1)) * self._weights[i]
         return lo, lo + (2 * self.k - 1) ** (self.m - len(stem))
 
     def unrank(self, idx: int) -> Letters:
         out: List[int] = []
         for weight in self._weights:
-            pos, idx = divmod(idx, weight)
+            c, idx = divmod(idx, weight)
             if out:
-                pos += pos >= self._pos[-out[-1]]
-            out.append(self.letters[pos])
+                c += c >= out[-1] ^ 1
+            out.append(c)
         return tuple(out)
 
 
@@ -436,10 +435,11 @@ def _sweep_partition(R, ctx: GroupContext, budget: int) -> WeightFamily:
 #
 # Every pair occurs iff a = 0 or 2a < n.  For 2a < n the junction gap
 # n - 2a >= 1 has only positive counts in _junctions.  Otherwise the pair
-# (1^a, 1^a) is missing: g would have to start with 1^a and end with
-# (-1)^a, an empty junction (1, -1) at 2a = n and a clash on the overlap
-# at 2a > n.  It is the first pair in canonical order, so the first
-# uncovered cell is the grid's first, C_{1^m} x C_{1^m}.
+# (0^a, 0^a) of the first letter, code 0, is missing: g would have to
+# start with 0^a and end with 1^a (its inverse), an empty junction (0, 1)
+# at 2a = n and a clash on the overlap at 2a > n.  It is the first pair
+# in canonical order, so the first uncovered cell is the grid's first,
+# C_{0^m} x C_{0^m}.
 
 
 def _sphere_radius(R, ctx: GroupContext) -> Optional[int]:
@@ -475,7 +475,7 @@ def check_shadow_cover(R, ctx: GroupContext, budget: int = 10_000_000) -> CoverR
     if n is None:
         return _sweep_cover(R, ctx, budget)
     m, _, covered = _stem_depth(n, R, ctx, budget, "cover")
-    first = Cylinder((1,) * m)
+    first = Cylinder((0,) * m)
     witness = None if covered else CylinderRectangle(first, first)
     return CoverReport(covered, witness, R, ctx.rho, ctx.h, m, sphere_size(n, ctx.k))
 
@@ -652,6 +652,13 @@ class TestFunction:
         return self.boundary.depth()
 
 
+def _check_ranks(k: int, functions: Sequence[StepFunction]) -> None:
+    """Refuse a step function of another rank than the context's."""
+    for f in functions:
+        if f.k != k:
+            raise ValueError(f"step function of rank {f.k} on a context of rank {k}")
+
+
 def phi_r(
     f1: TestFunction,
     f2: TestFunction,
@@ -683,6 +690,7 @@ def phi_r_pairs(
     value is exact in Q(sqrt(omega)).  Interior perturbations are then
     added as corrections at the finitely many group elements they touch.
     """
+    _check_ranks(weights.ctx.k, [f1.boundary, f2.boundary, *(x for vw in pairs for x in vw)])
     d = max(
         1,
         f1.depth(),
@@ -836,6 +844,7 @@ def orthogonality_sweep(
     """
     if weights_kind not in ("sphere", "shadow"):
         raise ValueError(f"unknown weights kind {weights_kind!r}")
+    _check_ranks(ctx.k, [f1.boundary, f2.boundary, *(x for c in cases for x in c[1:])])
     # step functions hash by identity, so each slot pair is one key
     used = (vw for c in cases for vw in ((c.v1, c.w1), (c.v2, c.w2)))
     index = {vw: i for i, vw in enumerate(dict.fromkeys(used))}
@@ -880,6 +889,7 @@ def sphere_sum_sq(v: StepFunction, w: StepFunction, n: int, ctx: GroupContext):
     """sum over S_n of <pi(g)v, w>^2, exactly (word metric)."""
     if ctx.metric.kind != "word":
         raise ValueError("sphere sums require the word metric")
+    _check_ranks(ctx.k, [v, w])
     total = ctx.mu.zero
     for c, rep in sphere_class_table(n, max(1, v.depth(), w.depth()), ctx.k):
         coef = matrix_coefficient(rep, v, w, ctx.mu)
@@ -893,8 +903,8 @@ def _rd_ratio(total, n: int, scale: float) -> float:
 
 def _sum_sq_series(v: StepFunction, w: StepFunction, grid: Sequence[int], ctx: GroupContext):
     """(q_n = sphere_sum_sq at each n of the grid, ||v||^2 ||w||^2 as a float)."""
-    scale = as_float(norm_sq(v, ctx.mu)) * as_float(norm_sq(w, ctx.mu))
-    return [sphere_sum_sq(v, w, n, ctx) for n in grid], scale
+    sums = [sphere_sum_sq(v, w, n, ctx) for n in grid]  # first: it refuses vectors of another rank
+    return sums, as_float(norm_sq(v, ctx.mu)) * as_float(norm_sq(w, ctx.mu))
 
 
 def annular_rd_ratio(v: StepFunction, w: StepFunction, n: int, ctx: GroupContext) -> float:

@@ -24,7 +24,6 @@ from .words import (
     hat_projection,
     invert_letters,
     letter_from_str,
-    letter_key,
     letter_to_str,
     multiply_letters,
     reduce_letters,
@@ -32,7 +31,7 @@ from .words import (
 
 
 def _is_reduced(seq: Sequence[Letter]) -> bool:
-    return all(seq[i] != -seq[i + 1] for i in range(len(seq) - 1))
+    return all(seq[i] != seq[i + 1] ^ 1 for i in range(len(seq) - 1))
 
 
 def _primitive_root(period: Letters) -> Letters:
@@ -59,9 +58,9 @@ class BoundaryPoint:
             raise ValueError("period must be nonempty")
         if not _is_reduced(pre) or not _is_reduced(per):
             raise ValueError("preperiod and period must be reduced")
-        if per[-1] == -per[0]:
+        if per[-1] == per[0] ^ 1:
             raise ValueError("period does not concatenate reducibly with itself")
-        if pre and pre[-1] == -per[0]:
+        if pre and pre[-1] == per[0] ^ 1:
             raise ValueError("preperiod does not concatenate reducibly with period")
         per = _primitive_root(per)
         while pre and pre[-1] == per[-1]:
@@ -203,7 +202,7 @@ class Cylinder:
 
 
 def allowed_children(stem: Letters, k: int) -> List[Letter]:
-    return [s for s in canonical_letters(k) if not stem or s != -stem[-1]]
+    return [c for c in canonical_letters(k) if not stem or c != stem[-1] ^ 1]
 
 
 def _normalize_stems(stems: Iterable[Letters], k: int) -> Tuple[Letters, ...]:
@@ -228,7 +227,7 @@ def _normalize_stems(stems: Iterable[Letters], k: int) -> Tuple[Letters, ...]:
                 changed = True
     if () in pruned:
         return ((),)
-    return tuple(sorted(pruned, key=lambda w: tuple(letter_key(s) for s in w)))
+    return tuple(sorted(pruned))
 
 
 class CylinderSet:
@@ -346,7 +345,7 @@ def _prefix_reaching(letters: Letters, need, step: Sequence) -> Letters:
     n = 0
     total = 0
     while total < need:
-        total += step[abs(letters[n]) - 1]
+        total += step[letters[n] >> 1]
         n += 1
     return letters[:n]
 

@@ -135,10 +135,11 @@ def _generator_table(spec, k: int, path: str, table: str, entry: str) -> List[Fr
     ``table`` is the message for a non-object, ``entry`` names a value."""
     if not isinstance(spec, dict):
         raise ConfigError(path, table)
-    _check_keys(spec, {letter_to_str(i) for i in range(1, k + 1)}, path)
+    generators = canonical_letters(k)[::2]
+    _check_keys(spec, {letter_to_str(c) for c in generators}, path)
     values = []
-    for i in range(1, k + 1):
-        key = letter_to_str(i)
+    for c in generators:
+        key = letter_to_str(c)
         if key not in spec:
             raise ConfigError(f"{path}.{key}", f"missing generator {entry}")
         values.append(_parse_fraction(spec[key], f"{path}.{key}"))
@@ -623,6 +624,7 @@ def cmd_equidist(cfg: RunConfig, emit: Emitter) -> int:
     )
     emit.write_plot_script("equidist", "equidist.csv", "R", "probe_error")
     print(f"max depth<={cfg.depth} rectangle error at R={cfg.grid[-1]}: {final_err:.6g} (tol {tol})")
+    exponent, r2 = ("n/a" if x is None else x for x in (exponent, r2))
     print(f"probe-depth errors fit: exponent {exponent} (reference {float(cfg.epsilon)/2}), r2 {r2}")
     return 0 if passed else 2
 
@@ -831,7 +833,7 @@ def cmd_green(cfg: RunConfig, emit: Emitter) -> int:
         "green_summary.json",
         {
             "first_passage_exact": fp.exact,
-            "first_passage": {letter_to_str(s): str(fp.values[s]) for s in canonical_letters(cfg.k) if s > 0},
+            "first_passage": {letter_to_str(c): str(fp.values[c]) for c in canonical_letters(cfg.k)[::2]},
             "green_alpha": ctx.alpha,
             "green_alpha_minus_one": ctx.alpha - 1.0,
             "mc_samples": cfg.samples,
@@ -873,7 +875,7 @@ def _ancona_words(cfg: RunConfig, walk: WalkSpec, fp, emit: Emitter):
         length = int(rng.integers(1, cfg.ancona_max_len + 1))
         seq: List[int] = []
         for _ in range(length):
-            options = [s for s in letters if not seq or s != -seq[-1]]
+            options = [c for c in letters if not seq or c != seq[-1] ^ 1]
             seq.append(options[int(rng.integers(len(options)))])
         w = tuple(seq)
         if w not in words:

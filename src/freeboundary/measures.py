@@ -42,7 +42,7 @@ def _transfer_matrix(m: MetricSpec, s: float) -> np.ndarray:
     M = np.zeros((size, size))
     for i, x in enumerate(letters):
         for j, t in enumerate(letters):
-            if t != -x:
+            if t != x ^ 1:
                 M[i, j] = math.exp(-s * float(m.letter_length(t)))
     return M
 
@@ -79,7 +79,7 @@ def critical_exponent(m: MetricSpec) -> Tuple[float, BoundaryMeasure]:
         alpha = math.log(omega)
         vector = {s: Fraction(1) for s in letters}
         pi0 = {s: Fraction(1, 2 * k) for s in letters}
-        trans = {(s, t): Fraction(1, omega) for s in letters for t in letters if t != -s}
+        trans = {(s, t): Fraction(1, omega) for s in letters for t in letters if t != s ^ 1}
         return alpha, BoundaryMeasure(m, alpha, omega, vector, pi0, trans)
 
     min_len = float(m.min_letter_length)
@@ -101,7 +101,7 @@ def critical_exponent(m: MetricSpec) -> Tuple[float, BoundaryMeasure]:
     pi0 = {s: weights[s] / z for s in letters}
     trans: Dict[Tuple[Letter, Letter], float] = {}
     for x in letters:
-        row = {t: weights[t] / vector[x] for t in letters if t != -x}
+        row = {t: weights[t] / vector[x] for t in letters if t != x ^ 1}
         row_sum = sum(row.values())  # 1 up to the bisection tolerance
         for t, val in row.items():
             trans[(x, t)] = val / row_sum
@@ -145,7 +145,7 @@ class BoundaryMeasure:
         worst = 0.0
         letters = sorted(self.vector)
         for s in letters:
-            total = sum(self.trans[(s, t)] for t in letters if t != -s)
+            total = sum(self.trans[(s, t)] for t in letters if t != s ^ 1)
             worst = max(worst, abs(float(total) - 1.0))
         return worst
 
@@ -310,12 +310,8 @@ class WalkSpec:
     @classmethod
     def from_generator_probs(cls, probs: Sequence) -> "WalkSpec":
         k = len(probs)
-        table = []
-        for i, p in enumerate(probs, start=1):
-            p = Fraction(p)
-            table.append((i, p))
-            table.append((-i, p))
-        spec = cls(k, tuple(table))
+        table = tuple((c, Fraction(probs[c >> 1])) for c in canonical_letters(k))
+        spec = cls(k, table)
         spec.validate()
         return spec
 
@@ -331,7 +327,7 @@ class WalkSpec:
             raise ValueError("walk must assign a probability to every letter")
         if any(p <= 0 for p in d.values()):
             raise ValueError("step probabilities must be positive")
-        if any(d[s] != d[-s] for s in d):
+        if any(d[s] != d[s ^ 1] for s in d):
             raise ValueError("walk must be symmetric")
         if sum(d.values()) != 1:
             raise ValueError(f"step probabilities sum to {sum(d.values())}, not 1")
@@ -366,7 +362,7 @@ def solve_first_passage(walk: WalkSpec) -> FirstPassage:
 
     def step(f: dict, p: dict) -> dict:
         """One sweep of f_s <- p_s + f_s * sum_{u != s} p_u f_{u^-1}."""
-        return {s: p[s] + f[s] * sum(p[u] * f[-u] for u in letters if u != s) for s in letters}
+        return {s: p[s] + f[s] * sum(p[u] * f[u ^ 1] for u in letters if u != s) for s in letters}
 
     p = {s: float(walk.prob(s)) for s in letters}
     f = {s: 0.0 for s in letters}
@@ -392,7 +388,7 @@ def green_metric_of_walk(walk: WalkSpec) -> MetricSpec:
     1 in the Green-metric comparison).
     """
     fp = solve_first_passage(walk)
-    lengths = tuple(-math.log(float(fp[i])) for i in range(1, walk.k + 1))
+    lengths = tuple(-math.log(float(fp[c])) for c in canonical_letters(walk.k)[::2])
     return MetricSpec("green", walk.k, lengths)
 
 
@@ -408,12 +404,11 @@ class MCEstimate:
     undecided: int
 
 
-def _letters_and_cum(walk: WalkSpec) -> Tuple[np.ndarray, np.ndarray]:
-    letters = canonical_letters(walk.k)
-    arr = np.array(letters, dtype=np.int8)
-    cum = np.cumsum([float(walk.prob(s)) for s in letters])
+def _step_cum(walk: WalkSpec) -> np.ndarray:
+    """The cumulative step law over the letters in canonical order."""
+    cum = np.cumsum([float(walk.prob(s)) for s in canonical_letters(walk.k)])
     cum[-1] = 1.0
-    return arr, cum
+    return cum
 
 
 _PREFIX_MARGIN = 20  # letters past the prefix depth that decide a trajectory
@@ -433,38 +428,38 @@ def _run_walks(
     ``horizon`` steps; letters past a word's length are stale.
 
     Draw order: every step draws one uniform per running trajectory, in
-    index order, and the letter is the number of inner thresholds of the
-    cumulative step law at or below the draw (``searchsorted(side="right")``,
-    as the last threshold is 1.0).  Any change to this order changes every
-    seeded estimate.
+    index order, and the letter code is the number of inner thresholds of
+    the cumulative step law at or below the draw (``searchsorted(side=
+    "right")``, as the last threshold is 1.0).  Any change to this order
+    changes every seeded estimate.
 
     Layout: trajectory i owns row i of a (samples, cap + 1) int8 buffer,
-    at flat offset ``base = i * (cap + 1)``.  Column 0 is a zero sentinel
+    at flat offset ``base = i * (cap + 1)``.  Column 0 is a -1 sentinel
     and the word's letters sit in columns 1..len, so the last letter is
-    ``flat[base + len]`` (0 for the empty word, which no letter cancels),
-    and a step writes its letter to ``flat[base + len + 1]`` whether it
-    grows the word or cancels a letter (then the write lands past the new
-    length).  The running trajectories' base, length, last letter and,
+    ``flat[base + len]`` (-1 for the empty word: -1 ^ 1 is no code, so no
+    letter cancels it), and a step writes its letter to
+    ``flat[base + len + 1]`` whether it grows the word or cancels a letter
+    (then the write lands past the new length).  The running trajectories' base, length, last letter and,
     given a target, common-prefix length with the target are held in
     compact arrays in index order (int32 offsets while the buffer has
     fewer than 2^31 cells), compacted only on steps where some trajectory
     stops.
     """
     rng = np.random.default_rng(seed)
-    letters, cum = _letters_and_cum(walk)
-    thresholds = cum[:-1]
+    thresholds = _step_cum(walk)[:-1]
     width = cap + 1
     index = np.int32 if samples * width <= np.iinfo(np.int32).max else np.int64
     words = np.zeros((samples, width), dtype=np.int8)
+    words[:, 0] = -1
     flat = words.reshape(-1)
     lens = np.zeros(samples, dtype=index)
     active = np.zeros(samples, dtype=bool)
     base = np.arange(0, samples * width, width, dtype=index)
     length = np.zeros(samples, dtype=index)
-    last = np.zeros(samples, dtype=np.int8)
+    last = np.full(samples, -1, dtype=np.int8)
     if target is not None:
         n = target.size
-        padded = np.zeros(width, dtype=np.int8)  # 0 past the target matches no letter
+        padded = np.full(width, -1, dtype=np.int8)  # -1 past the target matches no letter
         padded[:n] = target
         agree = np.zeros(samples, dtype=index)
     for _ in range(horizon):
@@ -474,12 +469,11 @@ def _run_walks(
         pick = (draws >= thresholds[0]).view(np.int8).copy()
         for c in thresholds[1:]:
             pick += (draws >= c).view(np.int8)
-        chosen = letters.take(pick)
-        cancel = chosen == -last
-        flat[base + length + 1] = chosen
+        cancel = pick == last ^ 1
+        flat[base + length + 1] = pick
         if target is not None:
             # a cancelling letter never extends the agreement: the target is reduced
-            agree += (agree == length) & (chosen == padded.take(length))
+            agree += (agree == length) & (pick == padded.take(length))
         length += 1
         length -= 2 * cancel.view(np.int8)  # a cancel takes back the step and the cancelled letter
         last = flat.take(base + length)
@@ -517,7 +511,7 @@ def sample_boundary_prefixes(walk: WalkSpec, depth: int, samples: int, seed: int
 
 def mc_cylinder_counts(walk: WalkSpec, depth: int, samples: int, seed: int) -> Tuple[Dict[Letters, int], int, int]:
     """Counts of decided trajectories per depth-d boundary prefix, keys in
-    lexicographic order of their letters."""
+    canonical order (lexicographic in the letter codes)."""
     prefixes, undecided = sample_boundary_prefixes(walk, depth, samples, seed)
     decided = prefixes.shape[0]
     if depth == 0:

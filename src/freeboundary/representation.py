@@ -228,7 +228,7 @@ def harish_chandra_length(n: int, mu: BoundaryMeasure) -> Value:
     if mu.metric.kind != "word":
         raise ValueError("length-indexed Xi exists only for the word metric")
     # any word of length n: powers of a single generator stay reduced
-    return harish_chandra(ReducedWord((1,) * n, _reduced=True), mu)
+    return harish_chandra(ReducedWord((0,) * n, _reduced=True), mu)
 
 
 def normalized_coefficient(g: ReducedWord, v: StepFunction, w: StepFunction, mu: BoundaryMeasure) -> Value:

@@ -1,10 +1,15 @@
 """Free-group words, invariant metrics, Gromov products and annuli.
 
-Letters of the rank-k free group are signed integers +1..+k (generators)
-and -1..-k (inverses).  The canonical letter order, fixed once and used
-for every enumeration and every greedy choice, is
+A letter of the rank-k free group is an integer code 0..2k-1: the
+generator a_i (i = 1..k) is 2(i-1) and its inverse 2(i-1) + 1.  So the
+inverse of c is c ^ 1, its generator index is c >> 1, and numeric order
+is the canonical letter order, fixed once and used for every enumeration
+and every greedy choice:
 
-    +1 < -1 < +2 < -2 < ... < +k < -k.
+    a < A < b < B < ... (a_1 < a_1^-1 < a_2 < a_2^-1 < ...).
+
+Tuples of codes therefore sort canonically with plain ``sorted``.  Text
+(``letter_to_str``, ``letter_from_str``) is the only external form.
 
 Words are freely reduced tuples of letters; the tree structure of the
 Cayley graph makes every Gromov product an exact common-prefix length.
@@ -22,45 +27,36 @@ Letter = int
 Letters = Tuple[Letter, ...]
 
 
-def letter_key(s: Letter) -> int:
-    """The rank 2(|s| - 1) + [s < 0] of s in the canonical letter order."""
-    return 2 * (abs(s) - 1) + (s < 0)
-
-
 def canonical_letters(k: int) -> Tuple[Letter, ...]:
-    out = []
-    for i in range(1, k + 1):
-        out.append(i)
-        out.append(-i)
-    return tuple(out)
+    return tuple(range(2 * k))
 
 
-def letter_to_str(s: Letter) -> str:
-    c = chr(ord("a") + abs(s) - 1)
-    return c if s > 0 else c.upper()
+def letter_to_str(c: Letter) -> str:
+    s = chr(ord("a") + (c >> 1))
+    return s.upper() if c & 1 else s
 
 
-def letter_from_str(c: str) -> Letter:
-    i = ord(c.lower()) - ord("a") + 1
-    if not (1 <= i <= 26) or not c.isalpha():
-        raise ValueError(f"invalid letter {c!r}")
-    return i if c.islower() else -i
+def letter_from_str(s: str) -> Letter:
+    i = ord(s.lower()) - ord("a")
+    if not (0 <= i < 26) or not s.isalpha():
+        raise ValueError(f"invalid letter {s!r}")
+    return 2 * i + s.isupper()
 
 
 def check_rank(letters: Letters, k: int) -> None:
-    """Refuse a letter that names no generator of F_k."""
-    for s in letters:
-        if abs(s) > k:
-            raise ValueError(f"letter {letter_to_str(s)!r} is outside rank {k}")
+    """Refuse a letter that is no code of F_k (outside 0..2k-1)."""
+    for c in letters:
+        if not 0 <= c < 2 * k:
+            raise ValueError(f"letter {letter_to_str(c) if 0 <= c < 52 else c!r} is outside rank {k}")
 
 
 def reduce_letters(seq: Sequence[Letter]) -> Letters:
     out: list[Letter] = []
-    for s in seq:
-        if out and out[-1] == -s:
+    for c in seq:
+        if out and out[-1] == c ^ 1:
             out.pop()
         else:
-            out.append(s)
+            out.append(c)
     return tuple(out)
 
 
@@ -69,14 +65,14 @@ def multiply_letters(u: Letters, v: Letters) -> Letters:
     i = len(u)
     j = 0
     n = len(v)
-    while i > 0 and j < n and u[i - 1] == -v[j]:
+    while i > 0 and j < n and u[i - 1] == v[j] ^ 1:
         i -= 1
         j += 1
     return u[:i] + v[j:]
 
 
 def invert_letters(u: Letters) -> Letters:
-    return tuple(-s for s in reversed(u))
+    return tuple(c ^ 1 for c in reversed(u))
 
 
 class ReducedWord:
@@ -85,10 +81,12 @@ class ReducedWord:
     __slots__ = ("letters",)
 
     def __init__(self, letters: Sequence[Letter] = (), *, _reduced: bool = False):
-        if _reduced:
-            self.letters = tuple(letters)
-        else:
-            self.letters = reduce_letters(letters)
+        letters = tuple(letters)
+        if not _reduced:
+            if letters and min(letters) < 0:
+                raise ValueError(f"letter {min(letters)} is negative: letters are codes 0..2k-1")
+            letters = reduce_letters(letters)
+        self.letters = letters
 
     @classmethod
     def from_str(cls, text: str) -> "ReducedWord":
@@ -128,11 +126,12 @@ class ReducedWord:
 class MetricSpec:
     """A left-invariant metric on F_k: word, generator-weighted, or Green.
 
-    ``lengths`` maps each positive generator index to its letter length
-    (shared by the inverse letter).  Word metric: all lengths 1, exact
-    integer arithmetic.  Weighted: exact rationals.  Green: float lengths
-    -log f_s solved from a random walk (see measures.green_metric_of_walk),
-    tolerance 1e-12 documented on all derived quantities.
+    ``lengths`` holds each generator's letter length, shared by its
+    inverse: the letter c has length ``lengths[c >> 1]``.  Word metric:
+    all lengths 1, exact integer arithmetic.  Weighted: exact rationals.
+    Green: float lengths -log f_s solved from a random walk (see
+    measures.green_metric_of_walk), tolerance 1e-12 documented on all
+    derived quantities.
 
     ``units`` holds each generator's length in units of ``1/scale``:
     integers over the common denominator ``scale`` of the lengths for the
@@ -142,7 +141,7 @@ class MetricSpec:
 
     kind: str  # "word" | "weighted" | "green"
     k: int
-    lengths: Tuple = ()  # per generator 1..k; empty for word metric
+    lengths: Tuple = ()  # one per generator, in order; empty for word metric
     scale: int = field(init=False, repr=False, compare=False)
     units: Tuple = field(init=False, repr=False, compare=False)
 
@@ -173,10 +172,10 @@ class MetricSpec:
     def weighted(cls, k: int, lengths: Sequence) -> "MetricSpec":
         return cls("weighted", k, tuple(Fraction(l) for l in lengths))
 
-    def letter_length(self, s: Letter):
+    def letter_length(self, c: Letter):
         if self.kind == "word":
             return 1
-        return self.lengths[abs(s) - 1]
+        return self.lengths[c >> 1]
 
     @property
     def max_letter_length(self):
@@ -195,7 +194,7 @@ class MetricSpec:
         if self.kind == "word":
             return len(letters)
         units = self.units
-        return sum(units[abs(s) - 1] for s in letters)
+        return sum(units[c >> 1] for c in letters)
 
     def length_of(self, letters: Letters):
         if self.kind == "weighted":
@@ -251,14 +250,14 @@ def annulus_units(R, h, m: MetricSpec) -> Iterator[Tuple[Letters, object]]:
     if hi < 0:
         return
     # children are pushed last letter first, so they pop in canonical order
-    steps = [(s, m.units[abs(s) - 1]) for s in reversed(canonical_letters(m.k))]
+    steps = [(c, m.units[c >> 1]) for c in reversed(canonical_letters(m.k))]
     stack = [((), 0)]
     while stack:
         word, length = stack.pop()
         if lo <= length:
             yield word, length
-        last = -word[-1] if word else 0
-        stack.extend((word + (s,), length + u) for s, u in steps if s != last and length + u <= hi)
+        last = word[-1] ^ 1 if word else -1  # the one letter that may not follow; -1 is none
+        stack.extend((word + (c,), length + u) for c, u in steps if c != last and length + u <= hi)
 
 
 def enumerate_annulus(R, h, m: MetricSpec) -> Iterator[ReducedWord]:
@@ -305,7 +304,7 @@ def geodesic_point(g: ReducedWord, t, m: MetricSpec) -> ReducedWord:
 def cyclic_reduction(g: ReducedWord) -> ReducedWord:
     ls = g.letters
     i, j = 0, len(ls)
-    while j - i >= 2 and ls[i] == -ls[j - 1]:
+    while j - i >= 2 and ls[i] == ls[j - 1] ^ 1:
         i += 1
         j -= 1
     return ReducedWord(ls[i:j], _reduced=True)
@@ -372,7 +371,7 @@ class GroupContext:
 
 def _hat_prefix(letters: Letters, n: int) -> Letters:
     """The first n letters of hat(g) (see hat_projection), g given by its letters."""
-    return letters[:n] + (letters[-1:] or (1,)) * (n - len(letters))
+    return letters[:n] + (letters[-1:] or (0,)) * (n - len(letters))
 
 
 def hat_projection(g: ReducedWord):
@@ -383,4 +382,4 @@ def hat_projection(g: ReducedWord):
     """
     from .boundary import BoundaryPoint
 
-    return BoundaryPoint(g.letters, g.letters[-1:] or (1,))
+    return BoundaryPoint(g.letters, g.letters[-1:] or (0,))

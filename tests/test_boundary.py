@@ -43,28 +43,30 @@ def seeded_points(depth=3):
 
 
 def test_canonical_form():
-    assert str(BoundaryPoint((1, 2, 2), (2,))) == "a|b"
-    assert str(BoundaryPoint((), (1, 2, 1, 2))) == "|ab"
-    assert str(BoundaryPoint((1,), (2, 1))) == "|ab"
+    a, _, b, _ = canonical_letters(2)
+    assert str(BoundaryPoint((a, b, b), (b,))) == "a|b"
+    assert str(BoundaryPoint((), (a, b, a, b))) == "|ab"
+    assert str(BoundaryPoint((a,), (b, a))) == "|ab"
     assert P("ab|ab") == P("|ab")
     assert P("e|a") == P("|a")
 
 
 def test_invalid_points_rejected():
+    a, A, b, _ = canonical_letters(2)
     with pytest.raises(ValueError):
-        BoundaryPoint((1,), ())  # empty period
+        BoundaryPoint((a,), ())  # empty period
     with pytest.raises(ValueError):
-        BoundaryPoint((1,), (-1,))  # preperiod-period junction cancels
+        BoundaryPoint((a,), (A,))  # preperiod-period junction cancels
     with pytest.raises(ValueError):
-        BoundaryPoint((), (1, -1))  # period not reduced
+        BoundaryPoint((), (a, A))  # period not reduced
     with pytest.raises(ValueError):
-        BoundaryPoint((), (1, 2, -1))  # period-period junction cancels
+        BoundaryPoint((), (a, b, A))  # period-period junction cancels
 
 
 def test_letters_and_prefixes():
     xi = P("aB|Ab")
-    assert xi.prefix_letters(6) == (1, -2, -1, 2, -1, 2)
-    assert xi.letter_at(0) == 1 and xi.letter_at(3) == 2
+    assert xi.prefix_letters(6) == W("aBAbAb").letters
+    assert xi.letter_at(0) == W("a").letters[0] and xi.letter_at(3) == W("b").letters[0]
 
 
 def test_boundary_gromov_examples():
@@ -200,7 +202,7 @@ def test_shadow_contains_its_center():
         n = rng.randrange(2, 9)
         letters = []
         for _ in range(n):
-            options = [s for s in canonical_letters(2) if not letters or s != -letters[-1]]
+            options = [s for s in canonical_letters(2) if not letters or s != letters[-1] ^ 1]
             letters.append(rng.choice(options))
         g = ReducedWord(tuple(letters), _reduced=True)
         rect = shadow_pair(g, ctx)
@@ -323,7 +325,7 @@ def test_gromov_equivariance_bound():
         n = rng.randrange(0, 4)
         letters = []
         for _ in range(n):
-            options = [s for s in canonical_letters(2) if not letters or s != -letters[-1]]
+            options = [s for s in canonical_letters(2) if not letters or s != letters[-1] ^ 1]
             letters.append(rng.choice(options))
         g = ReducedWord(tuple(letters), _reduced=True)
         before = boundary_gromov(xi, eta, WORD)

@@ -451,3 +451,13 @@ def test_orth_sphere_weights_need_word_metric(tmp_path, capsys):
     )
     assert main(["orth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "config error: weights: sphere weights require the word metric" in capsys.readouterr().err
+
+
+def test_equidist_on_a_one_radius_grid_prints_no_fit(tmp_path, capsys):
+    # one radius leaves no decay fit: n/a as gvb prints it, null in the summary
+    cfg = write_config(tmp_path, "e.json", {**BASE, "grid": [4]})
+    out = tmp_path / "o"
+    assert main(["equidist", "--config", str(cfg), "--out", str(out)]) == 2  # error 1/6 at R = 4
+    assert "probe-depth errors fit: exponent n/a (reference 0.5), r2 n/a" in capsys.readouterr().out
+    summary = json.loads((out / "equidist_summary.json").read_text())
+    assert summary["probe_fit_exponent"] is None and summary["probe_fit_r2"] is None

@@ -32,8 +32,8 @@ from freeboundary import (
 )
 from freeboundary.measures import (
     MCEstimate,
-    _letters_and_cum,
     _run_walks,
+    _step_cum,
     mc_cylinder_counts,
     sample_boundary_prefixes,
 )
@@ -49,8 +49,9 @@ def test_critical_exponent_word():
         assert abs(alpha - math.log(2 * k - 1)) < 1e-15
         assert isinstance(mu, BoundaryMeasure) and mu.alpha == alpha
         assert mu.exact
-        assert mu.pi0[1] == Fraction(1, 2 * k)
-        assert mu.trans[(1, 2)] == Fraction(1, 2 * k - 1)
+        a, b = W("ab").letters
+        assert mu.pi0[a] == Fraction(1, 2 * k)
+        assert mu.trans[(a, b)] == Fraction(1, 2 * k - 1)
         assert mu.vector == {s: 1 for s in canonical_letters(k)}
         assert mu.eigenvalue_residual == 0 and mu.row_sum_residual() == 0
 
@@ -118,9 +119,9 @@ def test_critical_exponent_weighted_poincare_scan():
     alpha, _ = critical_exponent(m)
 
     def length_counts(L, h):
-        # reduced words per metric length in [L - h, L + h], by a DP on the last letter (0: none yet)
+        # reduced words per metric length in [L - h, L + h], by a DP on the last letter (-1: none yet)
         counts = {}
-        frontier = {(0, 0): 1}
+        frontier = {(0, -1): 1}
         while frontier:
             grown = {}
             for (length, last), c in frontier.items():
@@ -128,7 +129,7 @@ def test_critical_exponent_weighted_poincare_scan():
                     counts[length] = counts.get(length, 0) + c
                 for t in canonical_letters(2):
                     child = length + m.letter_length(t)
-                    if t != -last and child <= L + h:
+                    if t != last ^ 1 and child <= L + h:
                         grown[child, t] = grown.get((child, t), 0) + c
             frontier = grown
         return counts
@@ -167,7 +168,7 @@ def test_ps_masses_word(word_ctx, word_mu):
 def test_ps_mass_prefix_frequency_oracle(word_ctx, word_mu):
     # limiting frequency of the prefix ab over spheres; exact for each n >= 2
     for n in (2, 5, 8):
-        hits = sum(1 for g in enumerate_sphere(n, word_ctx.metric) if g.letters[:2] == (1, 2))
+        hits = sum(1 for g in enumerate_sphere(n, word_ctx.metric) if g.letters[:2] == W("ab").letters)
         from freeboundary import sphere_size
 
         assert Fraction(hits, sphere_size(n, 2)) == Fraction(1, 12)
@@ -179,7 +180,7 @@ def test_additivity_exact(word_mu):
         if len(stem) > 7:
             continue
         children = [
-            stem + (s,) for s in canonical_letters(2) if not stem or s != -stem[-1]
+            stem + (s,) for s in canonical_letters(2) if not stem or s != stem[-1] ^ 1
         ]
         assert word_mu.mass_letters(stem) == sum(word_mu.mass_letters(c) for c in children)
 
@@ -188,7 +189,7 @@ def test_additivity_weighted(weighted_mu):
     for g in enumerate_annulus(0, 6, MetricSpec.word(2)):
         stem = g.letters
         children = [
-            stem + (s,) for s in canonical_letters(2) if not stem or s != -stem[-1]
+            stem + (s,) for s in canonical_letters(2) if not stem or s != stem[-1] ^ 1
         ]
         got = sum(weighted_mu.mass_letters(c) for c in children)
         assert abs(got - weighted_mu.mass_letters(stem)) < 1e-12
@@ -277,7 +278,7 @@ def test_walk_validation():
     with pytest.raises(ValueError):
         WalkSpec.from_generator_probs([Fraction(1, 2), Fraction(1, 3)])  # sums to 5/3
     with pytest.raises(ValueError):
-        WalkSpec(2, ((1, Fraction(1, 2)), (-1, Fraction(1, 4)), (2, Fraction(1, 8)), (-2, Fraction(1, 8)))).validate()
+        WalkSpec(2, ((0, Fraction(1, 2)), (1, Fraction(1, 4)), (2, Fraction(1, 8)), (3, Fraction(1, 8)))).validate()
     with pytest.raises(ValueError):
         WalkSpec.from_generator_probs([Fraction(1, 2), Fraction(0)])
 
@@ -299,10 +300,11 @@ def test_first_passage_simple_mc_oracle():
 def test_first_passage_asymmetric():
     walk = WalkSpec.from_generator_probs([Fraction(3, 8), Fraction(1, 8)])
     fp = solve_first_passage(walk)
-    assert 0 < fp.values[2] < fp.values[1] < 1
+    a, b = W("ab").letters
+    assert 0 < fp.values[b] < fp.values[a] < 1
     assert fp.residual < 1e-12
     est = mc_first_passage(walk, W("a"), 40_000, seed=6)
-    assert abs(est.estimate - float(fp.values[1])) <= est.halfwidth
+    assert abs(est.estimate - float(fp.values[a])) <= est.halfwidth
 
 
 def test_green_metric_multiplicativity():
@@ -311,8 +313,9 @@ def test_green_metric_multiplicativity():
     fp = solve_first_passage(walk)
     # F(e, st) ~ f_s f_t on reduced two-letter words, via MC
     est = mc_first_passage(walk, W("ab"), 60_000, seed=7)
-    assert abs(est.estimate - float(fp.values[1] * fp.values[2])) <= est.halfwidth
-    assert abs(m.length_of((1, 2)) - (m.lengths[0] + m.lengths[1])) < 1e-15
+    a, b = W("ab").letters
+    assert abs(est.estimate - float(fp.values[a] * fp.values[b])) <= est.halfwidth
+    assert abs(m.length_of((a, b)) - (m.lengths[0] + m.lengths[1])) < 1e-15
 
 
 def test_harmonic_mc_examples():
@@ -353,14 +356,14 @@ def test_harmonic_markov_exit_formula_oracle():
     fp = solve_first_passage(walk)
     letters = canonical_letters(2)
     c = {
-        s: sum(float(walk.prob(t)) * (1 - float(fp.values[-t])) for t in letters if t != -s)
+        s: sum(float(walk.prob(t)) * (1 - float(fp.values[t ^ 1])) for t in letters if t != s ^ 1)
         for s in letters
     }
     ctx = GroupContext(green_metric_of_walk(walk))
     mu = ps_measure(ctx)
     for s in letters:
         for t in letters:
-            if t == -s:
+            if t == s ^ 1:
                 continue
             harmonic = float(fp.values[t]) * c[t] / c[s]
             assert abs(harmonic - float(mu.trans[(s, t)])) < 1e-9
@@ -381,8 +384,11 @@ def test_mc_outputs_pinned():
     counts, decided, undecided = mc_cylinder_counts(walk, 2, 2000, seed=5)
     assert (decided, undecided) == (2000, 0)
     assert counts == {
-        (-2, -2): 161, (-2, -1): 171, (-2, 1): 176, (-1, -2): 172, (-1, -1): 153, (-1, 2): 185,
-        (1, -2): 167, (1, 1): 168, (1, 2): 180, (2, -1): 148, (2, 1): 153, (2, 2): 166,
+        W(g).letters: c
+        for g, c in {
+            "aa": 168, "ab": 180, "aB": 167, "AA": 153, "Ab": 185, "AB": 172,
+            "ba": 153, "bA": 148, "bb": 166, "Ba": 176, "BA": 171, "BB": 161,
+        }.items()
     }
 
 
@@ -391,7 +397,7 @@ def _reference_walks(walk, samples, seed, cap, horizon, target=None):
     gathers, a searchsorted letter pick and a full-row compare with the
     target."""
     rng = np.random.default_rng(seed)
-    letters, cum = _letters_and_cum(walk)
+    cum = _step_cum(walk)
     words = np.zeros((samples, cap), dtype=np.int8)
     lens = np.zeros(samples, dtype=np.int64)
     active = np.ones(samples, dtype=bool)
@@ -400,10 +406,10 @@ def _reference_walks(walk, samples, seed, cap, horizon, target=None):
         if idx.size == 0:
             break
         draws = rng.random(idx.size)
-        chosen = letters[np.searchsorted(cum, draws, side="right")]
+        chosen = np.searchsorted(cum, draws, side="right").astype(np.int8)
         l = lens[idx]
         last = words[idx, np.maximum(l - 1, 0)]
-        cancel = (l > 0) & (chosen == -last)
+        cancel = (l > 0) & (chosen == last ^ 1)
         shrink = idx[cancel]
         lens[shrink] -= 1
         grow = idx[~cancel]
@@ -435,7 +441,7 @@ def walk_batches(draw):
     letters = canonical_letters(k)
     target = []
     for _ in range(draw(st.integers(0, 5))):
-        target.append(draw(st.sampled_from([s for s in letters if not target or s != -target[-1]])))
+        target.append(draw(st.sampled_from([s for s in letters if not target or s != target[-1] ^ 1])))
     cap = len(target) + draw(st.integers(1, 8))
     samples = draw(st.integers(1, 300))
     horizon = draw(st.integers(1, 60))
@@ -449,10 +455,10 @@ ASYMMETRIC_3 = WalkSpec.from_generator_probs([Fraction(1, 8), Fraction(1, 6), Fr
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(walk_batches())
 @example((ASYMMETRIC_3, 1, 4, 20, 10_000, None))  # one sample
-@example((ASYMMETRIC_3, 1, 4, 41, 10_000, np.array([1, -2], dtype=np.int8)))
+@example((ASYMMETRIC_3, 1, 4, 41, 10_000, np.array(W("aB").letters, dtype=np.int8)))
 @example((ASYMMETRIC_3, 200, 9, 1, 10_000, None))  # cap = 1: every trajectory stops at its first step
 @example((ASYMMETRIC_3, 500, 3, 4, 6, None))  # horizon too short: undecided trajectories stay
-@example((ASYMMETRIC_3, 500, 3, 41, 3, np.array([3], dtype=np.int8)))
+@example((ASYMMETRIC_3, 500, 3, 41, 3, np.array(W("c").letters, dtype=np.int8)))
 def test_walk_kernel_matches_reference(batch):
     walk, samples, seed, cap, horizon, target = batch
     _assert_same_walks(
@@ -461,7 +467,7 @@ def test_walk_kernel_matches_reference(batch):
     )
 
 
-@pytest.mark.parametrize("cap, horizon, target", [(4, 6, None), (41, 3, (3,))])
+@pytest.mark.parametrize("cap, horizon, target", [(4, 6, None), (41, 3, W("c").letters)])
 def test_walk_kernel_reports_undecided(cap, horizon, target):
     target = None if target is None else np.array(target, dtype=np.int8)
     got = _run_walks(ASYMMETRIC_3, 500, 3, cap, horizon, target)

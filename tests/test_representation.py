@@ -22,6 +22,7 @@ from freeboundary import (
     normalized_coefficient,
     ps_measure,
 )
+from freeboundary.words import canonical_letters
 
 W = ReducedWord.from_str
 
@@ -35,7 +36,7 @@ def closed_form_xi(n: int) -> QSqrt:
 def random_word(rng, lo, hi):
     out = []
     for _ in range(rng.randrange(lo, hi + 1)):
-        options = [s for s in (1, -1, 2, -2) if not out or s != -out[-1]]
+        options = [s for s in canonical_letters(2) if not out or s != out[-1] ^ 1]
         out.append(rng.choice(options))
     return ReducedWord(tuple(out), _reduced=True)
 
@@ -83,7 +84,7 @@ def test_apply_pi_constant_values(word_mu, one):
     image = apply_pi(W("a"), one, word_mu)
     root3 = QSqrt.root_power(1, 3)
     for cyl, val in image.cells:
-        if cyl.stem[:1] == (1,):
+        if cyl.stem[:1] == W("a").letters:
             assert val == root3
         else:
             assert val == QSqrt.root_power(-1, 3)
@@ -203,12 +204,12 @@ def test_lipschitz_gap(word_mu, one, ind_a):
         assert lipschitz_gap(g, one, one, word_mu) == 0
     D = math.log(3)
     for n in (2, 5, 9, 12):
-        g = ReducedWord((2,) * n, _reduced=True)
+        g = W("b" * n)
         gap = lipschitz_gap(g, ind_a, ind_a, word_mu)
         assert gap <= 2.0 * (1 + n) ** (-1 / D)
     # a case with a genuinely nonzero gap, still within the decay bound
     for n in (3, 6, 12):
-        g = ReducedWord((1,) + (2,) * (n - 1), _reduced=True)  # a b^(n-1)
+        g = W("a" + "b" * (n - 1))
         gap = lipschitz_gap(g, ind_a, ind_a, word_mu)
         assert 0 < gap <= 2.0 * (1 + n) ** (-1 / D)
 

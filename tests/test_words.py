@@ -20,7 +20,15 @@ from freeboundary import (
     sphere_size,
     translation_length,
 )
-from freeboundary.words import canonical_letters, letter_key, reduce_letters
+from freeboundary.words import (
+    canonical_letters,
+    check_rank,
+    invert_letters,
+    letter_from_str,
+    letter_to_str,
+    multiply_letters,
+    reduce_letters,
+)
 
 W = ReducedWord.from_str
 WORD = MetricSpec.word(2)
@@ -31,7 +39,7 @@ def random_word(rng, max_len):
     letters = canonical_letters(2)
     out = []
     for _ in range(rng.randrange(max_len + 1)):
-        options = [s for s in letters if not out or s != -out[-1]]
+        options = [s for s in letters if not out or s != out[-1] ^ 1]
         out.append(rng.choice(options))
     return ReducedWord(tuple(out), _reduced=True)
 
@@ -42,9 +50,82 @@ def brute_words_up_to(max_len):
     out = [()]
     for n in range(1, max_len + 1):
         for raw in itertools.product(letters, repeat=n):
-            if all(raw[i] != -raw[i + 1] for i in range(n - 1)):
+            if all(raw[i] != raw[i + 1] ^ 1 for i in range(n - 1)):
                 out.append(raw)
     return out
+
+
+def _signed_letters(k):
+    """Code -> the letter's former signed form: +i for a_i, -i for its inverse."""
+    return {2 * (i - 1) + inverse: -i if inverse else i for i in range(1, k + 1) for inverse in (0, 1)}
+
+
+def _signed_reduce(seq):
+    out = []
+    for s in seq:
+        if out and out[-1] == -s:
+            out.pop()
+        else:
+            out.append(s)
+    return tuple(out)
+
+
+@st.composite
+def coded_words(draw):
+    """(k, reduced words of codes) at ranks 2..5."""
+    k = draw(st.integers(2, 5))
+    word = st.lists(st.integers(0, 2 * k - 1), max_size=6).map(reduce_letters)
+    return k, draw(st.lists(word, min_size=1, max_size=8))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(coded_words())
+def test_letter_codes_match_signed_letters(case):
+    """Mapped back to signed letters, the codes keep the canonical order
+    (|s|, sign), invert by c ^ 1 and multiply as signed words do."""
+    k, words = case
+    signed = _signed_letters(k)
+
+    def old(w):
+        return tuple(signed[c] for c in w)
+
+    assert sorted(signed) == list(canonical_letters(k))
+    assert all(signed[c ^ 1] == -signed[c] for c in signed)
+    assert sorted(words) == sorted(words, key=lambda w: [(abs(s), s < 0) for s in old(w)])
+    for u in words:
+        assert old(invert_letters(u)) == tuple(-s for s in reversed(old(u)))
+        for v in words:
+            assert old(multiply_letters(u, v)) == _signed_reduce(old(u) + old(v))
+            assert old(reduce_letters(u + v)) == _signed_reduce(old(u + v))
+
+
+def test_letter_text_round_trips_to_rank_26():
+    signed = _signed_letters(26)
+    for c, s in signed.items():
+        text = chr(ord("a") + abs(s) - 1)
+        assert letter_to_str(c) == (text if s > 0 else text.upper())
+        assert letter_from_str(letter_to_str(c)) == c
+    for bad in ("1", "_", "é"):
+        with pytest.raises(ValueError, match="invalid letter"):
+            letter_from_str(bad)
+
+
+def test_letter_tuples_hash_apart():
+    # signed letters hash -1 and -2 alike: 11,235 distinct hashes on this sphere
+    words = [g.letters for g in enumerate_sphere(9, WORD)]
+    assert len({hash(w) for w in words}) == len(words) == 26_244
+
+
+def test_old_signed_letters_are_refused():
+    check_rank((0, 1, 2, 3), 2)
+    with pytest.raises(ValueError, match="letter 'c' is outside rank 2"):
+        check_rank((0, 4), 2)
+    with pytest.raises(ValueError, match="letter -1 is outside rank 2"):
+        check_rank((0, -1), 2)
+    with pytest.raises(ValueError, match="letter -2 is negative"):
+        ReducedWord((1, -2))
+    assert ReducedWord((0, 2, 3, 1)) == ReducedWord(())
+    assert ReducedWord((1, 2), _reduced=True).letters == (1, 2)
 
 
 def test_multiply_examples():
@@ -131,8 +212,7 @@ def test_sphere_matches_brute_force():
 def test_enumeration_canonical_order():
     for n in (2, 3):
         seq = [g.letters for g in enumerate_sphere(n, WORD)]
-        keys = [tuple(letter_key(s) for s in w) for w in seq]
-        assert keys == sorted(keys)
+        assert seq == sorted(seq)
         assert len(set(seq)) == len(seq)
 
 
@@ -158,7 +238,7 @@ DEFAULT_H = [GroupContext(m).h for m in ORACLE_METRICS]  # floats: R - h rounds
 def fraction_annulus(R, h, m):
     """The annulus [R-h, R+h] by Fraction sums of the letter lengths,
     bounds computed as given, in canonical order (a prefix first, then by
-    letter_key)."""
+    letter code)."""
     lo, hi = R - h, R + h
     found, frontier = [], [()]
     while frontier:
@@ -169,9 +249,9 @@ def fraction_annulus(R, h, m):
                 continue
             if lo <= length:
                 found.append(w)
-            deeper.extend(w + (s,) for s in canonical_letters(m.k) if not w or s != -w[-1])
+            deeper.extend(w + (s,) for s in canonical_letters(m.k) if not w or s != w[-1] ^ 1)
         frontier = deeper
-    return sorted(found, key=lambda w: [letter_key(s) for s in w])
+    return sorted(found)
 
 
 @st.composite

@@ -27,10 +27,11 @@ from .boundary import Cylinder, CylinderRectangle, shadow_cut, shadow_stems
 from .measures import BoundaryMeasure
 from .representation import (
     StepFunction,
-    harish_chandra,
+    _quotient,
+    coefficient_sum,
     inner_product,
-    matrix_coefficient,
     norm_sq,
+    normalized_coefficient,
 )
 from .scalars import as_float, exact_str
 from .words import (
@@ -687,8 +688,9 @@ def phi_r_pairs(
 
     Summed over the weights' coefficient classes at the depth of the
     vectors and of the boundary parts of f1 and f2; on the word metric the
-    value is exact in Q(sqrt(omega)).  Interior perturbations are then
-    added as corrections at the finitely many group elements they touch.
+    value is an exact rational, as every normalized coefficient is.
+    Interior perturbations are then added as corrections at the finitely
+    many group elements they touch.
     """
     _check_ranks(weights.ctx.k, [f1.boundary, f2.boundary, *(x for vw in pairs for x in vw)])
     d = max(
@@ -701,8 +703,7 @@ def phi_r_pairs(
     out: List[List[object]] = [[mu.zero for _ in pairs] for _ in pairs]
 
     def add(g: ReducedWord, factor) -> None:
-        xi = harish_chandra(g, mu)
-        ncs = [matrix_coefficient(g, v, w, mu) / xi for v, w in pairs]
+        ncs = [normalized_coefficient(g, v, w, mu) for v, w in pairs]
         for i in range(len(pairs)):
             row = out[i]
             for j in range(len(pairs)):
@@ -890,11 +891,12 @@ def sphere_sum_sq(v: StepFunction, w: StepFunction, n: int, ctx: GroupContext):
     if ctx.metric.kind != "word":
         raise ValueError("sphere sums require the word metric")
     _check_ranks(ctx.k, [v, w])
-    total = ctx.mu.zero
+    total = 0
     for c, rep in sphere_class_table(n, max(1, v.depth(), w.depth()), ctx.k):
-        coef = matrix_coefficient(rep, v, w, ctx.mu)
-        total = total + c * (coef * coef)
-    return total
+        _, s, den = coefficient_sum(rep, v, w, ctx.mu)
+        total = total + c * s * s
+    # every coefficient on S_n is q^(-n/2) s / den, with one den for all of them
+    return _quotient(total, den * den * ctx.mu.omega**n)
 
 
 def _rd_ratio(total, n: int, scale: float) -> float:

@@ -399,6 +399,15 @@ class Cache:
         os.replace(tmp, path)
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MB (ru_maxrss is
+    in KiB on Linux and in bytes on macOS)."""
+    import resource
+
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(rss / (1 << 20 if sys.platform == "darwin" else 1 << 10), 3)
+
+
 class Emitter:
     """Collects output files, timings and cache stats into a manifest."""
 
@@ -459,6 +468,7 @@ class Emitter:
             "files": self.files,
             "flags": self.flags,
             "exit_code": exit_code,
+            "peak_rss_mb": _peak_rss_mb(),
         }
         (self.out / "run_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -921,7 +931,10 @@ COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps
+    no state between calls."""
     parser = argparse.ArgumentParser(
         prog="freeboundary",
         description="Exact boundary-representation experiments on free groups.",

@@ -8,18 +8,25 @@ half-integer power of the growth rate, so word-metric coefficients live
 in Q(sqrt(omega)).
 
 Coefficients never build pi(g)v.  The weight rn(g,xi)^(1/2) is
-omega^(-|g|/2) * e_t, where e_t = omega^|g[:t]| and t is the number of
-letters xi shares with g, so it is constant on the level cells along the
-geodesic to g.  ``matrix_coefficient`` therefore integrates from a prefix
-table of g (masses, weights and tail integrals of the cylinders C_{g[:j]})
-over the pairs of cells of v and w, in O(|g| + cells(v)*cells(w)*depth)
-steps with one QSqrt multiply at the end.  ``apply_pi`` builds pi(g)v
-explicitly, as the common refinement of depth at most |g| + depth(v) + 1,
-and with ``inner_product`` is the reference the kernel is tested against.
+omega^(-L/2) * e_t, where L = |g|, e_t = omega^|g[:t]| and t is the
+number of letters xi shares with g, so e_t is constant on the level cells
+along the geodesic to g.  ``coefficient_sum`` integrates e_t from the
+measure's table along g over the pairs of cells of v and w, in
+O(|g| + cells(v)*cells(w)*depth) steps, and returns S with
+<pi(g)v, w> = omega^(-L/2) S.  On the word metric the table holds
+integers over D = 2k q^M and each vector its integer numerators over one
+denominator, so S is an int over one denominator.  The half-density
+factor stays apart: ``matrix_coefficient`` multiplies it in once, as one
+QSqrt; it cancels in the normalized coefficients, whose Xi(g) carries it
+too, and squares to the rational q^(-n) in the sphere sums, so neither
+builds a QSqrt.  ``apply_pi`` builds pi(g)v explicitly, as the common
+refinement of depth at most |g| + depth(v) + 1, and with
+``inner_product`` is the reference the kernel is tested against.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator, List, Sequence, Tuple, Union
 
@@ -35,11 +42,12 @@ class StepFunction:
     """Finitely-valued boundary function over a disjoint cylinder cover.
     Constructors refuse letters outside rank k; validate=False skips all checks."""
 
-    __slots__ = ("cells", "k")
+    __slots__ = ("cells", "k", "_integer_terms")
 
     def __init__(self, cells: Sequence[Tuple[Cylinder, Value]], k: int, *, validate: bool = True):
         self.cells = tuple(cells)
         self.k = k
+        self._integer_terms = None
         if validate:
             for c, _ in self.cells:
                 check_rank(c.stem, k)
@@ -88,6 +96,23 @@ class StepFunction:
 
     def depth(self) -> int:
         return max((len(c.stem) for c, _ in self.cells), default=0)
+
+    def terms(self, exact: bool) -> Tuple[int, Tuple[Tuple[Letters, Value], ...]]:
+        """(den, ((stem, value), ...)) over the nonzero cells, for the
+        coefficient kernel.  With ``exact`` and rational values, den is
+        their least common denominator and each value its integer
+        numerator den * value, filled on the first call and kept; otherwise
+        den = 1 and the values are as given."""
+        if not exact:
+            return 1, tuple((c.stem, val) for c, val in self.cells if val)
+        if self._integer_terms is None:
+            if all(isinstance(val, (int, Fraction)) for _, val in self.cells):
+                den = math.lcm(*(val.denominator for _, val in self.cells))
+                cells = tuple((c.stem, val.numerator * (den // val.denominator)) for c, val in self.cells if val)
+                self._integer_terms = den, cells
+            else:
+                self._integer_terms = self.terms(False)
+        return self._integer_terms
 
     def value_at(self, xi: BoundaryPoint) -> Value:
         for c, v in self.cells:
@@ -154,46 +179,38 @@ def apply_pi(g: ReducedWord, v: StepFunction, mu: BoundaryMeasure) -> StepFuncti
     return StepFunction([(c, val * factor) for c, val, factor in _refine(translated, levels)], k, validate=False)
 
 
-def matrix_coefficient(g: ReducedWord, v: StepFunction, w: StepFunction, mu: BoundaryMeasure) -> Value:
-    """<pi(g) v, w>; conjugate-symmetric in (g, v, w) <-> (g^-1, w, v).
+def coefficient_sum(
+    g: ReducedWord, v: StepFunction, w: StepFunction, mu: BoundaryMeasure
+) -> Tuple[object, Value, int]:
+    """(L, N, den) with <pi(g) v, w> = omega^(-L/2) * N / den, L = |g| in the metric.
 
-    With m_j = mu(C_{g[:j]}), e_j = omega^|g[:j]| and the tail integrals
-    T_j = int_{C_{g[:j]}} e_t dmu (T_n = e_n m_n, T_j = e_j (m_j - m_{j+1})
-    + T_{j+1}), a cylinder C_c integrates e_t to K(c) = T_|c| when c is a
-    prefix of g and to e_t mu(C_c) otherwise, t = common prefix of c and g
-    (the mass walk resumes from m_t).
-    g C_a is C_u or the complement of C_u (``cylinder_image``), so each
-    cell pair contributes K(b), K(u), K(b) - K(u) or nothing.  The sum is
-    rational on the exact backend; omega^(-|g|/2) multiplies it once.
+    With e_t = omega^|g[:t]| for the points that leave g after t letters,
+    a cylinder C_c integrates e_t to K(c): the tail integral T_|c| of the
+    measure's geodesic table when c is a prefix of g, and its off-geodesic
+    integral otherwise.  g C_a is C_u or the complement of C_u
+    (``cylinder_image``), so each cell pair contributes K(b), K(u),
+    K(b) - K(u) or nothing.  On the word metric the table holds integers
+    over D = 2k q^M, M = |g| + depth(v) + depth(w), and the vectors their
+    integer numerators over their own denominators, so N is an int and
+    den = D den(v) den(w) depends only on |g| and the vectors; other
+    measures sum floats with den = 1.
     """
     gl = g.letters
-    n = len(gl)
-    m = mu.metric
-    masses = mu.prefix_masses(gl)
-    lengths = [0]
-    for s in gl:
-        lengths.append(lengths[-1] + m.letter_length(s))
-    weights = [mu.rn_exponent_value(length) for length in lengths]
-    tails = [None] * n + [weights[n] * masses[n]]
-    for j in range(n - 1, -1, -1):
-        tails[j] = weights[j] * (masses[j] - masses[j + 1]) + tails[j + 1]
-
+    length, scale, tails, off = mu.geodesic_integrals(gl, len(gl) + v.depth() + w.depth())
+    v_den, v_cells = v.terms(mu.exact)
+    w_den, w_cells = w.terms(mu.exact)
     integrals = {}
 
     def cell(c: Letters):
         value = integrals.get(c)
         if value is None:
             t = common_prefix_letters(gl, c)
-            value = tails[t] if t == len(c) else weights[t] * mu.prefix_masses(c, t, masses[t])[-1]
-            integrals[c] = value
+            value = integrals[c] = tails[t] if t == len(c) else off(c, t)
         return value
 
-    w_cells = [(b.stem, beta) for b, beta in w.cells if beta]
-    total: Value = mu.zero
-    for a, alpha in v.cells:
-        if not alpha:
-            continue
-        u, complemented = cylinder_image(gl, a.stem)
+    total = 0
+    for a, alpha in v_cells:
+        u, complemented = cylinder_image(gl, a)
         for b, beta in w_cells:
             if b[: len(u)] == u:  # C_b inside C_u
                 if complemented:
@@ -206,21 +223,35 @@ def matrix_coefficient(g: ReducedWord, v: StepFunction, w: StepFunction, mu: Bou
             else:
                 continue
             total = total + alpha * beta * part
-    return mu.sqrt_rn_factor(-lengths[n]) * total
+    return length, total, scale * v_den * w_den
+
+
+def _quotient(num, den):
+    """num / den, as a Fraction when both are ints."""
+    return Fraction(num, den) if type(num) is int and type(den) is int else num / den
+
+
+def matrix_coefficient(g: ReducedWord, v: StepFunction, w: StepFunction, mu: BoundaryMeasure) -> Value:
+    """<pi(g) v, w>; conjugate-symmetric in (g, v, w) <-> (g^-1, w, v).
+
+    ``coefficient_sum`` gives N / den, rational on the exact backend;
+    the half-density factor omega^(-L/2) multiplies it once, so on the
+    word metric the result is the one QSqrt q^(-|g|/2) N / den.
+    """
+    length, total, den = coefficient_sum(g, v, w, mu)
+    return mu.sqrt_rn_factor(-length) * _quotient(total, den)
 
 
 def harish_chandra(g: ReducedWord, mu: BoundaryMeasure) -> Value:
-    """Xi(g) = <pi(g) 1, 1>.
+    """Xi(g) = <pi(g) 1, 1> = omega^(-L/2) T_0 / D, the root entry of the
+    measure's geodesic table.
 
-    On the word metric Xi is Haagerup's spherical function of n = |g|,
-    q^(-n/2) (1 + n (q-1)/(q+1)) with q = 2k - 1; other metrics integrate
-    with the coefficient kernel.
+    On the word metric T_0 / D = 1 + n (q-1)/(q+1) with n = |g| and
+    q = 2k - 1, so Xi is Haagerup's spherical function
+    q^(-n/2) (1 + n (q-1)/(q+1)).
     """
-    if mu.metric.kind == "word":
-        n, q = len(g), 2 * mu.k - 1
-        return QSqrt.root_power(-n, q) * (1 + Fraction(n * (q - 1), q + 1))
-    one = StepFunction.constant(mu.one, mu.k)
-    return matrix_coefficient(g, one, one, mu)
+    length, scale, tails, _ = mu.geodesic_integrals(g.letters, len(g))
+    return mu.sqrt_rn_factor(-length) * _quotient(tails[0], scale)
 
 
 def harish_chandra_length(n: int, mu: BoundaryMeasure) -> Value:
@@ -232,8 +263,15 @@ def harish_chandra_length(n: int, mu: BoundaryMeasure) -> Value:
 
 
 def normalized_coefficient(g: ReducedWord, v: StepFunction, w: StepFunction, mu: BoundaryMeasure) -> Value:
-    """<pi~(g) v, w> = <pi(g) v, w> / Xi(g); Xi > 0 always."""
-    return matrix_coefficient(g, v, w, mu) / harish_chandra(g, mu)
+    """<pi~(g) v, w> = <pi(g) v, w> / Xi(g); Xi > 0 always.
+
+    Xi(g) = omega^(-L/2) T_0 / D carries the same half-density factor as
+    <pi(g) v, w> = omega^(-L/2) N / den, so the factor cancels and the
+    quotient N D / (den T_0) is rational on the word metric: no QSqrt.
+    """
+    _, xi_den, tails, _ = mu.geodesic_integrals(g.letters, len(g))
+    _, total, den = coefficient_sum(g, v, w, mu)
+    return _quotient(total * xi_den, den * tails[0])
 
 
 def lipschitz_gap(g: ReducedWord, v: StepFunction, w: StepFunction, mu: BoundaryMeasure) -> float:

@@ -37,7 +37,7 @@ def letter_to_str(c: Letter) -> str:
 
 
 def letter_from_str(s: str) -> Letter:
-    i = ord(s.lower()) - ord("a")
+    i = ord(s.lower()) - ord("a") if len(s) == 1 else -1
     if not (0 <= i < 26) or not s.isalpha():
         raise ValueError(f"invalid letter {s!r}")
     return 2 * i + s.isupper()

@@ -279,6 +279,30 @@ def test_manifest_digests_match(tmp_path):
         assert hashlib.sha256(data).hexdigest() == entry["sha256"]
 
 
+def test_manifest_records_peak_rss(tmp_path):
+    cfg = write_config(tmp_path, "c.json", BASE)
+    out = tmp_path / "m"
+    assert main(["xi", "--config", str(cfg), "--out", str(out)]) == 0
+    rss = json.loads((out / "run_manifest.json").read_text())["peak_rss_mb"]
+    assert isinstance(rss, float) and rss > 0
+
+
+def test_back_to_back_runs_parse_their_own_arguments(tmp_path, capsys):
+    # the parser is built once per process; each call still sees only its own flags
+    orth = write_config(tmp_path, "orth.json", {**BASE, "grid": [6], "weights": "shadow"})
+    assert main(["orth", "--config", str(orth), "--out", str(tmp_path / "a"), "--budget", "10"]) == 3
+    assert main(["orth", "--config", str(orth), "--out", str(tmp_path / "b")]) in (0, 2)  # default budget again
+    cfg = write_config(tmp_path, "c.json", {**BASE, "grid": [1, 2]})
+    assert main(["xi", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+    assert main(["spec", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+    manifests = [json.loads((tmp_path / d / "run_manifest.json").read_text()) for d in "abcd"]
+    assert [m["subcommand"] for m in manifests] == ["orth", "orth", "xi", "spec"]
+    assert {f["path"] for f in manifests[3]["files"]} == {"markov.csv", "spec_summary.json"}
+    with pytest.raises(SystemExit):
+        main(["xi", "--out", str(tmp_path / "e")])  # --config is still required
+    assert "--config" in capsys.readouterr().err
+
+
 def test_unknown_config_keys_and_schema_version_rejected(tmp_path, capsys):
     typo = write_config(tmp_path, "t.json", {**BASE, "tolerence": 0.01})
     assert main(["spec", "--config", str(typo), "--out", str(tmp_path / "t")]) == 1

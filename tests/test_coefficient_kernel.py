@@ -2,7 +2,9 @@
 
 ``matrix_coefficient`` never builds pi(g)v; ``inner_product(apply_pi(g, v,
 mu), w, mu)`` does, and is the oracle: exact and of the same type on the
-word metric, within 1e-12 on float backends.
+word metric, within 1e-12 on float backends.  ``phi_r_pairs`` and
+``sphere_sum_sq`` sum integer numerators and never build a QSqrt; their
+oracles, ``_reference_*``, multiply and divide the QSqrt coefficients.
 """
 
 from fractions import Fraction
@@ -25,8 +27,17 @@ from freeboundary import (
     matrix_coefficient,
     ps_measure,
 )
+from freeboundary.asymptotics import (
+    TestFunction,
+    build_partition_weights,
+    phi_r_pairs,
+    sphere_class_table,
+    sphere_sum_sq,
+    sphere_weights,
+)
 from freeboundary.boundary import allowed_children
-from freeboundary.words import enumerate_annulus
+from freeboundary.representation import harish_chandra, normalized_coefficient
+from freeboundary.words import enumerate_annulus, hat_projection
 
 FLOAT_TOL = 1e-12
 VALUES = [Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(5, 7), Fraction(0)]
@@ -78,10 +89,14 @@ def test_every_short_word_exact(k, radius):
         assert_exact_match(g, v, w, mu)
 
 
+RATIONALS = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=12))
+
+
 @st.composite
-def step_vectors(draw, k: int, max_depth: int):
+def step_vectors(draw, k: int, max_depth: int, values=st.sampled_from(VALUES)):
     """A random disjoint cylinder cover of depth <= max_depth with values
-    from VALUES (zeros included); an unsplit root is the constant vector."""
+    drawn from ``values`` (VALUES, zeros included, by default); an
+    unsplit root is the constant vector."""
     cells = []
 
     def grow(stem):
@@ -89,7 +104,7 @@ def step_vectors(draw, k: int, max_depth: int):
             for s in allowed_children(stem, k):
                 grow(stem + (s,))
         else:
-            cells.append((Cylinder(stem), draw(st.sampled_from(VALUES))))
+            cells.append((Cylinder(stem), draw(values)))
 
     grow(())
     return StepFunction(cells, k)
@@ -140,6 +155,112 @@ def test_float_metrics_close(data, kind):
     v = data.draw(step_vectors(2, 3))
     w = data.draw(step_vectors(2, 3))
     assert_close(g, v, w, mu)
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(data=st.data(), k=st.sampled_from([2, 3]))
+def test_rational_vectors_exact(data, k):
+    g = data.draw(reduced_words(k, 6))
+    v = data.draw(step_vectors(k, 3, RATIONALS))
+    w = data.draw(step_vectors(k, 3, RATIONALS))
+    assert_exact_match(g, v, w, WORD_MU[k])
+
+
+def _reference_sphere_sum_sq(v, w, n, ctx):
+    """sum over S_n of <pi(g)v, w>^2 with QSqrt coefficients, one per class."""
+    total = ctx.mu.zero
+    for c, rep in sphere_class_table(n, max(1, v.depth(), w.depth()), ctx.k):
+        coef = matrix_coefficient(rep, v, w, ctx.mu)
+        total = total + c * (coef * coef)
+    return total
+
+
+def _reference_phi_r_pairs(f1, f2, pairs, weights):
+    """Phi_R for every slot combination, each normalized coefficient the
+    quotient matrix_coefficient / harish_chandra of two QSqrts (or floats)."""
+    d = max(1, f1.depth(), f2.depth(), max(max(v.depth(), w.depth()) for v, w in pairs))
+    mu = weights.ctx.mu
+    out = [[mu.zero for _ in pairs] for _ in pairs]
+
+    def add(g, factor):
+        xi = harish_chandra(g, mu)
+        ncs = [matrix_coefficient(g, v, w, mu) / xi for v, w in pairs]
+        for i in range(len(pairs)):
+            for j in range(len(pairs)):
+                out[i][j] = out[i][j] + factor * ncs[i] * ncs[j]
+
+    for entry in weights.class_entries(d):
+        g = entry.rep
+        add(g, entry.mass * f1.boundary.value_at(hat_projection(g)) * f2.boundary.value_at(hat_projection(~g)))
+    for g0 in set(f1.interior) | {~g for g in f2.interior}:
+        mass = weights.mass_of(g0)
+        if mass:
+            base = f1.boundary.value_at(hat_projection(g0)) * f2.boundary.value_at(hat_projection(~g0))
+            add(g0, mass * (f1.value_at_group(g0) * f2.value_at_group(~g0) - base))
+    return out
+
+
+WORD_CTX = {k: GroupContext(MetricSpec.word(k)) for k in (2, 3)}
+
+
+@settings(max_examples=20, **SETTINGS)
+@given(data=st.data(), k=st.sampled_from([2, 3]))
+def test_sphere_sum_sq_matches_the_qsqrt_sum(data, k):
+    n = data.draw(st.integers(0, {2: 8, 3: 4}[k]))
+    v = data.draw(step_vectors(k, 3, RATIONALS))
+    w = data.draw(step_vectors(k, 3, RATIONALS))
+    assert sphere_sum_sq(v, w, n, WORD_CTX[k]) == _reference_sphere_sum_sq(v, w, n, WORD_CTX[k])
+
+
+@st.composite
+def orth_functions(draw, k: int, radius: int):
+    """A test function with a random boundary part of depth <= 2 and
+    interior terms on up to two words of length radius (inside the
+    support of both weight kinds) and one shorter word."""
+    boundary = draw(step_vectors(k, 2, RATIONALS))
+    words = [draw(reduced_words(k, radius)) for _ in range(draw(st.integers(0, 3)))]
+    words = [g for g in words if len(g) == radius][:2] + words[:1]
+    return TestFunction(boundary, {g: draw(RATIONALS) for g in words})
+
+
+def _weights(kind, radius, ctx):
+    return sphere_weights(radius, ctx) if kind == "sphere" else build_partition_weights(radius, ctx)
+
+
+@settings(max_examples=20, **SETTINGS)
+@given(data=st.data(), k=st.sampled_from([2, 3]), kind=st.sampled_from(["sphere", "shadow"]))
+def test_phi_r_pairs_matches_the_qsqrt_quotients(data, k, kind):
+    radius = data.draw(st.integers(1, {2: 8, 3: 5}[k]))
+    f1, f2 = data.draw(orth_functions(k, radius)), data.draw(orth_functions(k, radius))
+    pairs = [(data.draw(step_vectors(k, 2, RATIONALS)), data.draw(step_vectors(k, 2, RATIONALS))) for _ in range(2)]
+    weights = _weights(kind, radius, WORD_CTX[k])
+    assert phi_r_pairs(f1, f2, pairs, weights) == _reference_phi_r_pairs(f1, f2, pairs, weights)
+
+
+@settings(max_examples=15, **SETTINGS)
+@given(data=st.data())
+def test_phi_r_pairs_on_a_weighted_metric_is_the_quotient_within_tolerance(data):
+    ctx = GroupContext(MetricSpec.weighted(2, [1, 2]))  # shadows cover its annuli from R = 6 on
+    radius = data.draw(st.integers(6, 7))
+    f1, f2 = data.draw(orth_functions(2, radius)), data.draw(orth_functions(2, radius))
+    pairs = [(data.draw(step_vectors(2, 2, RATIONALS)), data.draw(step_vectors(2, 2, RATIONALS))) for _ in range(2)]
+    weights = build_partition_weights(radius, ctx)
+    got, want = phi_r_pairs(f1, f2, pairs, weights), _reference_phi_r_pairs(f1, f2, pairs, weights)
+    for got_row, want_row in zip(got, want):
+        for x, y in zip(got_row, want_row):
+            assert isinstance(x, float) and abs(x - y) <= FLOAT_TOL * max(1.0, abs(y)), (x, y)
+
+
+@settings(max_examples=30, **SETTINGS)
+@given(data=st.data(), kind=st.sampled_from(sorted(FLOAT_MU)))
+def test_float_normalized_coefficients_close(data, kind):
+    mu = FLOAT_MU[kind]
+    g = data.draw(reduced_words(2, 12))
+    v = data.draw(step_vectors(2, 3, RATIONALS))
+    w = data.draw(step_vectors(2, 3, RATIONALS))
+    got = normalized_coefficient(g, v, w, mu)
+    want = matrix_coefficient(g, v, w, mu) / harish_chandra(g, mu)
+    assert isinstance(got, float) and abs(got - want) <= FLOAT_TOL * max(1.0, abs(want)), (got, want)
 
 
 @pytest.mark.parametrize("base", [3, 5, 9])

@@ -110,6 +110,12 @@ def test_letter_text_round_trips_to_rank_26():
             letter_from_str(bad)
 
 
+@pytest.mark.parametrize("text", ["ab", "", "aB", "1a"])
+def test_letter_from_str_refuses_text_that_is_not_one_letter(text):
+    with pytest.raises(ValueError, match=f"invalid letter {text!r}"):
+        letter_from_str(text)
+
+
 def test_letter_tuples_hash_apart():
     # signed letters hash -1 and -2 alike: 11,235 distinct hashes on this sphere
     words = [g.letters for g in enumerate_sphere(9, WORD)]

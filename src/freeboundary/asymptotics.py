@@ -45,6 +45,7 @@ from .words import (
     check_rank,
     enumerate_annulus,
     hat_projection,
+    invert_letters,
     multiply_letters,
     sphere_size,
 )
@@ -178,11 +179,11 @@ def _resolution_depth(R, ctx: GroupContext) -> int:
 # -- weight families -------------------------------------------------------
 
 
-def _sum_by_key(items, zero) -> Dict:
-    """Masses summed per key, each sum taken in item order from zero."""
+def _sum_by_key(items) -> Dict:
+    """Masses summed per key, each sum taken in item order from 0."""
     out: Dict = {}
     for key, mass in items:
-        out[key] = out.get(key, zero) + mass
+        out[key] = out.get(key, 0) + mass
     return out
 
 
@@ -194,7 +195,7 @@ class WeightFamily:
     when ``stem = a``, mass |S_a|^-2 on the first word of each depth-a
     class.  Every other family carries its nonzero support as parallel
     lists of words and masses (Fractions for the word metric, floats
-    otherwise).  Consumers read the family through class_entries.
+    otherwise).  Consumers read it through class_entries or pair_table.
     """
 
     def __init__(
@@ -296,14 +297,28 @@ class WeightFamily:
         self._class_cache[d] = out
         return out
 
-    def pair_table(self, d1: int, d2: int) -> Dict[Tuple[Letters, Letters], object]:
-        """Aggregated mass per (hat(g) prefix of depth d1, check(g) prefix
-        of depth d2)."""
-        keyed = (
-            ((_hat_prefix(e.rep.letters, d1), _hat_prefix((~e.rep).letters, d2)), e.mass)
-            for e in self.class_entries(max(d1, d2, 1))
-        )
-        return _sum_by_key(keyed, self.ctx.mu.zero)
+    def pair_table(self, d1: int, d2: int) -> Tuple[Dict[Tuple[Letters, Letters], object], object]:
+        """(table, den): mass table[key] / den per (hat(g) prefix of depth
+        d1, check(g) prefix of depth d2).  Exact families give ints: 1 per
+        class of a stem partition's table at e = min(d, a) over |S_e|^2, a
+        sphere's class counts over |S_R|, other supports their masses over
+        the least common denominator.  Float masses are over 1."""
+        d = max(d1, d2, 1)
+        if self.words is None:
+            k = self.ctx.k
+            if self.stem is None:
+                den, classes = self.annulus_size, sphere_class_table(self.R, d, k)
+            else:
+                e = min(d, self.stem)
+                den, classes = sphere_size(e, k) ** 2, ((1, g) for _, g in sphere_class_table(self.R, e, k))
+            items = ((c, g.letters) for c, g in classes)
+        elif self.exact:
+            den = math.lcm(*(m.denominator for m in self.masses))
+            items = zip((m.numerator * (den // m.denominator) for m in self.masses), self.words)
+        else:
+            den, items = 1, zip(self.masses, self.words)
+        keyed = (((_hat_prefix(w, d1), _hat_prefix(invert_letters(w), d2)), c) for c, w in items)
+        return _sum_by_key(keyed), den
 
 
 def sphere_weights(n: int, ctx: GroupContext) -> WeightFamily:
@@ -554,11 +569,11 @@ class PairStepFunction:
 def equidistribution_pairing(F: PairStepFunction, weights: WeightFamily):
     """(sum_g w(g) F(hat g, check g), integral of F against mu x mu)."""
     d1, d2 = F.depths()
-    table = weights.pair_table(d1, d2)
+    table, den = weights.pair_table(d1, d2)
     lhs = weights.ctx.mu.zero
     for (p1, p2), mass in table.items():
         lhs = lhs + mass * F.value_at_prefixes(p1, p2)
-    return lhs, F.integral(weights.ctx.mu)
+    return lhs / den, F.integral(weights.ctx.mu)
 
 
 def equidistribution_error(F: PairStepFunction, weights: WeightFamily):
@@ -566,30 +581,33 @@ def equidistribution_error(F: PairStepFunction, weights: WeightFamily):
     return abs(lhs - rhs)
 
 
-def _cylinder_masses(mu: BoundaryMeasure, d: int) -> Dict[Letters, object]:
-    """mu(C_u) per stem u of depth d, in descending order of mass."""
+def _cylinder_masses(mu: BoundaryMeasure, d: int) -> Tuple[Dict[Letters, object], object]:
+    """(masses, den): mu(C_u) = masses[u] / den per stem u of depth d, in
+    descending order of mass; 1 over |S_d| each on the word metric."""
     stems = (w.letters for w in enumerate_annulus(d, 0, MetricSpec.word(mu.k)))
-    return dict(sorted(((u, mu.mass_letters(u)) for u in stems), key=lambda e: e[1], reverse=True))
+    if mu.exact:
+        return dict.fromkeys(stems, 1), sphere_size(d, mu.k)
+    return dict(sorted(((u, mu.mass_letters(u)) for u in stems), key=lambda e: e[1], reverse=True)), 1
 
 
-def _table_rectangle_error(table: Dict[Tuple[Letters, Letters], object], m1: Dict, m2: Dict, zero):
+def _table_rectangle_error(table: Dict[Tuple[Letters, Letters], object], den, m1: Tuple, m2: Tuple):
     """Max |W(C_u x C_v) - mu(C_u) mu(C_v)| over the rectangles with u in
     m1 and v in m2 (from _cylinder_masses), given the table of the nonzero
-    masses W(C_u x C_v).
+    masses W(C_u x C_v) over den (from pair_table): the max numerator over
+    den e1 e2, divided once (floats are over 1, so bit for bit).
 
     An absent rectangle has mass 0, so its error is mu(C_u) mu(C_v): in
     row u the largest is at the first absent v in m2's descending order,
     bit for bit, as x > 0 and a <= b give x*a <= x*b in floating point too.
     """
-    worst = zero
-    for (u, v), mass in table.items():
-        worst = max(worst, abs(mass - m1[u] * m2[v]))
-    if len(table) < len(m1) * len(m2):
-        for u, mass_u in m1.items():
-            v = next((v for v in m2 if (u, v) not in table), None)
+    (n1, e1), (n2, e2) = m1, m2
+    worst = max(abs(c * e1 * e2 - n1[u] * n2[v] * den) for (u, v), c in table.items())
+    if len(table) < len(n1) * len(n2):
+        for u, mass_u in n1.items():
+            v = next((v for v in n2 if (u, v) not in table), None)
             if v is not None:
-                worst = max(worst, mass_u * m2[v])
-    return worst
+                worst = max(worst, mass_u * n2[v] * den)
+    return _quotient(worst, den * e1 * e2)
 
 
 def max_rectangle_error(weights: WeightFamily, max_depth: int):
@@ -597,28 +615,39 @@ def max_rectangle_error(weights: WeightFamily, max_depth: int):
     (both factors range over depths 0..max_depth independently).
 
     Every (d1, d2) table is a marginal of the one depth-max_depth pair
-    table, summed in its stored order.
+    table, summed in its stored order.  A stem partition is exact at
+    depths <= a (see max_uniform_rectangle_error).
     """
-    table = weights.pair_table(max_depth, max_depth)
-    zero = weights.ctx.mu.zero
+    if weights.stem is not None and max_depth <= weights.stem:
+        return Fraction(0)
+    table, den = weights.pair_table(max_depth, max_depth)
     masses = [_cylinder_masses(weights.ctx.mu, d) for d in range(max_depth + 1)]
-    worst = zero
-    for d1 in range(max_depth + 1):
-        for d2 in range(max_depth + 1):
-            marginal = _sum_by_key((((p1[:d1], p2[:d2]), mass) for (p1, p2), mass in table.items()), zero)
-            worst = max(worst, _table_rectangle_error(marginal, masses[d1], masses[d2], zero))
-    return worst
+    return max(
+        _table_rectangle_error(
+            _sum_by_key(((p1[:d1], p2[:d2]), c) for (p1, p2), c in table.items()), den, masses[d1], masses[d2]
+        )
+        for d1 in range(max_depth + 1)
+        for d2 in range(max_depth + 1)
+    )
 
 
 def max_uniform_rectangle_error(weights: WeightFamily, depth: int):
     """Max equidistribution error over rectangles of exact depth x depth.
 
     Probing at depths finer than the shadow stems is what exposes a
-    nonzero error on the tree: at or below the stem depth the greedy
-    partition reproduces product masses exactly.
+    nonzero error on the tree.  A stem partition gives each pair (p, q)
+    of S_a x S_a mass |S_a|^-2 on one word g with p = g[:a] and
+    q = (g^-1)[:a].  At depths <= a a key holds exactly its product mass;
+    at depth D > a each pair is its own key, so the error is
+    |S_a|^-2 - |S_D|^-2, with no table built.
     """
+    a, k = weights.stem, weights.ctx.k
+    if a is not None:
+        past = Fraction(1, sphere_size(a, k) ** 2) - Fraction(1, sphere_size(depth, k) ** 2)
+        return past if depth > a else Fraction(0)
+    table, den = weights.pair_table(depth, depth)
     masses = _cylinder_masses(weights.ctx.mu, depth)
-    return _table_rectangle_error(weights.pair_table(depth, depth), masses, masses, weights.ctx.mu.zero)
+    return _table_rectangle_error(table, den, masses, masses)
 
 
 # -- test functions and the orthogonality functional -----------------------

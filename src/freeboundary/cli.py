@@ -30,6 +30,7 @@ from .asymptotics import (
     BudgetError,
     CoverError,
     OrthCase,
+    SweepReport,
     TestFunction,
     build_partition_weights,
     check_shadow_cover,
@@ -462,8 +463,8 @@ class Emitter:
             "config_hash": _digest(self.config.raw),
             "config_path": str(self.config.path),
             "package_version": __version__,
-            "wall_clock_s": round(time.monotonic() - self.t0, 3),
-            "stage_timings_s": {k: round(v, 3) for k, v in self.timings.items()},
+            "wall_clock_s": round(time.monotonic() - self.t0, 6),
+            "stage_timings_s": {k: round(v, 6) for k, v in self.timings.items()},
             "cache": {"hits": self.cache.hits, "misses": self.cache.misses},
             "files": self.files,
             "flags": self.flags,
@@ -597,6 +598,7 @@ def cmd_equidist(cfg: RunConfig, emit: Emitter) -> int:
     probe_errors = []
     t0 = time.monotonic()
     for R in cfg.grid:
+        t_R = time.monotonic()
         weights = build_partition_weights(R, ctx, budget=cfg.budget)
         err = max_rectangle_error(weights, cfg.depth)
         probe_depth = _resolution_depth(R, ctx) - 1
@@ -615,6 +617,7 @@ def cmd_equidist(cfg: RunConfig, emit: Emitter) -> int:
                 "max_mass_times_annulus": repr(as_float(weights.max_mass() * weights.annulus_size)),
             }
         )
+        emit.timings[f"equidist_R={R}"] = time.monotonic() - t_R
     emit.timings["equidist"] = time.monotonic() - t0
     final_err = float(rows[-1]["max_error"])
     exponent, r2, window = fit_decay(cfg.grid, probe_errors)
@@ -696,14 +699,23 @@ def cmd_orth(cfg: RunConfig, emit: Emitter) -> int:
     return 0 if passed else 2
 
 
-def cmd_rd(cfg: RunConfig, emit: Emitter) -> int:
+def _sphere_sum_sweep(cfg: RunConfig, emit: Emitter, name: str, sweep) -> SweepReport:
+    """rd_sweep or gvb_growth on the config's vectors and word-sphere radii,
+    timed as stage ``name``; other metrics are refused before any work."""
+    if cfg.metric.kind != "word":
+        raise ConfigError("metric.kind", "sphere sums are exact class sums only on the word metric")
     ctx = cfg.context()
     v = cfg.vector(cfg.v)
     w = cfg.vector(cfg.w)
     grid = cfg.sphere_radii()
     t0 = time.monotonic()
-    report = rd_sweep(v, w, grid, ctx)
-    emit.timings["rd"] = time.monotonic() - t0
+    report = sweep(v, w, grid, ctx)
+    emit.timings[name] = time.monotonic() - t0
+    return report
+
+
+def cmd_rd(cfg: RunConfig, emit: Emitter) -> int:
+    report = _sphere_sum_sweep(cfg, emit, "rd", rd_sweep)
     rows = [
         {"n": n, "ratio": repr(report.values[i]), "sum_sq_exact": report.values_exact[i]}
         for i, n in enumerate(report.grid)
@@ -712,7 +724,7 @@ def cmd_rd(cfg: RunConfig, emit: Emitter) -> int:
     emit.write_json("rd_summary.json", report.summary())
     emit.write_plot_script("rd", "rd.csv", "n", "ratio", logy=False)
     print(
-        f"r_n over n={grid[0]}..{grid[-1]}: sup {report.constants['sup_ratio']:.6f}, "
+        f"r_n over n={report.grid[0]}..{report.grid[-1]}: sup {report.constants['sup_ratio']:.6f}, "
         f"inf(n>=2) {report.constants['inf_ratio_n_ge_2']:.6f} -> {report.verdict}"
     )
     return 0 if report.passed else 2
@@ -757,13 +769,7 @@ def cmd_conv(cfg: RunConfig, emit: Emitter) -> int:
 
 
 def cmd_gvb(cfg: RunConfig, emit: Emitter) -> int:
-    ctx = cfg.context()
-    v = cfg.vector(cfg.v)
-    w = cfg.vector(cfg.w)
-    grid = cfg.sphere_radii()
-    t0 = time.monotonic()
-    report = gvb_growth(v, w, grid, ctx)
-    emit.timings["gvb"] = time.monotonic() - t0
+    report = _sphere_sum_sweep(cfg, emit, "gvb", gvb_growth)
     rows = [
         {
             "n": n,
@@ -779,7 +785,7 @@ def cmd_gvb(cfg: RunConfig, emit: Emitter) -> int:
     exponent, r2 = ("n/a" if x is None else f"{x:.4f}" for x in (report.fitted_exponent, report.fit_r2))
     print(
         f"q_n growth exponent {exponent} (r2 {r2}) "
-        f"over top half of n={grid[0]}..{grid[-1]} -> verdict: {report.verdict}"
+        f"over top half of n={report.grid[0]}..{report.grid[-1]} -> verdict: {report.verdict}"
     )
     return 0 if report.passed else 2
 

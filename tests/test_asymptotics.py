@@ -271,13 +271,19 @@ def test_cover_minimal_rho_is_one(word_ctx):
         assert check_shadow_cover(R, GroupContext(MetricSpec.word(2), rho=1)).covered
 
 
+def _pair_masses(wf, d1, d2):
+    """pair_table(d1, d2) as masses: each numerator over the table's den."""
+    table, den = wf.pair_table(d1, d2)
+    return {key: Fraction(c, den) if wf.exact else c / den for key, c in table.items()}
+
+
 def _outcome(fn, R, ctx, budget):
     """A cover report or weight family as comparable fields, or the error raised.
 
     A family is read through entries(), and at every depth d = 1..a+2
     (a the stem depth at R) through class_entries(d), whose masses sum to
-    1, and pair_table(d, d).  On S_R with R <= 6, mass_of must give each
-    word its mass in entries(), 0 off the support."""
+    1, and pair_table(d, d) as masses.  On S_R with R <= 6, mass_of must
+    give each word its mass in entries(), 0 off the support."""
     try:
         out = fn(R, ctx, budget)
     except (BudgetError, CoverError) as exc:
@@ -289,7 +295,7 @@ def _outcome(fn, R, ctx, budget):
     for d in range(1, a + 3):
         table = [(e.rep.letters, e.mass) for e in out.class_entries(d)]
         assert sum(mass for _, mass in table) == 1, d
-        classes[d] = (table, out.pair_table(d, d))
+        classes[d] = (table, _pair_masses(out, d, d))
     entries = [(g.letters, mass) for g, mass in out.entries()]
     if R <= 6 and float(R).is_integer():
         masses = dict(entries)
@@ -467,12 +473,13 @@ def test_rectangle_errors_match_every_rectangle(word_ctx):
 def test_absent_rectangle_scan_finds_the_largest_product(weighted_mu, d1, d2):
     # a float table equal to mu x mu with every third rectangle (canonical
     # order) removed: the error is exactly the largest removed product
-    m1, m2 = _cylinder_masses(weighted_mu, d1), _cylinder_masses(weighted_mu, d2)
+    c1, c2 = _cylinder_masses(weighted_mu, d1), _cylinder_masses(weighted_mu, d2)
+    (m1, _), (m2, _) = c1, c2
     word = MetricSpec.word(2)
     rects = [(g.letters, h.letters) for g in enumerate_sphere(d1, word) for h in enumerate_sphere(d2, word)]
     table = {(u, v): m1[u] * m2[v] for i, (u, v) in enumerate(rects) if i % 3}
     removed = max(m1[u] * m2[v] for i, (u, v) in enumerate(rects) if not i % 3)
-    assert _table_rectangle_error(table, m1, m2, 0.0) == removed
+    assert _table_rectangle_error(table, 1, c1, c2) == removed
 
 
 def test_phi_trivial_and_symmetry(word_ctx, one, ind_a, ind_b):
@@ -641,9 +648,9 @@ def test_class_aggregation_matches_per_word_sums(word_ctx, word_mu):
     weighted_ctx = GroupContext(MetricSpec.weighted(2, [1, 2]), h=1)
     for R in radii:
         for wf in (sphere_weights(R, word_ctx), build_partition_weights(R, word_ctx)):
-            assert wf.pair_table(d1, d2) == _brute_pair_table(wf, d1, d2)
+            assert _pair_masses(wf, d1, d2) == _brute_pair_table(wf, d1, d2)
         wf = build_partition_weights(R, weighted_ctx)
-        fast = wf.pair_table(d1, d2)
+        fast = _pair_masses(wf, d1, d2)
         slow = _brute_pair_table(wf, d1, d2)
         assert fast.keys() == slow.keys()
         assert all(abs(fast[key] - slow[key]) < 1e-12 for key in slow)

@@ -86,6 +86,16 @@ def test_xi_refuses_a_weighted_metric(tmp_path, capsys):
     assert "config error: metric.kind: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["rd", "gvb"])
+def test_sphere_sums_refuse_a_weighted_metric(tmp_path, capsys, subcommand):
+    # refused before any work, with the field in the message, as xi does
+    cfg = write_config(tmp_path, "w.json", {**BASE, "metric": {"kind": "weighted", "lengths": {"a": "1", "b": "2"}}})
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 1
+    assert "config error: metric.kind: " in capsys.readouterr().err
+    assert not (out / f"{subcommand}.csv").exists()
+
+
 def test_equidist_budget_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, "eq.json", {**BASE, "grid": [4, 6]})
     out = tmp_path / "eq"
@@ -285,6 +295,18 @@ def test_manifest_records_peak_rss(tmp_path):
     assert main(["xi", "--config", str(cfg), "--out", str(out)]) == 0
     rss = json.loads((out / "run_manifest.json").read_text())["peak_rss_mb"]
     assert isinstance(rss, float) and rss > 0
+
+
+def test_manifest_times_each_equidist_radius_in_microseconds(tmp_path):
+    cfg = write_config(tmp_path, "eq.json", {**BASE, "grid": [4, 6], "rho": "1", "depth": 2})
+    out = tmp_path / "eq"
+    assert main(["equidist", "--config", str(cfg), "--out", str(out)]) == 0
+    timings = json.loads((out / "run_manifest.json").read_text())["stage_timings_s"]
+    assert set(timings) == {"equidist", "equidist_R=4", "equidist_R=6"}
+    assert all(t == round(t, 6) for t in timings.values())
+    assert timings["equidist_R=4"] + timings["equidist_R=6"] <= timings["equidist"] + 2e-6
+    # sub-millisecond stages are kept, not rounded to 0.0
+    assert all(t > 0 for t in timings.values())
 
 
 def test_back_to_back_runs_parse_their_own_arguments(tmp_path, capsys):

@@ -711,25 +711,25 @@ def phi_r_pairs(
 ) -> List[List[object]]:
     """Phi_R for every ordered combination of coefficient slots.
 
-    Entry [i][j] is phi_r with (v1, w1) = pairs[i], (v2, w2) = pairs[j];
-    the normalized coefficients are computed once per class per pair, so
-    a full combination grid costs no more than one slot pair would.
+    Entry [i][j] is phi_r with (v1, w1) = pairs[i], (v2, w2) = pairs[j],
+    summed over the weights' coefficient classes at the depth of the
+    vectors and of the boundary parts of f1 and f2.  Interior
+    perturbations are then added as corrections at the finitely many
+    group elements they touch.
 
-    Summed over the weights' coefficient classes at the depth of the
-    vectors and of the boundary parts of f1 and f2; on the word metric the
-    value is an exact rational, as every normalized coefficient is.
-    Interior perturbations are then added as corrections at the finitely
-    many group elements they touch.
+    On the word metric with rational values each term is an int over a
+    denominator fixed by |g|, so each length sums ints and divides once,
+    and <pi(g) v, w> depends only on the key (|g|, g[:depth(w)],
+    g[max(0, |g| - depth(v)):]): one coefficient_sum call per key and
+    pair, whatever the radius.  Weighted metrics break the key; float
+    measures sum one normalized coefficient per class and pair, in order.
     """
-    _check_ranks(weights.ctx.k, [f1.boundary, f2.boundary, *(x for vw in pairs for x in vw)])
-    d = max(
-        1,
-        f1.depth(),
-        f2.depth(),
-        max(max(v.depth(), w.depth()) for v, w in pairs),
-    )
+    if not pairs:
+        raise ValueError("phi_r_pairs needs at least one (v, w) slot pair, got none")
+    steps = [f1.boundary, f2.boundary, *(x for vw in pairs for x in vw)]
+    _check_ranks(weights.ctx.k, steps)
+    entries = weights.class_entries(max(1, *(f.depth() for f in steps)))
     mu = weights.ctx.mu
-    out: List[List[object]] = [[mu.zero for _ in pairs] for _ in pairs]
 
     def add(g: ReducedWord, factor) -> None:
         ncs = [normalized_coefficient(g, v, w, mu) for v, w in pairs]
@@ -738,14 +738,59 @@ def phi_r_pairs(
             for j in range(len(pairs)):
                 row[j] = row[j] + factor * ncs[i] * ncs[j]
 
-    for entry in weights.class_entries(d):
-        g = entry.rep
-        add(g, entry.mass * f1.boundary.value_at(hat_projection(g)) * f2.boundary.value_at(hat_projection(~g)))
+    if mu.exact and all(isinstance(val, (int, Fraction)) for f in steps for _, val in f.cells):
+        out = _integer_class_sums(f1.boundary, f2.boundary, pairs, entries, mu)
+    else:
+        out = [[mu.zero for _ in pairs] for _ in pairs]
+        for entry in entries:
+            g = entry.rep
+            add(g, entry.mass * f1.boundary.value_at(hat_projection(g)) * f2.boundary.value_at(hat_projection(~g)))
     for g0 in set(f1.interior) | {~g for g in f2.interior}:
         mass = weights.mass_of(g0)
         if mass:
             base = f1.boundary.value_at(hat_projection(g0)) * f2.boundary.value_at(hat_projection(~g0))
             add(g0, mass * (f1.value_at_group(g0) * f2.value_at_group(~g0) - base))
+    return out
+
+
+def _integer_class_sums(b1: StepFunction, b2: StepFunction, pairs, entries, mu) -> List[List[Fraction]]:
+    """phi_r_pairs' class sums on the word metric with rational values: per
+    length n the ints c F N_i N_j, for a class mass c / mden, boundary
+    values F / (fden1 fden2) and normalized coefficients N_i D / (den_i T_0),
+    (D, T_0) the root of the geodesic table at n."""
+    mden = math.lcm(*(e.mass.denominator for e in entries))
+    (fden1, _), (fden2, _), d1, d2 = b1.terms(True), b2.terms(True), b1.depth(), b2.depth()
+    slots = [(i, v, w, v.depth(), w.depth()) for i, (v, w) in enumerate(pairs)]
+    size = range(len(pairs))
+    kernel: Dict[Tuple, Tuple[int, int]] = {}  # (N_i, den_i) by key (i, n, prefix, suffix)
+    values: Dict[Tuple, int] = {}  # F by (g[:d1], g[max(0, n - d2):]), which fix both values
+    lengths: Dict[int, Tuple[Letters, List[List[int]], List[int]]] = {}  # n -> (a word, sums, dens)
+    for entry in entries:
+        gl, n = entry.rep.letters, len(entry.rep)
+        fkey = (gl[:d1], gl[max(0, n - d2):])
+        if fkey not in values:
+            first = b1.value_at(hat_projection(entry.rep)) * fden1
+            values[fkey] = (first * b2.value_at(hat_projection(~entry.rep)) * fden2).numerator
+        weight = entry.mass.numerator * (mden // entry.mass.denominator) * values[fkey]
+        if weight:
+            _, sums, dens = lengths.setdefault(n, (gl, [[0 for _ in size] for _ in size], [1 for _ in size]))
+            ns = []
+            for i, v, w, dv, dw in slots:
+                key = (i, n, gl[:dw], gl[max(0, n - dv):])
+                if key not in kernel:
+                    kernel[key] = coefficient_sum(entry.rep, v, w, mu)[1:]
+                N, dens[i] = kernel[key]
+                ns.append(N)
+            for i in size:
+                for j in size:
+                    sums[i][j] += weight * ns[i] * ns[j]
+    out = [[Fraction(0) for _ in size] for _ in size]
+    for gl, sums, dens in lengths.values():
+        _, D, tails, _ = mu.geodesic_integrals(gl, len(gl))
+        base = mden * fden1 * fden2 * tails[0] ** 2
+        for i in size:
+            for j in size:
+                out[i][j] += Fraction(sums[i][j] * D * D, base * dens[i] * dens[j])
     return out
 
 
@@ -874,6 +919,8 @@ def orthogonality_sweep(
     """
     if weights_kind not in ("sphere", "shadow"):
         raise ValueError(f"unknown weights kind {weights_kind!r}")
+    if not cases:
+        raise ValueError("orthogonality_sweep needs at least one case, got none")
     _check_ranks(ctx.k, [f1.boundary, f2.boundary, *(x for c in cases for x in c[1:])])
     # step functions hash by identity, so each slot pair is one key
     used = (vw for c in cases for vw in ((c.v1, c.w1), (c.v2, c.w2)))

@@ -868,3 +868,15 @@ def test_library_sweeps_refuse_vectors_of_another_rank(word_ctx):
     for case in cases:
         with pytest.raises(ValueError, match="step function of rank 3 on a context of rank 2"):
             case()
+
+
+def test_phi_r_pairs_refuses_an_empty_pair_list(word_ctx):
+    f = TestFunction.one(2)
+    with pytest.raises(ValueError, match=r"at least one \(v, w\) slot pair, got none"):
+        phi_r_pairs(f, f, [], sphere_weights(2, word_ctx))
+
+
+def test_orthogonality_sweep_refuses_an_empty_case_list(word_ctx):
+    f = TestFunction.one(2)
+    with pytest.raises(ValueError, match="at least one case, got none"):
+        orthogonality_sweep(f, f, [], [2, 4], word_ctx)

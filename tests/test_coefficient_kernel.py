@@ -27,6 +27,7 @@ from freeboundary import (
     matrix_coefficient,
     ps_measure,
 )
+import freeboundary.asymptotics as asymptotics
 from freeboundary.asymptotics import (
     TestFunction,
     build_partition_weights,
@@ -36,7 +37,7 @@ from freeboundary.asymptotics import (
     sphere_weights,
 )
 from freeboundary.boundary import allowed_children
-from freeboundary.representation import harish_chandra, normalized_coefficient
+from freeboundary.representation import coefficient_sum, harish_chandra, normalized_coefficient
 from freeboundary.words import enumerate_annulus, hat_projection
 
 FLOAT_TOL = 1e-12
@@ -284,3 +285,102 @@ def test_qsqrt_canonical_form_unchanged():
     x = QSqrt(Fraction(1, 2), 2, 3)
     assert type(x.p) is Fraction and type(x.q) is Fraction and x.q == 2
     assert QSqrt(0, Fraction(1, 2), 9) * Fraction(2) == 3
+
+
+def exact_depths(k: int):
+    """Step vectors of depth exactly 0, 1, 2 and 3, with mixed signs."""
+    deep = {2: "abb", 3: "cca"}[k]
+    return [
+        StepFunction.constant(Fraction(2, 3), k),
+        StepFunction.from_pairs([("a", Fraction(-3, 2))], k, constant=Fraction(1, 5)),
+        StepFunction.from_pairs([("Ba", Fraction(5, 4)), ("a", Fraction(-1, 3))], k, constant=Fraction(1, 7)),
+        StepFunction.from_pairs([(deep, Fraction(3, 2)), ("B", Fraction(-1, 3))], k, constant=Fraction(2, 5)),
+    ]
+
+
+@pytest.mark.parametrize("k, radii", [(2, (2, 5)), (3, (2, 3))])
+def test_phi_r_pairs_on_slot_pairs_of_unequal_depths(k, radii):
+    # every ordered pair of distinct depths 0..3 in one call, so each entry
+    # mixes two slot pairs whose denominators differ
+    vs = exact_depths(k)
+    pairs = [(vs[a], vs[b]) for a in range(4) for b in range(4) if a != b]
+    f1, f2 = TestFunction(vs[1]), TestFunction(vs[2])
+    for radius in radii:
+        weights = sphere_weights(radius, WORD_CTX[k])
+        assert phi_r_pairs(f1, f2, pairs, weights) == _reference_phi_r_pairs(f1, f2, pairs, weights)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_phi_r_pairs_below_the_depth_sum(k):
+    # |g| < depth(v) + depth(w): the first and last letters of the key
+    # overlap, and a suffix slice g[|g| - depth(v):] with a negative start
+    # would key S_2 by its last letter alone when depth(v) = 3; so would
+    # the boundary values' key with depth(f1) = 0 and depth(f2) = 3
+    vs = exact_depths(k)
+    pairs = [(vs[3], vs[0]), (vs[3], vs[2]), (vs[2], vs[3]), (vs[0], vs[3])]
+    f1, f2 = TestFunction.one(k), TestFunction(vs[3])
+    for radius in range(5):
+        weights = sphere_weights(radius, WORD_CTX[k])
+        assert phi_r_pairs(f1, f2, pairs, weights) == _reference_phi_r_pairs(f1, f2, pairs, weights)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_phi_r_pairs_on_dense_sweep_families(k):
+    # exact supports spread over several word lengths, at whole radii and off them
+    h1 = GroupContext(MetricSpec.word(k), rho=1, h=1)
+    vs = exact_depths(k)
+    pairs = [(vs[2], vs[1]), (vs[0], vs[3]), (vs[1], vs[1])]
+    f1, f2 = TestFunction(vs[2]), TestFunction(vs[1])
+    spans = []
+    for radius in (3, 4, 5, Fraction(11, 2)):
+        weights = build_partition_weights(radius, h1)
+        spans.append(len({len(w) for w in weights.words}))
+        assert phi_r_pairs(f1, f2, pairs, weights) == _reference_phi_r_pairs(f1, f2, pairs, weights)
+    assert spans == [1, 3, 2, 2]
+
+
+def _coefficient_key(g, v, w):
+    n = len(g)
+    return n, g.letters[: w.depth()], g.letters[max(0, n - v.depth()) :]
+
+
+@pytest.mark.parametrize("k, max_len", [(2, 7), (3, 5)])
+def test_coefficient_sum_depends_only_on_the_key(k, max_len):
+    # the key phi_r_pairs computes one coefficient_sum per: |g|, the first
+    # depth(w) letters of g and its last depth(v) letters
+    vs, mu = exact_depths(k)[:3], WORD_MU[k]
+    words = list(enumerate_annulus(0, max_len, MetricSpec.word(k)))
+    for v in vs:
+        for w in vs:
+            seen = {}
+            for g in words:
+                got = coefficient_sum(g, v, w, mu)[1:]
+                assert seen.setdefault(_coefficient_key(g, v, w), got) == got, (g, v, w)
+            assert len(seen) < len(words)
+
+
+def test_the_key_fails_on_a_weighted_metric():
+    # letter lengths (1, 2): aaaa and aaba share the key at depth(v) = 1,
+    # depth(w) = 0 but not their length in the metric, nor their coefficient,
+    # so float measures keep one coefficient per class
+    mu = ps_measure(GroupContext(MetricSpec.weighted(2, [1, 2])))
+    v, one = StepFunction.indicator("a", 2), StepFunction.constant(Fraction(1), 2)
+    g, h = ReducedWord.from_str("aaaa"), ReducedWord.from_str("aaba")
+    assert _coefficient_key(g, v, one) == _coefficient_key(h, v, one)
+    assert abs(normalized_coefficient(g, v, one, mu) - normalized_coefficient(h, v, one, mu)) > 0.01
+
+
+@pytest.mark.parametrize("radius", [6, 12, 24])
+def test_phi_r_pairs_kernel_calls_do_not_grow_with_the_sphere(monkeypatch, radius):
+    # two depth-2 vectors against the constant: 12 last-two-letter keys each
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return coefficient_sum(*args)
+
+    monkeypatch.setattr(asymptotics, "coefficient_sum", counted)
+    vs, one = exact_depths(2), StepFunction.constant(Fraction(1), 2)
+    f = TestFunction.one(2)
+    phi_r_pairs(f, f, [(vs[2], one), (StepFunction.indicator("Ba", 2), one)], sphere_weights(radius, WORD_CTX[2]))
+    assert len(calls) == 24

@@ -44,7 +44,6 @@ from .words import (
     canonical_letters,
     check_rank,
     enumerate_annulus,
-    hat_projection,
     invert_letters,
     multiply_letters,
     sphere_size,
@@ -674,7 +673,7 @@ class TestFunction:
         return cls(StepFunction.constant(Fraction(1), k))
 
     def value_at_group(self, g: ReducedWord):
-        base = self.boundary.value_at(hat_projection(g))
+        base = self.boundary.value_at_hat(g.letters)
         extra = self.interior.get(g)
         return base if extra is None else base + extra
 
@@ -743,12 +742,12 @@ def phi_r_pairs(
     else:
         out = [[mu.zero for _ in pairs] for _ in pairs]
         for entry in entries:
-            g = entry.rep
-            add(g, entry.mass * f1.boundary.value_at(hat_projection(g)) * f2.boundary.value_at(hat_projection(~g)))
+            gl = entry.rep.letters
+            add(entry.rep, entry.mass * f1.boundary.value_at_hat(gl) * f2.boundary.value_at_hat(invert_letters(gl)))
     for g0 in set(f1.interior) | {~g for g in f2.interior}:
         mass = weights.mass_of(g0)
         if mass:
-            base = f1.boundary.value_at(hat_projection(g0)) * f2.boundary.value_at(hat_projection(~g0))
+            base = f1.boundary.value_at_hat(g0.letters) * f2.boundary.value_at_hat(invert_letters(g0.letters))
             add(g0, mass * (f1.value_at_group(g0) * f2.value_at_group(~g0) - base))
     return out
 
@@ -769,8 +768,7 @@ def _integer_class_sums(b1: StepFunction, b2: StepFunction, pairs, entries, mu) 
         gl, n = entry.rep.letters, len(entry.rep)
         fkey = (gl[:d1], gl[max(0, n - d2):])
         if fkey not in values:
-            first = b1.value_at(hat_projection(entry.rep)) * fden1
-            values[fkey] = (first * b2.value_at(hat_projection(~entry.rep)) * fden2).numerator
+            values[fkey] = (b1.value_at_hat(gl) * fden1 * b2.value_at_hat(invert_letters(gl)) * fden2).numerator
         weight = entry.mass.numerator * (mden // entry.mass.denominator) * values[fkey]
         if weight:
             _, sums, dens = lengths.setdefault(n, (gl, [[0 for _ in size] for _ in size], [1 for _ in size]))
@@ -1068,6 +1066,40 @@ def l2_norm_sq(phi: Dict[Letters, int]) -> int:
     return sum(val * val for val in phi.values())
 
 
+def _cancellation_norms(phi: np.ndarray, psi: np.ndarray, R: int, Rp: int, k: int) -> Dict[int, int]:
+    """{n: sum of (phi * psi)(g)^2 over |g| = n = R + R' - 2j} for int arrays on
+    the word spheres S_R, S_R' (canonical order).  x^-1 and y share exactly j
+    first letters m^-1: j >= 1 sums one matrix product split after m^-1, j = 0
+    the squares by first letter (README).  Each sum is <= 144 |S_R| |S_R'| <=
+    144 budget (entries <= 9 |S_j|, |S_j| |S_(n-j)| <= 4/3 |S_n|), past int64 in
+    Python ints; no array exceeds 8 |S_R| |S_R'| / (2k-1)^2, 11 |S_R| or 11 |S_R'| bytes."""
+    if 144 * len(phi) * len(psi) > np.iinfo(np.int64).max:
+        phi, psi = phi.astype(object), psi.astype(object)
+    q, e, letters = 2 * k - 1, np.arange(2 * k - 1), np.arange(2 * k)
+    last, inv, lasts = letters, letters ^ 1, {1: letters}
+    for m in range(2, R + 1):  # last letter and rank of the inverse of each word of S_m
+        up = np.repeat(last ^ 1, q)  # first letter of the parent's inverse
+        last = lasts[m] = (e + (e >= (last ^ 1)[:, None])).ravel()
+        inv = (last ^ 1) * q ** (m - 1) + (up - (up > last)) * q ** (m - 2) + np.repeat(inv, q) % q ** (m - 2)
+
+    def split(f: np.ndarray, n: int, j: int) -> np.ndarray:  # f(ps) at (p, s) in S_j x S_(n-j), 0 if unreduced
+        if j == n:
+            return f.reshape(-1, 1)
+        out = np.zeros((len(lasts[j]), 2 * k, q ** (n - j - 1)), dtype=f.dtype)
+        out[np.arange(len(out))[:, None], e + (e >= (lasts[j] ^ 1)[:, None])] = f.reshape(len(out), q, -1)
+        return out.reshape(len(out), -1)
+
+    zphi = phi[inv] if R else phi  # phi(z^-1) at z, in the canonical order of z
+    a, b = ((f * f).reshape(2 * k if n else 1, -1).sum(axis=1).tolist() for f, n in ((zphi, R), (psi, Rp)))
+    norms = {R + Rp: sum(a) * sum(b) - (sum(x * y for x, y in zip(a, b)) if R and Rp else 0)}
+    for j in range(1, min(R, Rp) + 1):
+        P = split(zphi, R, j).T @ split(psi, Rp, j)
+        if j < min(R, Rp):  # rows u^-1 and columns w that start alike share more than j letters
+            P.reshape(2 * k, -1, 2 * k, P.shape[1] // (2 * k))[letters, :, letters, :] = 0
+        norms[R + Rp - 2 * j] = int((P * P).sum())
+    return norms
+
+
 @dataclass
 class FiberReport:
     max_by_defect: Dict[int, int]  # p -> max fiber size over |g| = R+R'-2p
@@ -1136,28 +1168,33 @@ def rd_convolution_check(
     restricted-convolution norm ratio and the full ratio divided by 1+R.
 
     Each function takes integer values -3..3 (never 0) on the letter
-    tuples of its annulus, so the norms are exact ints and each ratio
-    ``int / int`` is correctly rounded once.  A triple with an empty
-    annulus (see empty_annulus_error) raises ValueError."""
+    tuples of its annulus in canonical order (one draw each), so the norms
+    are exact ints and each ratio ``int / int`` is correctly rounded once;
+    word spheres (word metric, h = 0) sum them by cancellation depth, other
+    annuli convolve.  A triple with an empty annulus raises ValueError."""
     for triple in triples:
         error = empty_annulus_error(triple, ctx)
         if error:
             raise ValueError(f"triple {tuple(triple)}: {error}")
-    rng = np.random.default_rng(seed)
-    metric = ctx.metric
-    worst_restricted = 0.0
-    worst_full = 0.0
-    values = [-3, -2, -1, 1, 2, 3]
+    rng, metric = np.random.default_rng(seed), ctx.metric
+    spheres = metric.kind == "word" and ctx.h == 0
+    worst_restricted = worst_full = 0.0
+    values = np.array([-3, -2, -1, 1, 2, 3])
     for (R, Rp, Rpp) in triples:
         lo, hi = metric.unit_bounds(Rpp - Fraction(ctx.h), Rpp + Fraction(ctx.h))  # |g| within h of R''
-        supp_phi = [g.letters for g in enumerate_annulus(R, ctx.h, metric)]
-        supp_psi = [g.letters for g in enumerate_annulus(Rp, ctx.h, metric)]
+        supports = None if spheres else [[g.letters for g in enumerate_annulus(r, ctx.h, metric)] for r in (R, Rp)]
+        sizes = [sphere_size(r, ctx.k) for r in (R, Rp)] if spheres else [len(s) for s in supports]
+        if sizes[0] * sizes[1] > budget:
+            raise BudgetError(f"convolution support product {sizes[0]}x{sizes[1]} exceeds budget")
         for _ in range(trials):
-            phi = {g: values[rng.integers(len(values))] for g in supp_phi}
-            psi = {g: values[rng.integers(len(values))] for g in supp_psi}
-            conv = convolve(phi, psi, budget=budget)
-            norm_sq_product = l2_norm_sq(phi) * l2_norm_sq(psi)
-            restricted = sum(val * val for g, val in conv.items() if lo <= metric.units_of(g) <= hi)
+            phi, psi = (values[rng.integers(len(values), size=n)] for n in sizes)
+            norm_sq_product = int(phi @ phi) * int(psi @ psi)
+            if spheres:
+                norms = _cancellation_norms(phi, psi, R, Rp, ctx.k)
+            else:
+                conv = convolve(dict(zip(supports[0], phi.tolist())), dict(zip(supports[1], psi.tolist())), budget)
+                norms = _sum_by_key((metric.units_of(g), val * val) for g, val in conv.items())
+            restricted = sum(val for n, val in norms.items() if lo <= n <= hi)
             worst_restricted = max(worst_restricted, math.sqrt(restricted / norm_sq_product))
-            worst_full = max(worst_full, math.sqrt(l2_norm_sq(conv) / norm_sq_product) / (1.0 + float(R)))
+            worst_full = max(worst_full, math.sqrt(sum(norms.values()) / norm_sq_product) / (1.0 + float(R)))
     return ConvolutionCheck(list(triples), worst_restricted, worst_full, trials)

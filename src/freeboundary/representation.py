@@ -33,7 +33,7 @@ from typing import Iterator, List, Sequence, Tuple, Union
 from .boundary import BoundaryPoint, Cylinder, CylinderSet, cylinder_image, translate_cylinder
 from .measures import BoundaryMeasure, gromov_level_cells
 from .scalars import QSqrt, as_float
-from .words import Letters, ReducedWord, check_rank, common_prefix_letters, hat_projection
+from .words import Letters, ReducedWord, _hat_prefix, check_rank, common_prefix_letters, invert_letters
 
 Value = Union[Fraction, QSqrt, float, int]
 
@@ -42,11 +42,12 @@ class StepFunction:
     """Finitely-valued boundary function over a disjoint cylinder cover.
     Constructors refuse letters outside rank k; validate=False skips all checks."""
 
-    __slots__ = ("cells", "k", "_integer_terms")
+    __slots__ = ("cells", "k", "_depth", "_integer_terms")
 
     def __init__(self, cells: Sequence[Tuple[Cylinder, Value]], k: int, *, validate: bool = True):
         self.cells = tuple(cells)
         self.k = k
+        self._depth = max((len(c.stem) for c, _ in self.cells), default=0)
         self._integer_terms = None
         if validate:
             for c, _ in self.cells:
@@ -95,7 +96,7 @@ class StepFunction:
         return cls(cells, k)
 
     def depth(self) -> int:
-        return max((len(c.stem) for c, _ in self.cells), default=0)
+        return self._depth
 
     def terms(self, exact: bool) -> Tuple[int, Tuple[Tuple[Letters, Value], ...]]:
         """(den, ((stem, value), ...)) over the nonzero cells, for the
@@ -115,10 +116,12 @@ class StepFunction:
         return self._integer_terms
 
     def value_at(self, xi: BoundaryPoint) -> Value:
-        for c, v in self.cells:
-            if c.contains_point(xi):
-                return v
-        raise RuntimeError("partition does not cover the point")  # unreachable
+        return self.value_at_hat(xi.prefix_letters(self._depth))
+
+    def value_at_hat(self, letters: Letters) -> Value:
+        """The value at hat(g) (words.hat_projection), g given by its letters."""
+        stem = _hat_prefix(letters, self._depth)
+        return next(v for c, v in self.cells if stem[: len(c.stem)] == c.stem)  # the cells cover every point
 
     def multiply(self, other: "StepFunction") -> "StepFunction":
         return StepFunction([(c, v1 * v2) for c, v1, v2 in _refine(self.cells, other.cells)], self.k, validate=False)
@@ -281,5 +284,5 @@ def lipschitz_gap(g: ReducedWord, v: StepFunction, w: StepFunction, mu: Boundary
     like (1 + |g|)^(-1/D); the sweep harness fits the rate.
     """
     nc = normalized_coefficient(g, v, w, mu)
-    target = v.value_at(hat_projection(~g)) * w.value_at(hat_projection(g))
+    target = v.value_at_hat(invert_letters(g.letters)) * w.value_at_hat(g.letters)
     return abs(as_float(nc) - as_float(target))

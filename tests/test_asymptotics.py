@@ -51,10 +51,12 @@ from freeboundary import (
     sphere_sum_sq,
     sphere_weights,
 )
+from freeboundary import asymptotics
 from freeboundary.asymptotics import (
     CoverReport,
     SphereGrid,
     WeightFamily,
+    _cancellation_norms,
     _cylinder_masses,
     _fiber_count,
     _grid_depth,
@@ -63,6 +65,7 @@ from freeboundary.asymptotics import (
     _sweep_cover,
     _sweep_partition,
     _table_rectangle_error,
+    l2_norm_sq,
     sphere_class_table,
 )
 from freeboundary.words import canonical_letters, enumerate_annulus, multiply_letters, reduce_letters
@@ -693,8 +696,6 @@ def test_convolution_examples(word_ctx):
     c = convolve(s1, s1)
     assert c[()] == 4
     assert sum(1 for g in c if len(g) == 2) == 12 and len(c) == 13
-    from freeboundary.asymptotics import l2_norm_sq
-
     assert l2_norm_sq(c) == 28
 
 
@@ -761,14 +762,18 @@ _CONV_CONTEXTS = {
 @pytest.mark.parametrize("name", sorted(_CONV_CONTEXTS))
 def test_convolution_check_matches_fraction_reference(name):
     ctx = _CONV_CONTEXTS[name]()
-    triples = [(1, 1, 1), (1, 2, 2), (2, 2, 3)]
-    for seed in (0, 1, 7):
-        worst_restricted, worst_full, runs = _reference_rd_convolution_check(triples, ctx, 2, seed)
+    # R = 0 and R' = 0, R != R'; on word spheres the R'' window holds every
+    # length (0, 2, 2), one of several (1, 1, 2), (2, 1, 1), (2, 2, 2) or none (2, 0, 1), (1, 2, 2)
+    triples = [(0, 2, 2), (2, 0, 1), (1, 1, 2), (2, 1, 1), (1, 2, 2), (2, 2, 2)]
+    # each triple alone (the worst ratios of a list can hide all but one triple), then one stream over all
+    batches = [(seed, [t]) for seed in (0, 1) for t in triples] + [(7, triples)]
+    for seed, batch in batches:
+        worst_restricted, worst_full, runs = _reference_rd_convolution_check(batch, ctx, 2, seed)
         for phi, psi, conv in runs:
             assert convolve(_letters_keys(phi), _letters_keys(psi)) == _letters_keys(conv)
-        check = rd_convolution_check(triples, ctx, trials=2, seed=seed)
-        assert check.max_restricted_ratio == worst_restricted, (name, seed)
-        assert check.max_full_ratio_over_1pR == worst_full, (name, seed)
+        check = rd_convolution_check(batch, ctx, trials=2, seed=seed)
+        assert check.max_restricted_ratio == worst_restricted, (name, seed, batch)
+        assert check.max_full_ratio_over_1pR == worst_full, (name, seed, batch)
 
 
 _small_support = st.dictionaries(
@@ -784,6 +789,38 @@ _word = st.lists(st.sampled_from(canonical_letters(3)), max_size=6).map(reduce_l
 def test_convolution_is_the_group_law(x, y, f, g, h):
     assert convolve({x: 1}, {y: 1}) == {multiply_letters(x, y): 1}
     assert convolve(convolve(f, g), h) == convolve(f, convolve(g, h))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 3), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_cancellation_norms_match_the_convolution(k, R, Rp, seed):
+    """Per cancellation depth j, the squared sums of phi * psi over
+    |g| = R + R' - 2j, for random integer functions on word spheres; in
+    int64 and in Python ints alike."""
+    rng = np.random.default_rng(seed)
+    spheres = [[g.letters for g in enumerate_sphere(r, MetricSpec.word(k))] for r in (R, Rp)]
+    phi, psi = (rng.integers(-3, 4, size=len(words)) for words in spheres)
+    conv = convolve(dict(zip(spheres[0], phi.tolist())), dict(zip(spheres[1], psi.tolist())))
+    norms = _cancellation_norms(phi, psi, R, Rp, k)
+    assert sorted(norms) == list(range(R + Rp - 2 * min(R, Rp), R + Rp + 1, 2))
+    assert sum(norms.values()) == l2_norm_sq(conv)
+    for n, norm in norms.items():
+        assert norm == l2_norm_sq({g: val for g, val in conv.items() if len(g) == n}), n
+    assert _cancellation_norms(phi.astype(object), psi.astype(object), R, Rp, k) == norms
+
+
+def test_word_sphere_convolution_check_multiplies_no_words(word_ctx, monkeypatch):
+    calls = []
+
+    def counted(u, v):
+        calls.append(1)
+        return multiply_letters(u, v)
+
+    monkeypatch.setattr(asymptotics, "multiply_letters", counted)
+    rd_convolution_check([(1, 2, 1), (3, 3, 2)], word_ctx, trials=2, seed=0)
+    assert calls == []
+    rd_convolution_check([(1, 2, 1)], GroupContext(MetricSpec.word(2), h=1), trials=1, seed=0)
+    assert calls  # annuli still convolve
 
 
 def _product_fibers(r_max, k):

@@ -9,7 +9,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from freeboundary import asymptotics, cli
+from freeboundary import MetricSpec, asymptotics, cli, enumerate_annulus
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -46,8 +46,11 @@ def test_layer_tracer_binds_to_the_package(tmp_path):
 
 
 def test_layer_tracer_binds_to_the_convolution(tmp_path):
-    # the convolve probe reads phi and psi by name and position
-    config = {"group": {"rank": 2}, "metric": {"kind": "word"}, "fiber_r_max": 2, "triples": [[1, 2, 2]], "trials": 1}
+    # the convolve probe reads phi and psi by name and position; word spheres
+    # sum their norms without convolve, so the run is on weighted annuli
+    metric = {"kind": "weighted", "lengths": {"a": "1", "b": "2"}}
+    config = {"group": {"rank": 2}, "metric": metric, "h": "1", "fiber_r_max": 2, "triples": [[1, 2, 2]], "trials": 1}
     metrics = _traced_metrics(tmp_path, "conv", config)
-    assert metrics["asymptotics.convolve.products"] == 4 * 12  # |S_1| * |S_2|
-    assert metrics["words.multiply_letters.calls"] == 4 * 12  # one product per pair
+    sizes = [len(list(enumerate_annulus(r, 1, MetricSpec.weighted(2, [1, 2])))) for r in (1, 2)]
+    assert metrics["asymptotics.convolve.products"] == sizes[0] * sizes[1]
+    assert metrics["words.multiply_letters.calls"] == sizes[0] * sizes[1]  # one product per pair

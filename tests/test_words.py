@@ -99,6 +99,20 @@ def test_letter_codes_match_signed_letters(case):
             assert old(reduce_letters(u + v)) == _signed_reduce(old(u + v))
 
 
+_rank3_word = st.lists(st.integers(0, 5), max_size=8).map(reduce_letters)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_rank3_word, _rank3_word, _rank3_word)
+def test_multiply_letters_group_laws(x, y, z):
+    """multiply_letters is the group law of F_3 on reduced words: the reduced
+    concatenation, associative, with identity () and inverse invert_letters."""
+    assert multiply_letters(x, y) == reduce_letters(x + y)
+    assert multiply_letters(multiply_letters(x, y), z) == multiply_letters(x, multiply_letters(y, z))
+    assert multiply_letters((), x) == x == multiply_letters(x, ())
+    assert multiply_letters(x, invert_letters(x)) == () == multiply_letters(invert_letters(x), x)
+
+
 def test_letter_text_round_trips_to_rank_26():
     signed = _signed_letters(26)
     for c, s in signed.items():

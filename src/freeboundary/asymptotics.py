@@ -97,15 +97,6 @@ def _junctions(m: int, k: int) -> Dict[Tuple[int, int], Tuple[int, Letters]]:
     return out
 
 
-@dataclass
-class ClassEntry:
-    """One aggregation class of a weight family: every member g shares the
-    normalized coefficients of step vectors up to the stated depth."""
-
-    mass: object  # Fraction on the word metric, float otherwise
-    rep: ReducedWord
-
-
 def sphere_class_table(n: int, d: int, k: int) -> List[Tuple[int, ReducedWord]]:
     """(count, representative) per coefficient class of the word sphere S_n
     at depth d >= 0, for every n >= 0, in canonical order of the
@@ -187,14 +178,16 @@ def _sum_by_key(items) -> Dict:
 
 
 class WeightFamily:
-    """A probability weighting of an annulus.
+    """A probability weighting of an annulus as (count, representative)
+    classes, each of mass count / den for one denominator ``den``.
 
     Word-sphere families are class tables on S_R (``words is None``): the
-    uniform family 1/|S_R| when ``stem is None``, and the shadow partition
-    when ``stem = a``, mass |S_a|^-2 on the first word of each depth-a
-    class.  Every other family carries its nonzero support as parallel
-    lists of words and masses (Fractions for the word metric, floats
-    otherwise).  Consumers read it through class_entries or pair_table.
+    uniform family over den = |S_R| when ``stem is None``, and the shadow
+    partition when ``stem = a``, mass |S_a|^-2 on the first word of each
+    depth-a class, over den = |S_a|^2.  Every other family is its nonzero
+    support, one class per word: word-metric Fraction masses as ints over
+    their least common denominator, floats otherwise, over 1.  Consumers
+    read it through class_entries or pair_table.
     """
 
     def __init__(
@@ -209,11 +202,17 @@ class WeightFamily:
         self.R = R
         self.ctx = ctx
         self.words = words
-        self.masses = masses
         self.stem = stem
-        self.annulus_size = sphere_size(R, ctx.k) if words is None else annulus_size
-        self._class_cache: Dict[int, List[ClassEntry]] = {}
+        self._class_cache: Dict[int, List[Tuple[int, ReducedWord]]] = {}
         self._mass_by_letters: Optional[Dict[Letters, object]] = None
+        if words is None:
+            self.annulus_size = sphere_size(R, ctx.k)
+            self.den = self.annulus_size if stem is None else sphere_size(stem, ctx.k) ** 2
+            return
+        self.annulus_size = annulus_size
+        self.den = math.lcm(*(m.denominator for m in masses)) if self.exact else 1
+        counts = (m.numerator * (self.den // m.denominator) for m in masses) if self.exact else masses
+        self._per_word = [(c, ReducedWord(w, _reduced=True)) for c, w in zip(counts, words)]
 
     # -- basic shape ------------------------------------------------------
 
@@ -221,19 +220,22 @@ class WeightFamily:
     def exact(self) -> bool:
         return self.ctx.mu.exact
 
+    def _mass(self, count):
+        """A count over den as a mass: a Fraction, or the float count itself
+        (float families are over 1)."""
+        return Fraction(count, self.den) if self.exact else count
+
     def support_size(self) -> int:
         if self.words is not None:
             return len(self.words)
-        return self.annulus_size if self.stem is None else sphere_size(self.stem, self.ctx.k) ** 2
+        return self.annulus_size if self.stem is None else self.den
 
     def total(self):
-        if self.words is not None:
-            return sum(self.masses)
-        return sum(e.mass for e in self.class_entries(1))
+        return self._mass(sum(c for c, _ in self.class_entries(1)))
 
     def max_mass(self):
         if self.words is not None:
-            return max(self.masses)
+            return self._mass(max(c for c, _ in self._per_word))
         return Fraction(1, self.support_size())  # a class table spreads its mass evenly
 
     def mass_of(self, g: ReducedWord):
@@ -244,88 +246,59 @@ class WeightFamily:
         return self._mass_by_letters.get(g.letters, self.ctx.mu.zero)
 
     def entries(self) -> Iterator[Tuple[ReducedWord, object]]:
-        if self.words is not None:
-            for w, mass in zip(self.words, self.masses):
-                yield ReducedWord(w, _reduced=True), mass
-        elif self.stem is None:
+        if self.words is None and self.stem is None:
             mass = Fraction(1, self.annulus_size)
             for g in enumerate_annulus(self.R, 0, self.ctx.metric):
                 yield g, mass
-        else:
-            for e in self.class_entries(self.stem):
-                yield e.rep, e.mass
+        else:  # one class per support word: the stem table at depth a, or the word list
+            for c, g in self.class_entries(self.stem or 0):
+                yield g, self._mass(c)
 
     # -- aggregation ------------------------------------------------------
 
-    def class_entries(self, d: int) -> List[ClassEntry]:
-        """Aggregated masses per coefficient class at depth d.
+    def class_entries(self, d: int) -> List[Tuple[object, ReducedWord]]:
+        """(count, representative) per coefficient class at depth d, each
+        class of mass count / den.
 
         Members of a class share |g| and, once |g| >= 2d, their first and
         last d letters; on the word metric that fixes every depth-d
         normalized coefficient and both depth-d boundary prefixes.
 
-        A shadow partition reads the sphere class table at depth min(d, a):
-        every pair of S_a x S_a is a class of S_R, so a class of depth
-        e <= a holds (|S_a| / |S_e|)^2 of them and has mass |S_e|^-2.
-        Float (weighted or Green) supports get one entry per support word,
-        in support order, so float sums keep their order.
+        A shadow partition reads the sphere class table at depth
+        e = min(d, a): every pair of S_a x S_a is a class of S_R, so a class
+        of depth e holds (|S_a| / |S_e|)^2 of them.  Word lists give one
+        entry per support word, in support order, whatever d, so float
+        sums keep their order.
         """
-        d = max(1, d)
-        if self.stem is not None:
-            d = min(d, self.stem)
-        if d in self._class_cache:
-            return self._class_cache[d]
-        k = self.ctx.k
-        if self.stem is not None:
-            mass = Fraction(1, sphere_size(d, k) ** 2)  # shared: one Fraction per entry is ~70 MB at R = 14
-            out = [ClassEntry(mass, rep) for _, rep in sphere_class_table(self.R, d, k)]
-        elif self.words is None:
-            out = [ClassEntry(Fraction(c, self.annulus_size), rep) for c, rep in sphere_class_table(self.R, d, k)]
-        elif not self.exact:
-            out = [ClassEntry(mass, g) for g, mass in self.entries()]
-        else:
-            buckets: Dict[Tuple, ClassEntry] = {}
-            for w, mass in zip(self.words, self.masses):
-                n = len(w)
-                key = (n, w) if n < 2 * d else (n, w[:d], w[n - d:])
-                if key in buckets:
-                    buckets[key].mass += mass
-                else:
-                    buckets[key] = ClassEntry(mass, ReducedWord(w, _reduced=True))
-            out = list(buckets.values())
-        self._class_cache[d] = out
-        return out
+        if self.words is not None:
+            return self._per_word
+        d = max(1, d) if self.stem is None else min(max(1, d), self.stem)
+        if d not in self._class_cache:
+            k = self.ctx.k
+            table = sphere_class_table(self.R, d, k)
+            if self.stem is not None:
+                count = (sphere_size(self.stem, k) // sphere_size(d, k)) ** 2
+                table = [(count, rep) for _, rep in table]
+            self._class_cache[d] = table
+        return self._class_cache[d]
 
     def pair_table(self, d1: int, d2: int) -> Tuple[Dict[Tuple[Letters, Letters], object], object]:
         """(table, den): mass table[key] / den per (hat(g) prefix of depth
-        d1, check(g) prefix of depth d2).  Exact families give ints: 1 per
-        class of a stem partition's table at e = min(d, a) over |S_e|^2, a
-        sphere's class counts over |S_R|, other supports their masses over
-        the least common denominator.  Float masses are over 1."""
-        d = max(d1, d2, 1)
-        if self.words is None:
-            k = self.ctx.k
-            if self.stem is None:
-                den, classes = self.annulus_size, sphere_class_table(self.R, d, k)
-            else:
-                e = min(d, self.stem)
-                den, classes = sphere_size(e, k) ** 2, ((1, g) for _, g in sphere_class_table(self.R, e, k))
-            items = ((c, g.letters) for c, g in classes)
-        elif self.exact:
-            den = math.lcm(*(m.denominator for m in self.masses))
-            items = zip((m.numerator * (den // m.denominator) for m in self.masses), self.words)
-        else:
-            den, items = 1, zip(self.masses, self.words)
-        keyed = (((_hat_prefix(w, d1), _hat_prefix(invert_letters(w), d2)), c) for c, w in items)
-        return _sum_by_key(keyed), den
+        d1, check(g) prefix of depth d2), the counts of class_entries summed
+        per key: ints on exact families, float masses (over 1) otherwise."""
+        keyed = (
+            ((_hat_prefix(g.letters, d1), _hat_prefix(invert_letters(g.letters), d2)), c)
+            for c, g in self.class_entries(max(d1, d2, 1))
+        )
+        return _sum_by_key(keyed), self.den
 
 
 def sphere_weights(n: int, ctx: GroupContext) -> WeightFamily:
     """Uniform mass 1/|S_n| on the word-metric sphere S_n."""
     if ctx.metric.kind != "word":
         raise ValueError("sphere weights require the word metric")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError(f"n must be an int >= 0, got {n!r}")
     return WeightFamily(n, ctx)
 
 
@@ -617,6 +590,8 @@ def max_rectangle_error(weights: WeightFamily, max_depth: int):
     table, summed in its stored order.  A stem partition is exact at
     depths <= a (see max_uniform_rectangle_error).
     """
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     if weights.stem is not None and max_depth <= weights.stem:
         return Fraction(0)
     table, den = weights.pair_table(max_depth, max_depth)
@@ -640,10 +615,11 @@ def max_uniform_rectangle_error(weights: WeightFamily, depth: int):
     at depth D > a each pair is its own key, so the error is
     |S_a|^-2 - |S_D|^-2, with no table built.
     """
-    a, k = weights.stem, weights.ctx.k
-    if a is not None:
-        past = Fraction(1, sphere_size(a, k) ** 2) - Fraction(1, sphere_size(depth, k) ** 2)
-        return past if depth > a else Fraction(0)
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    if weights.stem is not None:
+        past = Fraction(1, weights.den) - Fraction(1, sphere_size(depth, weights.ctx.k) ** 2)
+        return past if depth > weights.stem else Fraction(0)
     table, den = weights.pair_table(depth, depth)
     masses = _cylinder_masses(weights.ctx.mu, depth)
     return _table_rectangle_error(table, den, masses, masses)
@@ -738,12 +714,12 @@ def phi_r_pairs(
                 row[j] = row[j] + factor * ncs[i] * ncs[j]
 
     if mu.exact and all(isinstance(val, (int, Fraction)) for f in steps for _, val in f.cells):
-        out = _integer_class_sums(f1.boundary, f2.boundary, pairs, entries, mu)
+        out = _integer_class_sums(f1.boundary, f2.boundary, pairs, entries, weights.den, mu)
     else:
         out = [[mu.zero for _ in pairs] for _ in pairs]
-        for entry in entries:
-            gl = entry.rep.letters
-            add(entry.rep, entry.mass * f1.boundary.value_at_hat(gl) * f2.boundary.value_at_hat(invert_letters(gl)))
+        for c, g in entries:
+            gl = g.letters
+            add(g, weights._mass(c) * f1.boundary.value_at_hat(gl) * f2.boundary.value_at_hat(invert_letters(gl)))
     for g0 in set(f1.interior) | {~g for g in f2.interior}:
         mass = weights.mass_of(g0)
         if mass:
@@ -752,31 +728,30 @@ def phi_r_pairs(
     return out
 
 
-def _integer_class_sums(b1: StepFunction, b2: StepFunction, pairs, entries, mu) -> List[List[Fraction]]:
+def _integer_class_sums(b1: StepFunction, b2: StepFunction, pairs, entries, mden: int, mu) -> List[List[Fraction]]:
     """phi_r_pairs' class sums on the word metric with rational values: per
-    length n the ints c F N_i N_j, for a class mass c / mden, boundary
+    length n the ints c F N_i N_j, for a class count c over mden, boundary
     values F / (fden1 fden2) and normalized coefficients N_i D / (den_i T_0),
     (D, T_0) the root of the geodesic table at n."""
-    mden = math.lcm(*(e.mass.denominator for e in entries))
     (fden1, _), (fden2, _), d1, d2 = b1.terms(True), b2.terms(True), b1.depth(), b2.depth()
     slots = [(i, v, w, v.depth(), w.depth()) for i, (v, w) in enumerate(pairs)]
     size = range(len(pairs))
     kernel: Dict[Tuple, Tuple[int, int]] = {}  # (N_i, den_i) by key (i, n, prefix, suffix)
     values: Dict[Tuple, int] = {}  # F by (g[:d1], g[max(0, n - d2):]), which fix both values
     lengths: Dict[int, Tuple[Letters, List[List[int]], List[int]]] = {}  # n -> (a word, sums, dens)
-    for entry in entries:
-        gl, n = entry.rep.letters, len(entry.rep)
+    for c, g in entries:
+        gl, n = g.letters, len(g)
         fkey = (gl[:d1], gl[max(0, n - d2):])
         if fkey not in values:
             values[fkey] = (b1.value_at_hat(gl) * fden1 * b2.value_at_hat(invert_letters(gl)) * fden2).numerator
-        weight = entry.mass.numerator * (mden // entry.mass.denominator) * values[fkey]
+        weight = c * values[fkey]
         if weight:
             _, sums, dens = lengths.setdefault(n, (gl, [[0 for _ in size] for _ in size], [1 for _ in size]))
             ns = []
             for i, v, w, dv, dw in slots:
                 key = (i, n, gl[:dw], gl[max(0, n - dv):])
                 if key not in kernel:
-                    kernel[key] = coefficient_sum(entry.rep, v, w, mu)[1:]
+                    kernel[key] = coefficient_sum(g, v, w, mu)[1:]
                 N, dens[i] = kernel[key]
                 ns.append(N)
             for i in size:

@@ -284,9 +284,11 @@ def _outcome(fn, R, ctx, budget):
     """A cover report or weight family as comparable fields, or the error raised.
 
     A family is read through entries(), and at every depth d = 1..a+2
-    (a the stem depth at R) through class_entries(d), whose masses sum to
-    1, and pair_table(d, d) as masses.  On S_R with R <= 6, mass_of must
-    give each word its mass in entries(), 0 off the support."""
+    (a the stem depth at R) through class_entries(d), whose counts sum to
+    den and are (|S_a| / |S_e|)^2 on a stem partition (e = min(d, a)),
+    bucketed by the class key (n, g[:d], g[n-d:]) as (first word, mass),
+    and pair_table(d, d) as masses.  On S_R with R <= 6, mass_of must give
+    each word its mass in entries(), 0 off the support."""
     try:
         out = fn(R, ctx, budget)
     except (BudgetError, CoverError) as exc:
@@ -296,9 +298,18 @@ def _outcome(fn, R, ctx, budget):
     a = max(0, math.ceil(Fraction(R) / 2 - Fraction(ctx.rho)))
     classes = {}
     for d in range(1, a + 3):
-        table = [(e.rep.letters, e.mass) for e in out.class_entries(d)]
-        assert sum(mass for _, mass in table) == 1, d
-        classes[d] = (table, _pair_masses(out, d, d))
+        table = out.class_entries(d)
+        assert sum(c for c, _ in table) == out.den, d
+        if out.stem is not None:
+            size = sphere_size(out.stem, ctx.k) // sphere_size(min(d, out.stem), ctx.k)
+            assert all(c == size**2 for c, _ in table), d
+        buckets = {}
+        for c, g in table:
+            n, gl = len(g), g.letters
+            key = (n, gl[:d], gl[max(0, n - d):])
+            first, mass = buckets.get(key, (gl, 0))
+            buckets[key] = (first, mass + Fraction(c, out.den))
+        classes[d] = (list(buckets.values()), _pair_masses(out, d, d))
     entries = [(g.letters, mass) for g, mass in out.entries()]
     if R <= 6 and float(R).is_integer():
         masses = dict(entries)
@@ -917,3 +928,15 @@ def test_orthogonality_sweep_refuses_an_empty_case_list(word_ctx):
     f = TestFunction.one(2)
     with pytest.raises(ValueError, match="at least one case, got none"):
         orthogonality_sweep(f, f, [], [2, 4], word_ctx)
+
+
+def test_sphere_weights_refuse_a_radius_that_is_not_an_int(word_ctx):
+    # 3.0 and 2.5 built a family that failed on first use with a TypeError;
+    # True was read as S_1
+    f = TestFunction.one(2)
+    one = StepFunction.constant(Fraction(1), 2)
+    cases = [lambda n=n: sphere_weights(n, word_ctx) for n in (3.0, 2.5, True, Fraction(3), -1)]
+    cases.append(lambda: orthogonality_sweep(f, f, [OrthCase("x", one, one, one, one)], [2.5], word_ctx))
+    for case in cases:
+        with pytest.raises(ValueError, match="n must be an int >= 0"):
+            case()

@@ -190,9 +190,9 @@ def _reference_phi_r_pairs(f1, f2, pairs, weights):
             for j in range(len(pairs)):
                 out[i][j] = out[i][j] + factor * ncs[i] * ncs[j]
 
-    for entry in weights.class_entries(d):
-        g = entry.rep
-        add(g, entry.mass * f1.boundary.value_at(hat_projection(g)) * f2.boundary.value_at(hat_projection(~g)))
+    for c, g in weights.class_entries(d):
+        mass = Fraction(c, weights.den) if weights.exact else c / weights.den
+        add(g, mass * f1.boundary.value_at(hat_projection(g)) * f2.boundary.value_at(hat_projection(~g)))
     for g0 in set(f1.interior) | {~g for g in f2.interior}:
         mass = weights.mass_of(g0)
         if mass:

@@ -1,7 +1,8 @@
 """The integer pair tables, the rectangle errors over one denominator and
 the stem partition's closed form against the Fraction formulation they
 replace (the _reference_* functions: masses summed per key from each
-class entry's Fraction or float mass, errors compared as masses)."""
+support word's Fraction or float mass in entries(), errors compared as
+masses)."""
 
 import math
 from fractions import Fraction
@@ -33,10 +34,7 @@ def _reference_sum_by_key(items, zero):
 
 
 def _reference_pair_table(weights, d1, d2):
-    keyed = (
-        ((_hat_prefix(e.rep.letters, d1), _hat_prefix((~e.rep).letters, d2)), e.mass)
-        for e in weights.class_entries(max(d1, d2, 1))
-    )
+    keyed = (((_hat_prefix(g.letters, d1), _hat_prefix((~g).letters, d2)), mass) for g, mass in weights.entries())
     return _reference_sum_by_key(keyed, weights.ctx.mu.zero)
 
 
@@ -185,3 +183,19 @@ def test_word_metric_cylinder_masses_are_one_over_the_sphere():
         masses, den = _cylinder_masses(ctx.mu, d)
         assert den == sphere_size(d, 3)
         assert {u: Fraction(c, den) for u, c in masses.items()} == _reference_cylinder_masses(ctx.mu, d)
+
+
+@pytest.mark.parametrize("kind", ["stem", "sphere", "dense", "weighted"])
+def test_rectangle_errors_refuse_a_negative_depth(kind):
+    # depth -1 gave 0 or ZeroDivisionError on a stem partition, and an empty
+    # max() or a KeyError on the other families
+    word = GroupContext(MetricSpec.word(2), rho=1)
+    weights = {
+        "stem": lambda: build_partition_weights(6, word),
+        "sphere": lambda: sphere_weights(3, word),
+        "dense": lambda: build_partition_weights(4, GroupContext(MetricSpec.word(2), rho=1, h=1)),
+        "weighted": lambda: build_partition_weights(4, GroupContext(MetricSpec.weighted(2, [1, 2]), h=1)),
+    }[kind]()
+    for error in (max_rectangle_error, max_uniform_rectangle_error):
+        with pytest.raises(ValueError, match="must be >= 0, got -1"):
+            error(weights, -1)

@@ -23,7 +23,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .boundary import Cylinder, CylinderRectangle, shadow_cut, shadow_stems
+from .boundary import Cylinder, CylinderRectangle, shadow_cut, shadow_intervals
 from .measures import BoundaryMeasure
 from .representation import (
     StepFunction,
@@ -324,45 +324,64 @@ def _grid_depth(R, ctx: GroupContext, budget: int, what: str) -> int:
 
 
 class _ShadowSweep:
-    """The annulus in canonical order over the occupancy grid of depth-m
-    cylinder pairs: iterating yields (letters, rows, cols, sub, taken) per
-    element whose double shadow still has unclaimed cells, sub the grid
-    block of that shadow and taken its unclaimed count, and claims the
-    block when the loop resumes.  Once every cell is claimed the rest of
-    the annulus is only counted."""
+    """The annulus over the occupancy grid of depth-m cylinder pairs by
+    blocks: words with the same shadow stems p, q share the block C_p x C_q,
+    and only the first in canonical order can claim cells.  Iterating yields
+    (letters, rows, cols, sub, taken) per block in the order of its first
+    word while sub, the block, has taken > 0 unclaimed cells, claims it when
+    the loop resumes, and stops once all are claimed.  count: annulus size."""
 
     def __init__(self, R, ctx: GroupContext, budget: int, what: str):
-        self.R = R
-        self.ctx = ctx
-        self.budget = budget
         self.grid = SphereGrid(ctx.k, _grid_depth(R, ctx, budget, what))
         self.occupied = np.zeros((self.grid.size, self.grid.size), dtype=bool)
-        self.count = 0
         self.claimed = 0
+        self.count, self._firsts = _first_blocks(R, ctx, self.grid, budget)
 
     @property
     def full(self) -> bool:
         return self.claimed == self.occupied.size
 
     def __iter__(self) -> Iterator[Tuple[Letters, Tuple[int, int], Tuple[int, int], np.ndarray, int]]:
-        m = self.ctx.metric
-        cut = shadow_cut(m, self.ctx.rho)
-        interval = self.grid.interval
-        for letters, units in annulus_units(self.R, self.ctx.h, m):
-            self.count += 1
-            if self.count > self.budget:
-                raise BudgetError(f"annulus at R={self.R} exceeds budget {self.budget}")
+        for key, (rlo, rhi, clo, chi) in sorted(self._firsts):
             if self.full:
-                continue
-            first, second = shadow_stems(letters, units, cut)
-            rlo, rhi = interval(first)
-            clo, chi = interval(second)
+                return
             sub = self.occupied[rlo:rhi, clo:chi]
             taken = sub.size - int(np.count_nonzero(sub))
             if taken:
-                yield letters, (rlo, rhi), (clo, chi), sub, taken
+                yield tuple(key), (rlo, rhi), (clo, chi), sub, taken
                 sub[:] = True
                 self.claimed += taken
+
+
+def _first_blocks(R, ctx: GroupContext, grid: SphereGrid, budget: int) -> Tuple[int, List]:
+    """(annulus size, [(letters as bytes, (rlo, rhi, clo, chi))]) for the
+    first word of each block, one numpy pass per word length (bytes sort
+    canonically); words grow as in annulus_units, pruned past hi."""
+    m, cut = ctx.metric, shadow_cut(ctx.metric, ctx.rho)
+    lo, hi = m.unit_bounds(R - ctx.h, R + ctx.h)
+    fits = 2 * cut[1] * max(hi, 1) + cut[2] < 2**62  # every sum below fits int64
+    dtype = np.float64 if m.kind == "green" else np.int64 if fits else object
+    codes = np.arange(2 * m.k, dtype=np.int8)
+    units = np.array([m.units[c >> 1] for c in range(2 * m.k)], dtype)
+    words, lengths = np.zeros((int(hi >= 0), 0), np.int8), np.zeros(int(hi >= 0), dtype)
+    count, firsts = 0, []
+    while len(words):
+        n, kept = words.shape[1], lengths >= lo
+        w = words[kept]
+        count += len(w)
+        if count > budget:
+            raise BudgetError(f"annulus at R={R} exceeds budget {budget}")
+        if len(w):
+            lows, highs, stems = shadow_intervals(w, lengths[kept], cut, grid)
+            p, q = (lows * (grid.m + 1) + stems).reshape(2, -1)  # a stem by its interval start and length
+            block = (p * grid.size * (grid.m + 1) + q)[::-1].tolist()
+            first = np.fromiter(dict(zip(block, range(len(w) - 1, -1, -1))).values(), np.intp)
+            keys = w[first].view(f"V{n}").ravel().tolist() if n else [b""]
+            firsts += zip(keys, zip(*(e[i].tolist() for i in (first, first + len(w)) for e in (lows, highs))))
+        last = words[:, -1:] ^ 1 if n else -1
+        rows, cols = np.nonzero((codes != last) & (lengths[:, None] + units <= hi))
+        words, lengths = np.hstack([words[rows], codes[cols, None]]), lengths[rows] + units[cols]
+    return count, firsts
 
 
 def _sweep_cover(R, ctx: GroupContext, budget: int) -> CoverReport:
@@ -371,12 +390,11 @@ def _sweep_cover(R, ctx: GroupContext, budget: int) -> CoverReport:
     sweep = _ShadowSweep(R, ctx, budget, "cover")
     for _ in sweep:
         pass
-    covered = sweep.full
     witness = None
-    if not covered:
-        i, j = np.argwhere(~sweep.occupied)[0]
-        witness = CylinderRectangle(Cylinder(sweep.grid.unrank(int(i))), Cylinder(sweep.grid.unrank(int(j))))
-    return CoverReport(covered, witness, R, ctx.rho, ctx.h, sweep.grid.m, sweep.count)
+    if not sweep.full:
+        i, j = divmod(int(np.argmin(sweep.occupied)), sweep.grid.size)  # the first False
+        witness = CylinderRectangle(Cylinder(sweep.grid.unrank(i)), Cylinder(sweep.grid.unrank(j)))
+    return CoverReport(sweep.full, witness, R, ctx.rho, ctx.h, sweep.grid.m, sweep.count)
 
 
 def _cover_error(R, ctx: GroupContext) -> CoverError:
@@ -389,22 +407,13 @@ def _cover_error(R, ctx: GroupContext) -> CoverError:
 def _sweep_partition(R, ctx: GroupContext, budget: int) -> WeightFamily:
     """build_partition_weights by the dense sweep."""
     sweep = _ShadowSweep(R, ctx, budget, "partition")
-    grid = sweep.grid
-    exact = ctx.mu.exact
-    if exact:
-        cell = Fraction(1, 2 * ctx.k) * Fraction(1, 2 * ctx.k - 1) ** (grid.m - 1)
-        cell_sq = cell * cell
-    else:
-        cell_masses = np.array([ctx.mu.mass_letters(grid.unrank(i)) for i in range(grid.size)], dtype=np.float64)
-
-    words: List[Letters] = []
-    masses: List = []
+    grid, exact = sweep.grid, ctx.mu.exact
+    cell_sq = Fraction(1, 2 * ctx.k) ** 2 * Fraction(1, 2 * ctx.k - 1) ** (2 * grid.m - 2)
+    cell_masses = None if exact else ctx.mu.sphere_masses(grid.m)
+    words, masses = [], []
     for letters, (rlo, rhi), (clo, chi), sub, taken in sweep:
         words.append(letters)
-        if exact:
-            masses.append(taken * cell_sq)
-        else:
-            masses.append(float(np.outer(cell_masses[rlo:rhi], cell_masses[clo:chi])[~sub].sum()))
+        masses.append(taken * cell_sq if exact else float(np.outer(cell_masses[rlo:rhi], cell_masses[clo:chi])[~sub].sum()))
     if not sweep.full:
         raise _cover_error(R, ctx)
     fam = WeightFamily(R, ctx, words, masses, annulus_size=sweep.count)

@@ -807,8 +807,7 @@ def cmd_green(cfg: RunConfig, emit: Emitter) -> int:
     _check_ancona_words(cfg)
     walk = cfg.walk or WalkSpec.simple(cfg.k)
     fp = solve_first_passage(walk)
-    metric = green_metric_of_walk(walk)
-    ctx = GroupContext(metric, epsilon=cfg.epsilon, rho=cfg.rho)
+    ctx = GroupContext(fp.green_metric(), epsilon=cfg.epsilon, rho=cfg.rho)
     mu = ps_measure(ctx)
     t0 = time.monotonic()
     counts, decided, undecided = mc_cylinder_counts(walk, depth, cfg.samples, cfg.seed)

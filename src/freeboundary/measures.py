@@ -164,6 +164,16 @@ class BoundaryMeasure:
     def mass_letters(self, stem: Letters):
         return self.prefix_masses(stem)[-1]
 
+    def sphere_masses(self, m: int) -> np.ndarray:
+        """mass_letters(u) of every depth-m stem u in canonical order, bit for
+        bit: a depth at a time, each parent mass times its Markov row."""
+        after = np.array([[t for t in range(2 * self.k) if t != x ^ 1] for x in range(2 * self.k)])
+        rows = np.array([[self.trans[x, t] for t in row] for x, row in enumerate(after.tolist())])
+        masses, last = np.array([self.pi0[c] for c in range(2 * self.k)]), np.arange(2 * self.k)
+        for _ in range(m - 1):
+            masses, last = (masses[:, None] * rows[last]).ravel(), after[last].ravel()
+        return masses
+
     def mass(self, c: Cylinder):
         return self.mass_letters(c.stem)
 
@@ -378,6 +388,11 @@ class FirstPassage:
     def __getitem__(self, s: Letter):
         return self.values[s]
 
+    def green_metric(self) -> MetricSpec:
+        """The walk's Green metric (see green_metric_of_walk)."""
+        k = len(self.values) // 2
+        return MetricSpec("green", k, tuple(-math.log(float(self.values[c])) for c in canonical_letters(k)[::2]))
+
 
 def solve_first_passage(walk: WalkSpec) -> FirstPassage:
     """Monotone fixed-point iteration from 0; the map is monotone and
@@ -417,9 +432,7 @@ def green_metric_of_walk(walk: WalkSpec) -> MetricSpec:
     d(1, g) is exactly the sum of letter lengths (multiplicative constant
     1 in the Green-metric comparison).
     """
-    fp = solve_first_passage(walk)
-    lengths = tuple(-math.log(float(fp[c])) for c in canonical_letters(walk.k)[::2])
-    return MetricSpec("green", walk.k, lengths)
+    return solve_first_passage(walk).green_metric()
 
 
 # -- Monte-Carlo harmonic measure ---------------------------------------

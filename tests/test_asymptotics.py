@@ -51,7 +51,7 @@ from freeboundary import (
     sphere_sum_sq,
     sphere_weights,
 )
-from freeboundary import asymptotics
+from freeboundary import asymptotics, boundary
 from freeboundary.asymptotics import (
     CoverReport,
     SphereGrid,
@@ -68,7 +68,8 @@ from freeboundary.asymptotics import (
     l2_norm_sq,
     sphere_class_table,
 )
-from freeboundary.words import canonical_letters, enumerate_annulus, multiply_letters, reduce_letters
+from freeboundary.boundary import shadow_cut, shadow_intervals, shadow_stems
+from freeboundary.words import annulus_units, canonical_letters, enumerate_annulus, multiply_letters, reduce_letters
 
 W = ReducedWord.from_str
 
@@ -285,8 +286,10 @@ def _outcome(fn, R, ctx, budget):
 
     A family is read through entries(), and at every depth d = 1..a+2
     (a the stem depth at R) through class_entries(d), whose counts sum to
-    den and are (|S_a| / |S_e|)^2 on a stem partition (e = min(d, a)),
+    den (1 within 1e-12 on float families) and are (|S_a| / |S_e|)^2 on
+    a stem partition (e = min(d, a)),
     bucketed by the class key (n, g[:d], g[n-d:]) as (first word, mass),
+    float masses summed in class order,
     and pair_table(d, d) as masses.  On S_R with R <= 6, mass_of must give
     each word its mass in entries(), 0 off the support."""
     try:
@@ -299,7 +302,8 @@ def _outcome(fn, R, ctx, budget):
     classes = {}
     for d in range(1, a + 3):
         table = out.class_entries(d)
-        assert sum(c for c, _ in table) == out.den, d
+        total = sum(c for c, _ in table)
+        assert total == out.den if out.exact else abs(total - 1) < 1e-12, d
         if out.stem is not None:
             size = sphere_size(out.stem, ctx.k) // sphere_size(min(d, out.stem), ctx.k)
             assert all(c == size**2 for c, _ in table), d
@@ -308,7 +312,7 @@ def _outcome(fn, R, ctx, budget):
             n, gl = len(g), g.letters
             key = (n, gl[:d], gl[max(0, n - d):])
             first, mass = buckets.get(key, (gl, 0))
-            buckets[key] = (first, mass + Fraction(c, out.den))
+            buckets[key] = (first, mass + out._mass(c))
         classes[d] = (list(buckets.values()), _pair_masses(out, d, d))
     entries = [(g.letters, mass) for g, mass in out.entries()]
     if R <= 6 and float(R).is_integer():
@@ -342,6 +346,180 @@ def test_dense_contexts_and_budgets_match_sweep(word_ctx):
         _assert_matches_sweep(R, word_ctx)
     _assert_matches_sweep(12, word_ctx, budget=1000)  # grid refusal
     _assert_matches_sweep(8, word_ctx, budget=2000)  # annulus refusal
+
+
+class _PerWordSweep:
+    """The dense sweep one annulus word at a time, the oracle for the block
+    sweep: every word's shadow stems (shadow_stems) and grid block
+    (SphereGrid.interval), claimed in canonical order, and the rest of
+    the annulus only counted once every cell is claimed."""
+
+    def __init__(self, R, ctx, budget, what):
+        self.R, self.ctx, self.budget = R, ctx, budget
+        self.grid = SphereGrid(ctx.k, _grid_depth(R, ctx, budget, what))
+        self.occupied = np.zeros((self.grid.size, self.grid.size), dtype=bool)
+        self.count = 0
+        self.claimed = 0
+
+    @property
+    def full(self):
+        return self.claimed == self.occupied.size
+
+    def __iter__(self):
+        cut = shadow_cut(self.ctx.metric, self.ctx.rho)
+        for letters, units in annulus_units(self.R, self.ctx.h, self.ctx.metric):
+            self.count += 1
+            if self.count > self.budget:
+                raise BudgetError(f"annulus at R={self.R} exceeds budget {self.budget}")
+            if self.full:
+                continue
+            first, second = shadow_stems(letters, units, cut)
+            rlo, rhi = self.grid.interval(first)
+            clo, chi = self.grid.interval(second)
+            sub = self.occupied[rlo:rhi, clo:chi]
+            taken = sub.size - int(np.count_nonzero(sub))
+            if taken:
+                yield letters, (rlo, rhi), (clo, chi), sub, taken
+                sub[:] = True
+                self.claimed += taken
+
+
+def _per_word_cover(R, ctx, budget):
+    sweep = _PerWordSweep(R, ctx, budget, "cover")
+    for _ in sweep:
+        pass
+    witness = None
+    if not sweep.full:
+        i, j = np.argwhere(~sweep.occupied)[0]
+        witness = CylinderRectangle(Cylinder(sweep.grid.unrank(int(i))), Cylinder(sweep.grid.unrank(int(j))))
+    return CoverReport(sweep.full, witness, R, ctx.rho, ctx.h, sweep.grid.m, sweep.count)
+
+
+def _per_word_partition(R, ctx, budget):
+    sweep = _PerWordSweep(R, ctx, budget, "partition")
+    grid, exact = sweep.grid, ctx.mu.exact
+    cell = Fraction(1, 2 * ctx.k) * Fraction(1, 2 * ctx.k - 1) ** (grid.m - 1)
+    cell_masses = None if exact else np.array([ctx.mu.mass_letters(grid.unrank(i)) for i in range(grid.size)])
+    words, masses = [], []
+    for letters, (rlo, rhi), (clo, chi), sub, taken in sweep:
+        words.append(letters)
+        if exact:
+            masses.append(taken * (cell * cell))
+        else:
+            masses.append(float(np.outer(cell_masses[rlo:rhi], cell_masses[clo:chi])[~sub].sum()))
+    if not sweep.full:
+        raise asymptotics._cover_error(R, ctx)
+    return WeightFamily(R, ctx, words, masses, annulus_size=sweep.count)
+
+
+def _assert_matches_per_word(R, ctx, budget=10_000_000):
+    assert _outcome(_sweep_cover, R, ctx, budget) == _outcome(_per_word_cover, R, ctx, budget)
+    assert _outcome(_sweep_partition, R, ctx, budget) == _outcome(_per_word_partition, R, ctx, budget)
+
+
+def _green(*probs):
+    return green_metric_of_walk(WalkSpec.from_generator_probs([Fraction(p) for p in probs]))
+
+
+_LENGTHS = [(1, Fraction(a, b)) for a, b in [(4, 3), (11, 8), (15, 11), (19, 14)]]
+_BLOCK_CASES = (
+    [
+        (f"wt-{a}-{b}", lambda a=a, b=b: MetricSpec.weighted(2, [a, b]), None, (4, 5))
+        for x, y in _LENGTHS
+        for a, b in [(x, y), (y, x)]
+    ]
+    + [("wt3-1-2-5_2", lambda: MetricSpec.weighted(3, [1, 2, Fraction(5, 2)]), None, (4,))]
+    + [(f"green-{p}-{q}", lambda p=p, q=q: _green(p, q), None, (4, 5)) for p, q in [("1/5", "3/10"), ("1/8", "3/8")]]
+    + [("word-h1", lambda: MetricSpec.word(2), 1, (Fraction(9, 2),))]
+)
+
+
+@pytest.mark.parametrize("rho", [0, Fraction(1, 2), 1, 2], ids=lambda r: f"rho{float(r)}")
+@pytest.mark.parametrize("name, metric, h, radii", _BLOCK_CASES, ids=[c[0] for c in _BLOCK_CASES])
+def test_block_sweep_matches_per_word_sweep(name, metric, h, radii, rho):
+    # weighted, Green and h > 0 annuli: covers, witnesses, annulus counts,
+    # support words and float masses, bit for bit
+    ctx = GroupContext(metric(), rho=rho, h=h)
+    for R in radii:
+        _assert_matches_per_word(R, ctx)
+
+
+def test_block_sweep_refusals_and_empty_annuli_match_per_word_sweep():
+    ctx, R = GroupContext(MetricSpec.word(2), rho=1, h=1), Fraction(9, 2)
+    size = sphere_size(4, 2) + sphere_size(5, 2)
+    for budget in (size - 1, size):  # one word over the budget, then none
+        _assert_matches_per_word(R, ctx, budget)
+        refusal = f"annulus at R={R} exceeds budget {budget}"
+        assert _outcome(_sweep_cover, R, ctx, budget)[-1] == (refusal if budget < size else size)
+    even = GroupContext(MetricSpec.weighted(2, [2, 2]), h=0)  # only even radii hold words
+    for R, ctx in [(3, even), (Fraction(9, 2), GroupContext(MetricSpec.word(2), h=0)), (-1, even)]:
+        _assert_matches_per_word(R, ctx)
+        assert _outcome(_sweep_cover, R, ctx, 10_000_000)[-1] == 0
+
+
+@pytest.mark.parametrize(
+    "metric",
+    [
+        MetricSpec.weighted(2, [1, Fraction(11, 8)]),
+        MetricSpec.weighted(3, [1, 2, Fraction(5, 2)]),
+        _green("1/8", "3/8"),
+    ],
+    ids=["wt2", "wt3", "green"],
+)
+def test_cell_masses_are_mass_letters(metric):
+    # one depth at a time, each float bit-equal to the per-cell Markov walk
+    mu = GroupContext(metric).mu
+    for m in range(1, 6 if metric.k == 2 else 5):
+        grid = SphereGrid(metric.k, m)
+        assert mu.sphere_masses(m).tolist() == [mu.mass_letters(grid.unrank(i)) for i in range(grid.size)]
+
+
+def test_block_sweep_past_int64_matches_per_word_sweep():
+    # a rho of denominator 2^61 takes the cut's sums past int64, onto Python ints
+    for ctx, R in [
+        (GroupContext(MetricSpec.word(2), rho=Fraction(1, 2**61) + 1, h=1), Fraction(9, 2)),
+        (GroupContext(MetricSpec.weighted(2, [1, Fraction(4, 3)]), rho=0.1), 4),
+    ]:
+        _assert_matches_per_word(R, ctx)
+
+
+def test_block_sweep_takes_no_per_word_path(monkeypatch):
+    # weighted covers and partitions never reach the per-word stems, grid
+    # intervals or annulus stream
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-word path")
+
+    per_word = [(boundary, "shadow_stems"), (boundary, "_prefix_reaching"), (SphereGrid, "interval")]
+    for owner, name in per_word + [(asymptotics, "annulus_units")]:
+        monkeypatch.setattr(owner, name, refuse)
+    ctx = GroupContext(MetricSpec.weighted(2, [1, Fraction(11, 8)]), rho=1)
+    assert check_shadow_cover(5, ctx).covered
+    assert build_partition_weights(5, ctx).support_size() > 0
+    assert not check_shadow_cover(5, ctx.with_rho(0)).covered
+
+
+_metrics = st.one_of(
+    st.tuples(st.sampled_from([2, 3]), st.fractions(Fraction(1, 2), 3, max_denominator=7)).map(
+        lambda kl: MetricSpec.weighted(kl[0], [1] + [kl[1]] * (kl[0] - 1))
+    ),
+    st.sampled_from([_green("1/5", "3/10"), _green("1/8", "3/8"), MetricSpec.word(3)]),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_metrics, st.integers(0, 9), st.fractions(0, 4, max_denominator=6), st.data())
+def test_stem_intervals_match_shadow_stems(metric, n, rho, data):
+    # random reduced words of one length, each drawn by its index in S_n
+    k, cut = metric.k, shadow_cut(metric, rho)
+    index = st.integers(0, sphere_size(n, k) - 1).map(SphereGrid(k, n).unrank)
+    words = data.draw(st.lists(index, min_size=1, max_size=8))
+    grid = SphereGrid(k, n + 1)
+    lengths = np.array([metric.units_of(w) for w in words], np.float64 if metric.kind == "green" else np.int64)
+    lows, highs, stems = shadow_intervals(np.array(words, np.int8).reshape(len(words), n), lengths, cut, grid)
+    for i, w in enumerate(words):
+        first, second = shadow_stems(w, metric.units_of(w), cut)
+        for j, stem in ((i, first), (i + len(words), second)):
+            assert (lows[j], highs[j], stems[j]) == (*grid.interval(stem), len(stem)), (w, stem)
 
 
 @pytest.mark.parametrize("k, r_max", [(2, 8), (3, 5)], ids=["k2", "k3"])

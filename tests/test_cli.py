@@ -267,6 +267,28 @@ def test_green_subcommand(tmp_path):
     assert (out / "green_ancona.csv").exists()
 
 
+def test_green_solves_the_first_passage_once(tmp_path, monkeypatch):
+    import freeboundary.cli as cli
+    import freeboundary.measures as measures
+
+    calls, solve = [], measures.solve_first_passage
+
+    def counted(walk):
+        calls.append(walk)
+        return solve(walk)
+
+    monkeypatch.setattr(cli, "solve_first_passage", counted)
+    monkeypatch.setattr(measures, "solve_first_passage", counted)
+    cfg = write_config(
+        tmp_path,
+        "g.json",
+        {**BASE, "walk": {"a": "1/5", "b": "3/10"}, "samples": 200, "seed": 0, "depth": 1,
+         "ancona_words": 1, "ancona_samples": 200},
+    )
+    assert main(["green", "--config", str(cfg), "--out", str(tmp_path / "green")]) in (0, 2)
+    assert len(calls) == 1
+
+
 def test_green_prefix_totals_match_the_scan():
     # the one-pass stem totals equal the per-stem scan over every key
     counts, _, _ = mc_cylinder_counts(WalkSpec.simple(3), 4, 5_000, seed=7)

@@ -359,7 +359,7 @@ def _first_blocks(R, ctx: GroupContext, grid: SphereGrid, budget: int) -> Tuple[
     canonically); words grow as in annulus_units, pruned past hi."""
     m, cut = ctx.metric, shadow_cut(ctx.metric, ctx.rho)
     lo, hi = m.unit_bounds(R - ctx.h, R + ctx.h)
-    fits = 2 * cut[1] * max(hi, 1) + cut[2] < 2**62  # every sum below fits int64
+    fits = 2 * cut[1] * max(hi, 1, *m.units) + cut[2] < 2**62  # every sum below fits int64
     dtype = np.float64 if m.kind == "green" else np.int64 if fits else object
     codes = np.arange(2 * m.k, dtype=np.int8)
     units = np.array([m.units[c >> 1] for c in range(2 * m.k)], dtype)

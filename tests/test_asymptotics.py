@@ -475,10 +475,12 @@ def test_cell_masses_are_mass_letters(metric):
 
 
 def test_block_sweep_past_int64_matches_per_word_sweep():
-    # a rho of denominator 2^61 takes the cut's sums past int64, onto Python ints
+    # a rho of denominator 2^61, or a letter 10^20 long, takes the sums
+    # past int64, onto Python ints
     for ctx, R in [
         (GroupContext(MetricSpec.word(2), rho=Fraction(1, 2**61) + 1, h=1), Fraction(9, 2)),
         (GroupContext(MetricSpec.weighted(2, [1, Fraction(4, 3)]), rho=0.1), 4),
+        (GroupContext(MetricSpec.weighted(2, [1, 10**20]), rho=1, h=1), 5),
     ]:
         _assert_matches_per_word(R, ctx)
 

@@ -17,9 +17,10 @@ but a measure take one.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -828,15 +829,36 @@ def fit_decay(grid: Sequence[float], errors: Sequence[float]) -> Tuple[Optional[
     return (None if a is None else -a), r2, xs
 
 
-def fit_growth(grid: Sequence[int], values: Sequence[float]) -> Tuple[Optional[float], Optional[float], List[float]]:
-    """Fit log(q) ~ beta * log(1+n) over the top half of the grid."""
-    return _top_half_fit(grid, values, lambda n: math.log(1.0 + n))
+class GridRun(NamedTuple):
+    """sweep_grid's points done, their results and seconds, and its refusal."""
+
+    grid: List
+    results: List
+    seconds: List[float]
+    refusal: Optional[str]
+
+
+def sweep_grid(grid: Sequence, point: Callable) -> GridRun:
+    """point(x) for each x of the grid in order, each call timed, until the
+    first BudgetError: its message is the refusal, the points before it kept."""
+    done, results, seconds = [], [], []
+    for x in grid:
+        t0 = time.monotonic()
+        try:
+            results.append(point(x))
+        except BudgetError as exc:
+            return GridRun(done, results, seconds, str(exc))
+        seconds.append(time.monotonic() - t0)
+        done.append(x)
+    return GridRun(done, results, seconds, None)
 
 
 @dataclass
 class SweepReport:
     name: str
     grid: List = field(default_factory=list)
+    seconds: List[float] = field(default_factory=list)
+    refusal: Optional[str] = None
     values: List[float] = field(default_factory=list)
     values_exact: List[str] = field(default_factory=list)
     targets: List[float] = field(default_factory=list)
@@ -850,7 +872,6 @@ class SweepReport:
     constants: Dict[str, float] = field(default_factory=dict)
     verdict: str = ""
     passed: bool = True
-    partial: bool = False
     extras: Dict[str, List] = field(default_factory=dict)
 
     def summary(self) -> dict:
@@ -863,7 +884,7 @@ class SweepReport:
             "constants": self.constants,
             "verdict": self.verdict,
             "passed": self.passed,
-            "partial": self.partial,
+            "partial": self.refusal is not None,
         }
 
 
@@ -897,7 +918,7 @@ def orthogonality_sweep(
 
     Slot pairs shared between cases are evaluated once: each radius costs
     one phi_r_pairs call.  A BudgetError while building the weights stops
-    the sweep and marks every report partial (and not passed).
+    the sweep: the reports keep the radii before it, partial and failed.
     """
     if weights_kind not in ("sphere", "shadow"):
         raise ValueError(f"unknown weights kind {weights_kind!r}")
@@ -910,34 +931,28 @@ def orthogonality_sweep(
     pairs = list(index)
     slots = [(index[c.v1, c.w1], index[c.v2, c.w2]) for c in cases]
     targets = [orthogonality_target(f1, f2, c.v1, c.v2, c.w1, c.w2, ctx.mu) for c in cases]
-    reports = [SweepReport(name=case.name, reference_rate=float(ctx.epsilon) / 2.0) for case in cases]
-    partial = False
-    for R in grid:
-        try:
-            if weights_kind == "sphere":
-                weights = sphere_weights(R, ctx)
-            else:
-                weights = build_partition_weights(R, ctx, budget=budget)
-            table = phi_r_pairs(f1, f2, pairs, weights)
-        except BudgetError:
-            partial = True
-            break
-        for (i, j), target, rep in zip(slots, targets, reports):
-            val = table[i][j]
+
+    def point(R):
+        weights = sphere_weights(R, ctx) if weights_kind == "sphere" else build_partition_weights(R, ctx, budget=budget)
+        return phi_r_pairs(f1, f2, pairs, weights)
+
+    run = sweep_grid(grid, point)
+    reports = []
+    for case, (i, j), target in zip(cases, slots, targets):
+        rep = SweepReport(case.name, list(run.grid), list(run.seconds), run.refusal, reference_rate=float(ctx.epsilon) / 2.0)
+        floor = _REL_FLOOR if abs(target) < _REL_FLOOR else abs(target)
+        for val in (table[i][j] for table in run.results):
             err = abs(val - target)
-            floor = _REL_FLOOR if abs(target) < _REL_FLOOR else abs(target)
-            rep.grid.append(R)
             rep.values.append(as_float(val))
             rep.values_exact.append(exact_str(val))
             rep.targets.append(as_float(target))
             rep.targets_exact.append(exact_str(target))
             rep.abs_errors.append(as_float(err))
             rep.rel_errors.append(as_float(err / floor))
-    for rep in reports:
         rep.fitted_exponent, rep.fit_r2, rep.fit_window = fit_decay(rep.grid, rep.abs_errors)
-        rep.partial = partial
-        rep.passed = bool(rep.rel_errors and rep.rel_errors[-1] <= tolerance) and not partial
+        rep.passed = bool(rep.rel_errors and rep.rel_errors[-1] <= tolerance) and run.refusal is None
         rep.verdict = "PASS" if rep.passed else "FAIL"
+        reports.append(rep)
     return reports
 
 
@@ -957,34 +972,28 @@ def sphere_sum_sq(v: StepFunction, w: StepFunction, n: int, ctx: GroupContext):
     return _quotient(total, den * den * ctx.mu.omega**n)
 
 
-def _rd_ratio(total, n: int, scale: float) -> float:
-    return math.sqrt(as_float(total)) / ((1 + n) * math.sqrt(scale))
-
-
 def _sum_sq_series(v: StepFunction, w: StepFunction, grid: Sequence[int], ctx: GroupContext):
-    """(q_n = sphere_sum_sq at each n of the grid, ||v||^2 ||w||^2 as a float)."""
-    sums = [sphere_sum_sq(v, w, n, ctx) for n in grid]  # first: it refuses vectors of another rank
-    return sums, as_float(norm_sq(v, ctx.mu)) * as_float(norm_sq(w, ctx.mu))
+    """(the sweep of q_n = sphere_sum_sq over the grid, ||v||^2 ||w||^2 as a float)."""
+    run = sweep_grid(grid, lambda n: sphere_sum_sq(v, w, n, ctx))  # first: it refuses vectors of another rank
+    return run, as_float(norm_sq(v, ctx.mu)) * as_float(norm_sq(w, ctx.mu))
 
 
 def annular_rd_ratio(v: StepFunction, w: StepFunction, n: int, ctx: GroupContext) -> float:
     """r_n = (sum_{S_n} <pi(g)v,w>^2)^(1/2) / ((1+n) ||v|| ||w||)."""
-    (total,), scale = _sum_sq_series(v, w, [n], ctx)
-    return _rd_ratio(total, n, scale)
+    return rd_sweep(v, w, [n], ctx).values[0]
 
 
 def rd_sweep(v: StepFunction, w: StepFunction, grid: Sequence[int], ctx: GroupContext) -> SweepReport:
-    sums, scale = _sum_sq_series(v, w, grid, ctx)
-    ratios = [_rd_ratio(total, n, scale) for n, total in zip(grid, sums)]
+    run, scale = _sum_sq_series(v, w, grid, ctx)
+    ratios = [math.sqrt(as_float(q)) / ((1 + n) * math.sqrt(scale)) for n, q in zip(run.grid, run.results)]
     sup_r = max(ratios)
-    band = [r for n, r in zip(grid, ratios) if n >= 2]
+    band = [r for n, r in zip(run.grid, ratios) if n >= 2]
     inf_r = min(band) if band else min(ratios)
-    passed = inf_r >= _RD_LOWER_BAND and math.isfinite(sup_r)
+    passed = inf_r >= _RD_LOWER_BAND and math.isfinite(sup_r) and run.refusal is None
     return SweepReport(
-        name="annular-rd",
-        grid=list(grid),
+        "annular-rd", run.grid, run.seconds, run.refusal,
         values=ratios,
-        values_exact=[exact_str(total) for total in sums],
+        values_exact=[exact_str(total) for total in run.results],
         constants={"sup_ratio": sup_r, "inf_ratio_n_ge_2": inf_r},
         verdict="PASS" if passed else "FAIL",
         passed=passed,
@@ -1002,19 +1011,18 @@ def gvb_growth(v: StepFunction, w: StepFunction, grid: Sequence[int], ctx: Group
     the monotony argument: no vector can satisfy the good-vector bound,
     hence the verdict "GVB fails".
     """
-    sums, scale = _sum_sq_series(v, w, grid, ctx)
-    qs = [as_float(q) for q in sums]
-    ratios = [q / ((1 + n) ** 2 * scale) for n, q in zip(grid, qs)]
-    exponent, r2, window = fit_growth(list(grid), qs)
+    run, scale = _sum_sq_series(v, w, grid, ctx)
+    qs = [as_float(q) for q in run.results]
+    ratios = [q / ((1 + n) ** 2 * scale) for n, q in zip(run.grid, qs)]
+    exponent, r2, window = _top_half_fit(run.grid, qs, lambda n: math.log(1.0 + n))  # log(q) ~ beta log(1+n)
     growing = qs[-1] > 2.0 * qs[0]
     in_band = exponent is not None and _GVB_EXPONENT_BAND[0] <= exponent <= _GVB_EXPONENT_BAND[1]
-    passed = bool(growing and in_band)
+    passed = bool(growing and in_band) and run.refusal is None
     verdict = "GVB fails" if passed else "inconclusive"
     return SweepReport(
-        name="gvb-growth",
-        grid=list(grid),
+        "gvb-growth", run.grid, run.seconds, run.refusal,
         values=qs,
-        values_exact=[exact_str(q) for q in sums],
+        values_exact=[exact_str(q) for q in run.results],
         fitted_exponent=exponent,
         fit_r2=r2,
         fit_window=window,
@@ -1127,7 +1135,8 @@ class ConvolutionCheck:
     grid: List[Tuple[int, int, int]]
     max_restricted_ratio: float
     max_full_ratio_over_1pR: float
-    trials: int
+    seconds: List[float]
+    refusal: Optional[str]
 
 
 def empty_annulus_error(triple: Sequence, ctx: GroupContext) -> Optional[str]:
@@ -1155,16 +1164,18 @@ def rd_convolution_check(
     tuples of its annulus in canonical order (one draw each), so the norms
     are exact ints and each ratio ``int / int`` is correctly rounded once;
     word spheres (word metric, h = 0) sum them by cancellation depth, other
-    annuli convolve.  A triple with an empty annulus raises ValueError."""
+    annuli convolve.  A triple with an empty annulus raises ValueError; the
+    triples run through sweep_grid, so a BudgetError keeps those before it."""
     for triple in triples:
         error = empty_annulus_error(triple, ctx)
         if error:
             raise ValueError(f"triple {tuple(triple)}: {error}")
     rng, metric = np.random.default_rng(seed), ctx.metric
     spheres = metric.kind == "word" and ctx.h == 0
-    worst_restricted = worst_full = 0.0
     values = np.array([-3, -2, -1, 1, 2, 3])
-    for (R, Rp, Rpp) in triples:
+    worst = [0.0, 0.0]  # restricted, full
+
+    def point(R: int, Rp: int, Rpp: int) -> None:
         lo, hi = metric.unit_bounds(Rpp - Fraction(ctx.h), Rpp + Fraction(ctx.h))  # |g| within h of R''
         supports = None if spheres else [[g.letters for g in enumerate_annulus(r, ctx.h, metric)] for r in (R, Rp)]
         sizes = [sphere_size(r, ctx.k) for r in (R, Rp)] if spheres else [len(s) for s in supports]
@@ -1179,6 +1190,8 @@ def rd_convolution_check(
                 conv = convolve(dict(zip(supports[0], phi.tolist())), dict(zip(supports[1], psi.tolist())), budget)
                 norms = _sum_by_key((metric.units_of(g), val * val) for g, val in conv.items())
             restricted = sum(val for n, val in norms.items() if lo <= n <= hi)
-            worst_restricted = max(worst_restricted, math.sqrt(restricted / norm_sq_product))
-            worst_full = max(worst_full, math.sqrt(sum(norms.values()) / norm_sq_product) / (1.0 + float(R)))
-    return ConvolutionCheck(list(triples), worst_restricted, worst_full, trials)
+            worst[0] = max(worst[0], math.sqrt(restricted / norm_sq_product))
+            worst[1] = max(worst[1], math.sqrt(sum(norms.values()) / norm_sq_product) / (1.0 + float(R)))
+
+    run = sweep_grid(triples, lambda triple: point(*triple))
+    return ConvolutionCheck(run.grid, *worst, run.seconds, run.refusal)

@@ -2,7 +2,7 @@
 
 Subcommands: spec, xi, cover, equidist, orth, rd, conv, gvb, green.
 Exit codes: 0 all verdicts PASS, 2 a verdict FAILED, 1 usage/config
-error, 3 budget exceeded (partial outputs flagged in the manifest).
+error, 3 budget exceeded (the grid points done before it are written).
 
 Rationals in configs are strings "p/q" and are parsed exactly; exact
 values are rendered both as decimals and as "p+q*sqrt(w)" strings, so two
@@ -42,6 +42,7 @@ from .asymptotics import (
     orthogonality_sweep,
     rd_convolution_check,
     rd_sweep,
+    sweep_grid,
     _fiber_bound,
     _resolution_depth,
     fit_decay,
@@ -450,6 +451,21 @@ class Emitter:
         self._record(path)
         return path
 
+    def sweep(self, stage: str, axis: str, run) -> int:
+        """Time a sweep's points done as stages ``<stage>_<axis>=<x>`` and ``<stage>``;
+        3 if it was refused, else 0.  A refusal at the first point is raised: nothing is written."""
+        if run.refusal is not None and not run.grid:
+            raise BudgetError(run.refusal)
+        for x, seconds in zip(run.grid, run.seconds):
+            self.timings[f"{stage}_{axis}={x}"] = seconds
+        self.timings[stage] = sum(run.seconds)
+        return 0 if run.refusal is None else self.refuse(run.refusal)
+
+    def refuse(self, message: str) -> int:
+        print(f"budget exceeded: {message}", file=sys.stderr)
+        self.flags["budget_exceeded"] = True
+        return 3
+
     def _record(self, path: Path) -> None:
         data = path.read_bytes()
         self.files.append(
@@ -531,10 +547,10 @@ def cmd_spec(cfg: RunConfig, emit: Emitter) -> int:
 
 
 def cmd_xi(cfg: RunConfig, emit: Emitter) -> int:
-    mu = ps_measure(cfg.context())
     n_max = cfg.sphere_radii()[-1]
     if cfg.metric.kind != "word":
         raise ConfigError("metric.kind", "the xi table is indexed by length only for the word metric")
+    mu = ps_measure(cfg.context())
     t0 = time.monotonic()
     xis = [harish_chandra_length(n, mu) for n in range(n_max + 1)]
     emit.timings["xi_table"] = time.monotonic() - t0
@@ -550,10 +566,7 @@ def cmd_xi(cfg: RunConfig, emit: Emitter) -> int:
 
 
 def cmd_cover(cfg: RunConfig, emit: Emitter) -> int:
-    rows = []
-    ok = True
-    for R in cfg.grid:
-        minimal = None
+    def point(R) -> dict:
         witness = ""
         for rho in range(cfg.rho_max + 1):
             key = {
@@ -572,57 +585,47 @@ def cmd_cover(cfg: RunConfig, emit: Emitter) -> int:
                 payload = {"covered": rep.covered, "witness": str(rep.witness) if rep.witness else ""}
                 emit.cache.put("cover", key, payload)
             if payload["covered"]:
-                minimal = rho
-                break
+                return {"R": R, "minimal_rho": rho, "covered_within_scan": True, "last_witness": witness}
             witness = payload["witness"]
-        rows.append(
-            {
-                "R": R,
-                "minimal_rho": "" if minimal is None else minimal,
-                "covered_within_scan": minimal is not None,
-                "last_witness": witness,
-            }
-        )
-        ok = ok and minimal is not None
-    emit.write_csv("cover.csv", rows)
-    emit.write_json("cover_summary.json", {"rows": rows, "rho_max": cfg.rho_max, "passed": ok})
-    for row in rows:
+        return {"R": R, "minimal_rho": "", "covered_within_scan": False, "last_witness": witness}
+
+    run = sweep_grid(cfg.grid, point)
+    code = emit.sweep("cover", "R", run)
+    ok = not code and all(row["covered_within_scan"] for row in run.results)
+    emit.write_csv("cover.csv", run.results)
+    emit.write_json("cover_summary.json", {"rows": run.results, "rho_max": cfg.rho_max, "passed": ok})
+    for row in run.results:
         print(f"R={row['R']}: minimal covering rho = {row['minimal_rho']}")
-    return 0 if ok else 2
+    return code or (0 if ok else 2)
 
 
 def cmd_equidist(cfg: RunConfig, emit: Emitter) -> int:
     ctx = cfg.context()
     tol = 0.02 if cfg.tolerance is None else cfg.tolerance
-    rows = []
-    probe_errors = []
-    t0 = time.monotonic()
-    for R in cfg.grid:
-        t_R = time.monotonic()
+
+    def point(R) -> dict:
         weights = build_partition_weights(R, ctx, budget=cfg.budget)
         err = max_rectangle_error(weights, cfg.depth)
         probe_depth = _resolution_depth(R, ctx) - 1
         probe = max_uniform_rectangle_error(weights, probe_depth)
-        probe_errors.append(as_float(probe))
-        rows.append(
-            {
-                "R": R,
-                "max_error": repr(as_float(err)),
-                "max_error_exact": exact_str(err),
-                "probe_depth": probe_depth,
-                "probe_error": repr(as_float(probe)),
-                "probe_error_exact": exact_str(probe),
-                "support": weights.support_size(),
-                "annulus": weights.annulus_size,
-                "max_mass_times_annulus": repr(as_float(weights.max_mass() * weights.annulus_size)),
-            }
-        )
-        emit.timings[f"equidist_R={R}"] = time.monotonic() - t_R
-    emit.timings["equidist"] = time.monotonic() - t0
-    final_err = float(rows[-1]["max_error"])
-    exponent, r2, window = fit_decay(cfg.grid, probe_errors)
-    passed = final_err <= tol
-    emit.write_csv("equidist.csv", rows)
+        return {
+            "R": R,
+            "max_error": repr(as_float(err)),
+            "max_error_exact": exact_str(err),
+            "probe_depth": probe_depth,
+            "probe_error": repr(as_float(probe)),
+            "probe_error_exact": exact_str(probe),
+            "support": weights.support_size(),
+            "annulus": weights.annulus_size,
+            "max_mass_times_annulus": repr(as_float(weights.max_mass() * weights.annulus_size)),
+        }
+
+    run = sweep_grid(cfg.grid, point)
+    code = emit.sweep("equidist", "R", run)
+    final_err = float(run.results[-1]["max_error"])
+    exponent, r2, window = fit_decay(run.grid, [float(row["probe_error"]) for row in run.results])
+    passed = not code and final_err <= tol
+    emit.write_csv("equidist.csv", run.results)
     emit.write_json(
         "equidist_summary.json",
         {
@@ -636,10 +639,10 @@ def cmd_equidist(cfg: RunConfig, emit: Emitter) -> int:
         },
     )
     emit.write_plot_script("equidist", "equidist.csv", "R", "probe_error")
-    print(f"max depth<={cfg.depth} rectangle error at R={cfg.grid[-1]}: {final_err:.6g} (tol {tol})")
+    print(f"max depth<={cfg.depth} rectangle error at R={run.grid[-1]}: {final_err:.6g} (tol {tol})")
     exponent, r2 = ("n/a" if x is None else x for x in (exponent, r2))
     print(f"probe-depth errors fit: exponent {exponent} (reference {float(cfg.epsilon)/2}), r2 {r2}")
-    return 0 if passed else 2
+    return code or (0 if passed else 2)
 
 
 def cmd_orth(cfg: RunConfig, emit: Emitter) -> int:
@@ -657,11 +660,10 @@ def cmd_orth(cfg: RunConfig, emit: Emitter) -> int:
             raise ConfigError(f"cases[{i}].name", f"duplicate case name {name!r}")
         slots = (cfg.vector(case.get(key, "one")) for key in ("v1", "w1", "v2", "w2"))
         cases.append(OrthCase(name, *slots))
-    t0 = time.monotonic()
     reports = orthogonality_sweep(
         cfg.f1, cfg.f2, cases, grid, ctx, weights_kind=cfg.weights_kind, budget=cfg.budget, tolerance=tol
     )
-    emit.timings["orth"] = time.monotonic() - t0
+    code = emit.sweep("orth", "R", reports[0])
     rows = [
         {
             "case": rep.name,
@@ -677,8 +679,7 @@ def cmd_orth(cfg: RunConfig, emit: Emitter) -> int:
         for rep in reports
     ]
     emit.write_csv("orth.csv", rows)
-    finals = {rep.name: rep.rel_errors[-1] for rep in reports if rep.rel_errors}
-    partial = reports[0].partial
+    finals = {rep.name: rep.rel_errors[-1] for rep in reports}
     passed = all(rep.passed for rep in reports)
     emit.write_json(
         "orth_summary.json",
@@ -687,35 +688,26 @@ def cmd_orth(cfg: RunConfig, emit: Emitter) -> int:
             "tolerance": tol,
             "final_rel_errors": finals,
             "passed": passed,
-            "partial": partial,
+            "partial": bool(code),
         },
     )
     emit.write_plot_script("orth", "orth.csv", "R", "abs_error")
-    emit.flags["partial"] = partial
     for name, rel in finals.items():
         print(f"{name}: final rel error {rel:.6g} (tol {tol})")
-    if partial:
-        return 3
-    return 0 if passed else 2
+    return code or (0 if passed else 2)
 
 
-def _sphere_sum_sweep(cfg: RunConfig, emit: Emitter, name: str, sweep) -> SweepReport:
+def _sphere_sum_sweep(cfg: RunConfig, emit: Emitter, name: str, sweep) -> Tuple[SweepReport, int]:
     """rd_sweep or gvb_growth on the config's vectors and word-sphere radii,
-    timed as stage ``name``; other metrics are refused before any work."""
+    recorded as sweep ``name``; other metrics are refused before any work."""
     if cfg.metric.kind != "word":
         raise ConfigError("metric.kind", "sphere sums are exact class sums only on the word metric")
-    ctx = cfg.context()
-    v = cfg.vector(cfg.v)
-    w = cfg.vector(cfg.w)
-    grid = cfg.sphere_radii()
-    t0 = time.monotonic()
-    report = sweep(v, w, grid, ctx)
-    emit.timings[name] = time.monotonic() - t0
-    return report
+    report = sweep(cfg.vector(cfg.v), cfg.vector(cfg.w), cfg.sphere_radii(), cfg.context())
+    return report, emit.sweep(name, "n", report)
 
 
 def cmd_rd(cfg: RunConfig, emit: Emitter) -> int:
-    report = _sphere_sum_sweep(cfg, emit, "rd", rd_sweep)
+    report, code = _sphere_sum_sweep(cfg, emit, "rd", rd_sweep)
     rows = [
         {"n": n, "ratio": repr(report.values[i]), "sum_sq_exact": report.values_exact[i]}
         for i, n in enumerate(report.grid)
@@ -727,7 +719,7 @@ def cmd_rd(cfg: RunConfig, emit: Emitter) -> int:
         f"r_n over n={report.grid[0]}..{report.grid[-1]}: sup {report.constants['sup_ratio']:.6f}, "
         f"inf(n>=2) {report.constants['inf_ratio_n_ge_2']:.6f} -> {report.verdict}"
     )
-    return 0 if report.passed else 2
+    return code or (0 if report.passed else 2)
 
 
 def cmd_conv(cfg: RunConfig, emit: Emitter) -> int:
@@ -739,15 +731,14 @@ def cmd_conv(cfg: RunConfig, emit: Emitter) -> int:
     t0 = time.monotonic()
     fibers = fiber_size_report(cfg.fiber_r_max, cfg.k)
     emit.timings["fibers"] = time.monotonic() - t0
-    t0 = time.monotonic()
     check = rd_convolution_check(cfg.triples, ctx, trials=cfg.trials, seed=cfg.seed, budget=cfg.budget)
-    emit.timings["random_trials"] = time.monotonic() - t0
+    code = emit.sweep("conv", "triple", check)
     rows = [
         {"defect_p": p, "max_fiber": fibers.max_by_defect[p], "bound": _fiber_bound(p, cfg.k)}
         for p in sorted(fibers.max_by_defect)
     ]
     emit.write_csv("conv_fibers.csv", rows)
-    passed = fibers.extremal_ok and fibers.bound_ok and check.max_restricted_ratio <= _CONV_RATIO_CAP
+    passed = not code and fibers.extremal_ok and fibers.bound_ok and check.max_restricted_ratio <= _CONV_RATIO_CAP
     emit.write_json(
         "conv_summary.json",
         {
@@ -765,11 +756,11 @@ def cmd_conv(cfg: RunConfig, emit: Emitter) -> int:
         f"fibers by class census to R,R'<= {cfg.fiber_r_max}: extremal size-1 {fibers.extremal_ok}, bound {fibers.bound_ok}; "
         f"max restricted conv ratio {check.max_restricted_ratio:.4f} (cap {_CONV_RATIO_CAP})"
     )
-    return 0 if passed else 2
+    return code or (0 if passed else 2)
 
 
 def cmd_gvb(cfg: RunConfig, emit: Emitter) -> int:
-    report = _sphere_sum_sweep(cfg, emit, "gvb", gvb_growth)
+    report, code = _sphere_sum_sweep(cfg, emit, "gvb", gvb_growth)
     rows = [
         {
             "n": n,
@@ -787,7 +778,7 @@ def cmd_gvb(cfg: RunConfig, emit: Emitter) -> int:
         f"q_n growth exponent {exponent} (r2 {r2}) "
         f"over top half of n={report.grid[0]}..{report.grid[-1]} -> verdict: {report.verdict}"
     )
-    return 0 if report.passed else 2
+    return code or (0 if report.passed else 2)
 
 
 def _prefix_totals(counts: Dict[Letters, int]) -> Dict[Letters, int]:
@@ -971,16 +962,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = COMMANDS[args.subcommand](cfg, emit)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        code = 1
     except BudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        emit.flags["budget_exceeded"] = True
-        emit.finish(3)
-        return 3
+        code = emit.refuse(str(exc))
     except CoverError as exc:
         print(f"cover failure: {exc}", file=sys.stderr)
-        emit.finish(2)
-        return 2
+        code = 2
     emit.finish(code)
     return code
 

@@ -791,6 +791,18 @@ def test_orthogonality_sweep_orthogonal_case(word_ctx, one, ind_a, ind_b):
     assert report.passed
 
 
+def test_orthogonality_sweep_keeps_the_radii_before_a_refusal(word_ctx, one):
+    f = TestFunction.one(2)
+    case = OrthCase("x", one, one, one, one)
+    (done,) = orthogonality_sweep(f, f, [case], [4], word_ctx, weights_kind="shadow", budget=150)
+    (report,) = orthogonality_sweep(f, f, [case], [4, 6], word_ctx, weights_kind="shadow", budget=150)
+    assert done.refusal is None and done.summary()["partial"] is False
+    assert report.refusal == "partition grid 108^2 exceeds budget"
+    assert report.grid == [4] and len(report.seconds) == 1 and report.seconds[0] > 0
+    assert report.values_exact == done.values_exact and report.rel_errors == done.rel_errors
+    assert report.summary()["partial"] is True and not report.passed and report.verdict == "FAIL"
+
+
 def test_orthogonality_target(word_mu, one, ind_a, ind_b):
     f1 = f2 = TestFunction.one(2)
     assert orthogonality_target(f1, f2, ind_a, ind_b, one, one, word_mu) == 0

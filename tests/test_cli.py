@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from freeboundary.cli import ConfigError, _prefix_totals, load_config, main
+from freeboundary.cli import COMMANDS, ConfigError, _prefix_totals, load_config, main
 from freeboundary.measures import WalkSpec, mc_cylinder_counts
 from freeboundary.words import MetricSpec, enumerate_annulus
 
@@ -80,10 +80,16 @@ def test_xi_table_is_haagerups_closed_form(tmp_path, k):
         assert abs(float(row["xi"]) - q ** (-n / 2) * float(poly)) < 1e-15
 
 
-def test_xi_refuses_a_weighted_metric(tmp_path, capsys):
+def test_xi_refuses_a_weighted_metric(tmp_path, capsys, monkeypatch):
+    import freeboundary.cli as cli
+
+    # refused before the boundary measure is solved, and the manifest records the exit
+    monkeypatch.setattr(cli, "ps_measure", lambda ctx: pytest.fail("xi solved the boundary measure"))
     cfg = write_config(tmp_path, "w.json", {**BASE, "metric": {"kind": "weighted", "lengths": {"a": "1", "b": "2"}}})
     assert main(["xi", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "config error: metric.kind: " in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
+    assert manifest["exit_code"] == 1 and manifest["files"] == []
 
 
 @pytest.mark.parametrize("subcommand", ["rd", "gvb"])
@@ -206,12 +212,51 @@ def test_orth_determinism(tmp_path):
 
 
 def test_budget_exit_code(tmp_path):
+    # refused at the first radius: nothing is written but the manifest
     cfg = write_config(tmp_path, "orth.json", {**BASE, "grid": [6], "weights": "shadow"})
     out = tmp_path / "b"
     code = main(["orth", "--config", str(cfg), "--out", str(out), "--budget", "10"])
     assert code == 3
     manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["flags"].get("partial") or manifest["flags"].get("budget_exceeded")
+    assert manifest["flags"] == {"budget_exceeded": True}
+    assert manifest["files"] == []
+
+
+@pytest.mark.parametrize(
+    "subcommand, extra, key, done, refused, budget",
+    [
+        ("cover", {}, "grid", [4], [4, 6], "150"),
+        ("equidist", {}, "grid", [4], [4, 6], "150"),
+        ("orth", {"weights": "shadow"}, "grid", [4], [4, 6], "150"),
+        ("conv", {}, "triples", [[2, 2, 2]], [[2, 2, 2], [4, 4, 4]], "1000"),
+    ],
+    ids=["cover", "equidist", "orth", "conv"],
+)
+def test_refusal_keeps_the_points_done(tmp_path, capsys, subcommand, extra, key, done, refused, budget):
+    # the second point is over the budget: the run writes what the run of
+    # the first point alone writes, but fails, and exits 3
+    def run(name: str, points: list):
+        cfg = write_config(tmp_path, f"{name}.json", {**BASE, **extra, key: points})
+        code = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / name), "--budget", budget])
+        manifest = json.loads((tmp_path / name / "run_manifest.json").read_text())
+        return code, capsys.readouterr(), tmp_path / name, manifest
+
+    done_code, done_io, done_out, done_manifest = run("done", done)
+    code, io, out, manifest = run("refused", refused)
+    assert done_code in (0, 2) and done_manifest["flags"] == {}
+    assert code == 3 and manifest["exit_code"] == 3
+    assert manifest["flags"] == {"budget_exceeded": True}
+    assert "budget exceeded: " in io.err
+    assert io.out == done_io.out  # the printed lines name the last point done
+    files = [f["path"] for f in manifest["files"]]
+    assert files == [f["path"] for f in done_manifest["files"]]
+    for name in files:
+        if name.endswith("_summary.json"):
+            want = json.loads((done_out / name).read_text())
+            want.update({"passed": False, **({"partial": True} if "partial" in want else {})})
+            assert json.loads((out / name).read_text()) == want
+        else:
+            assert (out / name).read_bytes() == (done_out / name).read_bytes(), name
 
 
 def test_equidist_subcommand(tmp_path):
@@ -319,16 +364,49 @@ def test_manifest_records_peak_rss(tmp_path):
     assert isinstance(rss, float) and rss > 0
 
 
-def test_manifest_times_each_equidist_radius_in_microseconds(tmp_path):
-    cfg = write_config(tmp_path, "eq.json", {**BASE, "grid": [4, 6], "rho": "1", "depth": 2})
-    out = tmp_path / "eq"
-    assert main(["equidist", "--config", str(cfg), "--out", str(out)]) == 0
+# each sweep's stage and the axis of its points, (R, R', R'') for conv
+SWEEPS = {"cover": "R", "equidist": "R", "orth": "R", "rd": "n", "gvb": "n", "conv": "triple"}
+
+
+def sweep_stages(subcommand: str, cfg) -> set:
+    """The stage_timings_s keys of a sweep: one per point, and the total."""
+    points = cfg.triples if subcommand == "conv" else cfg.grid
+    return {subcommand, *(f"{subcommand}_{SWEEPS[subcommand]}={x}" for x in points)}
+
+
+@pytest.mark.parametrize("subcommand", list(SWEEPS))
+def test_manifest_times_each_sweep_point_in_microseconds(tmp_path, subcommand):
+    payload = {**BASE, "grid": [4, 6], "rho": "1", "depth": 2, "triples": [[2, 2, 2], [2, 3, 3]], "trials": 1}
+    cfg = write_config(tmp_path, "c.json", payload)
+    out = tmp_path / subcommand
+    # a two-radius gvb grid has a one-radius top half, so no growth fit: inconclusive
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == (2 if subcommand == "gvb" else 0)
     timings = json.loads((out / "run_manifest.json").read_text())["stage_timings_s"]
-    assert set(timings) == {"equidist", "equidist_R=4", "equidist_R=6"}
+    stages = sweep_stages(subcommand, load_config(cfg))
+    assert set(timings) == stages | ({"fibers"} if subcommand == "conv" else set())
     assert all(t == round(t, 6) for t in timings.values())
-    assert timings["equidist_R=4"] + timings["equidist_R=6"] <= timings["equidist"] + 2e-6
+    assert sum(timings[s] for s in stages - {subcommand}) <= timings[subcommand] + 2e-6
     # sub-millisecond stages are kept, not rounded to 0.0
     assert all(t > 0 for t in timings.values())
+
+
+def test_readme_commands_run(tmp_path):
+    # every command line of README's runner block, in-process: README and runner cannot drift apart
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    lines = [line.split() for line in readme.splitlines() if line.startswith("python -m freeboundary ")]
+    assert sorted(line[3] for line in lines) == sorted(COMMANDS)
+    for _, _, _, subcommand, *flags in lines:
+        args = dict(zip(flags[::2], flags[1::2]))
+        assert set(args) == {"--config", "--out"}, subcommand
+        config = root / args["--config"]
+        out = tmp_path / Path(args["--out"]).name
+        code = main([subcommand, "--config", str(config), "--out", str(out)])
+        assert code in (0, 2), subcommand
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["exit_code"] == code, subcommand
+        if subcommand in SWEEPS:
+            assert sweep_stages(subcommand, load_config(config)) <= set(manifest["stage_timings_s"]), subcommand
 
 
 def test_back_to_back_runs_parse_their_own_arguments(tmp_path, capsys):

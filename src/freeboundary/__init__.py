@@ -17,7 +17,6 @@ from .words import (
     ReducedWord,
     enumerate_annulus,
     enumerate_sphere,
-    geodesic_point,
     gromov_product,
     hat_projection,
     metric_length,
@@ -30,7 +29,6 @@ from .boundary import (
     CylinderRectangle,
     CylinderSet,
     boundary_gromov,
-    retract,
     shadow_pair,
     translate_cylinder_set,
     visual_distance,

@@ -24,7 +24,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 
 import numpy as np
 
-from .boundary import Cylinder, CylinderRectangle, shadow_cut, shadow_intervals
+from .boundary import Cylinder, CylinderRectangle, shadow_cut
 from .measures import BoundaryMeasure
 from .representation import (
     StepFunction,
@@ -125,43 +125,6 @@ def sphere_class_table(n: int, d: int, k: int) -> List[Tuple[int, ReducedWord]]:
     return [(c, ReducedWord(p + t, _reduced=True)) for p in stems for c, t in tails[p[-1]]]
 
 
-# -- canonical depth-m indexing of the letter tree ------------------------
-
-
-class SphereGrid:
-    """Canonical index of the depth-m words; cylinders map to index
-    intervals because descendants are contiguous in canonical order."""
-
-    def __init__(self, k: int, m: int):
-        self.k = k
-        self.m = m
-        self.size = sphere_size(m, k)
-        b = 2 * k - 1
-        self._weights = [b ** (m - 1 - i) for i in range(m)]
-
-    def interval(self, stem: Letters) -> Tuple[int, int]:
-        """A letter's rank among its siblings is its code, less one past
-        the parent's inverse, which no child may be."""
-        if len(stem) > self.m:
-            raise ValueError("stem deeper than the grid")
-        if not stem:
-            return 0, self.size
-        lo = stem[0] * self._weights[0]
-        for i in range(1, len(stem)):
-            c = stem[i]
-            lo += (c - (c > stem[i - 1] ^ 1)) * self._weights[i]
-        return lo, lo + (2 * self.k - 1) ** (self.m - len(stem))
-
-    def unrank(self, idx: int) -> Letters:
-        out: List[int] = []
-        for weight in self._weights:
-            c, idx = divmod(idx, weight)
-            if out:
-                c += c >= out[-1] ^ 1
-            out.append(c)
-        return tuple(out)
-
-
 def _resolution_depth(R, ctx: GroupContext) -> int:
     """ceil((R + h) / (2 * min letter length)) + 1, in exact arithmetic."""
     return math.ceil((Fraction(R) + Fraction(ctx.h)) / (2 * Fraction(ctx.metric.min_letter_length))) + 1
@@ -240,11 +203,20 @@ class WeightFamily:
         return Fraction(1, self.support_size())  # a class table spreads its mass evenly
 
     def mass_of(self, g: ReducedWord):
-        if self.words is None and self.stem is None:
-            return Fraction(1, self.annulus_size) if len(g) == self.R else Fraction(0)
-        if self._mass_by_letters is None:
-            self._mass_by_letters = {h.letters: mass for h, mass in self.entries()}
-        return self._mass_by_letters.get(g.letters, self.ctx.mu.zero)
+        """A word's mass.  On a shadow partition of S_R it is 1/den exactly
+        on the first word of its depth-a class: 0^R at a = 0, else
+        g[:a] u g[R-a:] with u the first middle of its junction."""
+        if self.words is not None:
+            if self._mass_by_letters is None:
+                self._mass_by_letters = {h.letters: mass for h, mass in self.entries()}
+            return self._mass_by_letters.get(g.letters, self.ctx.mu.zero)
+        gl, R, a = g.letters, self.R, self.stem
+        if len(gl) != R:
+            return Fraction(0)
+        if a is None:
+            return Fraction(1, self.annulus_size)
+        middle = (0,) * R if a == 0 else _junctions(R - 2 * a, self.ctx.k)[gl[a - 1], gl[R - a]][1]
+        return Fraction(1, self.den) if gl[a : R - a] == middle else Fraction(0)
 
     def entries(self) -> Iterator[Tuple[ReducedWord, object]]:
         if self.words is None and self.stem is None:
@@ -324,46 +296,47 @@ def _grid_depth(R, ctx: GroupContext, budget: int, what: str) -> int:
     return m
 
 
-class _ShadowSweep:
-    """The annulus over the occupancy grid of depth-m cylinder pairs by
-    blocks: words with the same shadow stems p, q share the block C_p x C_q,
-    and only the first in canonical order can claim cells.  Iterating yields
-    (letters, rows, cols, sub, taken) per block in the order of its first
-    word while sub, the block, has taken > 0 unclaimed cells, claims it when
-    the loop resumes, and stops once all are claimed.  count: annulus size."""
-
-    def __init__(self, R, ctx: GroupContext, budget: int, what: str):
-        self.grid = SphereGrid(ctx.k, _grid_depth(R, ctx, budget, what))
-        self.occupied = np.zeros((self.grid.size, self.grid.size), dtype=bool)
-        self.claimed = 0
-        self.count, self._firsts = _first_blocks(R, ctx, self.grid, budget)
-
-    @property
-    def full(self) -> bool:
-        return self.claimed == self.occupied.size
-
-    def __iter__(self) -> Iterator[Tuple[Letters, Tuple[int, int], Tuple[int, int], np.ndarray, int]]:
-        for key, (rlo, rhi, clo, chi) in sorted(self._firsts):
-            if self.full:
-                return
-            sub = self.occupied[rlo:rhi, clo:chi]
-            taken = sub.size - int(np.count_nonzero(sub))
-            if taken:
-                yield tuple(key), (rlo, rhi), (clo, chi), sub, taken
-                sub[:] = True
-                self.claimed += taken
+def _stem_intervals(w: np.ndarray, lengths: np.ndarray, cut, k: int, m: int) -> Tuple[np.ndarray, ...]:
+    """shadow_stems of the words in the rows of w (int8 letters, one length,
+    lengths in units) as (lo, hi, stem) over g, then over g^-1: the count of
+    prefix sums of the cut's steps short of den*L - offset, each added in
+    letter order, and the stem's interval [lo, hi) of canonical indices in
+    S_m: descendants are contiguous in canonical order."""
+    step, den, offset = cut
+    b = 2 * k - 1
+    steps = np.array([step[c >> 1] for c in range(2 * k)], lengths.dtype)
+    g, need = np.vstack([w, w[:, ::-1] ^ 1]), np.tile(den * lengths - offset, 2)
+    stem = (need > 0) + np.count_nonzero(np.cumsum(steps[g[:, :-1]], axis=1) < need[:, None], axis=1)
+    head = g[:, :m]
+    ranks = head.astype(np.int64)  # a letter's rank among its siblings: its code, less one past the parent's inverse
+    ranks[:, 1:] -= head[:, 1:] > head[:, :-1] ^ 1
+    weights = b ** (m - 1 - np.arange(head.shape[1]))
+    lo = (ranks * weights * (np.arange(head.shape[1]) < stem[:, None])).sum(axis=1)
+    return lo, lo + np.where(stem, b ** (m - stem), sphere_size(m, k)), stem
 
 
-def _first_blocks(R, ctx: GroupContext, grid: SphereGrid, budget: int) -> Tuple[int, List]:
+def _unrank(idx: int, k: int, m: int) -> Letters:
+    """The word of canonical index idx in S_m (the inverse of the ranks above)."""
+    out: List[int] = []
+    for i in range(m):
+        c, idx = divmod(idx, (2 * k - 1) ** (m - 1 - i))
+        if out:
+            c += c >= out[-1] ^ 1
+        out.append(c)
+    return tuple(out)
+
+
+def _first_blocks(R, ctx: GroupContext, m: int, budget: int) -> Tuple[int, List]:
     """(annulus size, [(letters as bytes, (rlo, rhi, clo, chi))]) for the
-    first word of each block, one numpy pass per word length (bytes sort
-    canonically); words grow as in annulus_units, pruned past hi."""
-    m, cut = ctx.metric, shadow_cut(ctx.metric, ctx.rho)
-    lo, hi = m.unit_bounds(R - ctx.h, R + ctx.h)
-    fits = 2 * cut[1] * max(hi, 1, *m.units) + cut[2] < 2**62  # every sum below fits int64
-    dtype = np.float64 if m.kind == "green" else np.int64 if fits else object
-    codes = np.arange(2 * m.k, dtype=np.int8)
-    units = np.array([m.units[c >> 1] for c in range(2 * m.k)], dtype)
+    first word of each block of the depth-m grid, one numpy pass per word
+    length (bytes sort canonically); words grow as in annulus_units, pruned
+    past hi."""
+    metric, cut, size = ctx.metric, shadow_cut(ctx.metric, ctx.rho), sphere_size(m, ctx.k)
+    lo, hi = metric.unit_bounds(R - ctx.h, R + ctx.h)
+    fits = 2 * cut[1] * max(hi, 1, *metric.units) + cut[2] < 2**62  # every sum below fits int64
+    dtype = np.float64 if metric.kind == "green" else np.int64 if fits else object
+    codes = np.arange(2 * ctx.k, dtype=np.int8)
+    units = np.array([metric.units[c >> 1] for c in range(2 * ctx.k)], dtype)
     words, lengths = np.zeros((int(hi >= 0), 0), np.int8), np.zeros(int(hi >= 0), dtype)
     count, firsts = 0, []
     while len(words):
@@ -373,9 +346,9 @@ def _first_blocks(R, ctx: GroupContext, grid: SphereGrid, budget: int) -> Tuple[
         if count > budget:
             raise BudgetError(f"annulus at R={R} exceeds budget {budget}")
         if len(w):
-            lows, highs, stems = shadow_intervals(w, lengths[kept], cut, grid)
-            p, q = (lows * (grid.m + 1) + stems).reshape(2, -1)  # a stem by its interval start and length
-            block = (p * grid.size * (grid.m + 1) + q)[::-1].tolist()
+            lows, highs, stems = _stem_intervals(w, lengths[kept], cut, ctx.k, m)
+            p, q = (lows * (m + 1) + stems).reshape(2, -1)  # a stem by its interval start and length
+            block = (p * size * (m + 1) + q)[::-1].tolist()
             first = np.fromiter(dict(zip(block, range(len(w) - 1, -1, -1))).values(), np.intp)
             keys = w[first].view(f"V{n}").ravel().tolist() if n else [b""]
             firsts += zip(keys, zip(*(e[i].tolist() for i in (first, first + len(w)) for e in (lows, highs))))
@@ -385,17 +358,42 @@ def _first_blocks(R, ctx: GroupContext, grid: SphereGrid, budget: int) -> Tuple[
     return count, firsts
 
 
+def _claim_blocks(R, ctx: GroupContext, budget: int, what: str, pricer: Optional[Callable] = None):
+    """The dense sweep: the occupancy grid of depth-m cylinder pairs, claimed
+    by blocks.  Words with the same shadow stems p, q share the block
+    C_p x C_q, and only the first in canonical order can claim cells, so
+    the blocks are claimed in the order of their first words until the grid
+    is full.  With a pricer, price = pricer(m) is called as
+    price(rlo, rhi, clo, chi, sub, taken) on each block sub with taken > 0
+    unclaimed cells, before they are marked.
+
+    Returns (m, annulus size, grid, full, [(first word, price)])."""
+    m = _grid_depth(R, ctx, budget, what)
+    count, firsts = _first_blocks(R, ctx, m, budget)
+    price = pricer(m) if pricer else lambda *block: None
+    size = sphere_size(m, ctx.k)
+    occupied, claimed, claims = np.zeros((size, size), dtype=bool), 0, []
+    for key, (rlo, rhi, clo, chi) in sorted(firsts):
+        if claimed == occupied.size:
+            break
+        sub = occupied[rlo:rhi, clo:chi]
+        taken = sub.size - int(np.count_nonzero(sub))
+        if taken:
+            claims.append((tuple(key), price(rlo, rhi, clo, chi, sub, taken)))
+            sub[:] = True
+            claimed += taken
+    return m, count, occupied, claimed == occupied.size, claims
+
+
 def _sweep_cover(R, ctx: GroupContext, budget: int) -> CoverReport:
     """check_shadow_cover by the dense sweep; the witness is the first
     uncovered cell in row-major order."""
-    sweep = _ShadowSweep(R, ctx, budget, "cover")
-    for _ in sweep:
-        pass
+    m, count, occupied, full, _ = _claim_blocks(R, ctx, budget, "cover")
     witness = None
-    if not sweep.full:
-        i, j = divmod(int(np.argmin(sweep.occupied)), sweep.grid.size)  # the first False
-        witness = CylinderRectangle(Cylinder(sweep.grid.unrank(i)), Cylinder(sweep.grid.unrank(j)))
-    return CoverReport(sweep.full, witness, R, ctx.rho, ctx.h, sweep.grid.m, sweep.count)
+    if not full:
+        i, j = divmod(int(np.argmin(occupied)), len(occupied))  # the first False
+        witness = CylinderRectangle(Cylinder(_unrank(i, ctx.k, m)), Cylinder(_unrank(j, ctx.k, m)))
+    return CoverReport(full, witness, R, ctx.rho, ctx.h, m, count)
 
 
 def _cover_error(R, ctx: GroupContext) -> CoverError:
@@ -406,18 +404,21 @@ def _cover_error(R, ctx: GroupContext) -> CoverError:
 
 
 def _sweep_partition(R, ctx: GroupContext, budget: int) -> WeightFamily:
-    """build_partition_weights by the dense sweep."""
-    sweep = _ShadowSweep(R, ctx, budget, "partition")
-    grid, exact = sweep.grid, ctx.mu.exact
-    cell_sq = Fraction(1, 2 * ctx.k) ** 2 * Fraction(1, 2 * ctx.k - 1) ** (2 * grid.m - 2)
-    cell_masses = None if exact else ctx.mu.sphere_masses(grid.m)
-    words, masses = [], []
-    for letters, (rlo, rhi), (clo, chi), sub, taken in sweep:
-        words.append(letters)
-        masses.append(taken * cell_sq if exact else float(np.outer(cell_masses[rlo:rhi], cell_masses[clo:chi])[~sub].sum()))
-    if not sweep.full:
+    """build_partition_weights by the dense sweep: each block's first word
+    gets the product mass of the cells it claims."""
+    exact = ctx.mu.exact
+
+    def pricer(m: int) -> Callable:
+        if exact:
+            cell_sq = Fraction(1, 2 * ctx.k) ** 2 * Fraction(1, 2 * ctx.k - 1) ** (2 * m - 2)
+            return lambda rlo, rhi, clo, chi, sub, taken: taken * cell_sq
+        cells = ctx.mu.sphere_masses(m)
+        return lambda rlo, rhi, clo, chi, sub, taken: float(np.outer(cells[rlo:rhi], cells[clo:chi])[~sub].sum())
+
+    _, count, _, full, claims = _claim_blocks(R, ctx, budget, "partition", pricer)
+    if not full:
         raise _cover_error(R, ctx)
-    fam = WeightFamily(R, ctx, words, masses, annulus_size=sweep.count)
+    fam = WeightFamily(R, ctx, [w for w, _ in claims], [mass for _, mass in claims], annulus_size=count)
     assert not exact or fam.total() == 1
     return fam
 
@@ -663,9 +664,6 @@ class TestFunction:
         extra = self.interior.get(g)
         return base if extra is None else base + extra
 
-    def depth(self) -> int:
-        return self.boundary.depth()
-
 
 def _check_ranks(k: int, functions: Sequence[StepFunction]) -> None:
     """Refuse a step function of another rank than the context's."""
@@ -835,19 +833,20 @@ class GridRun(NamedTuple):
     grid: List
     results: List
     seconds: List[float]
-    refusal: Optional[str]
+    refusal: Optional[RuntimeError]
 
 
 def sweep_grid(grid: Sequence, point: Callable) -> GridRun:
     """point(x) for each x of the grid in order, each call timed, until the
-    first BudgetError: its message is the refusal, the points before it kept."""
+    first BudgetError or CoverError: that error is the refusal, the points
+    before it kept."""
     done, results, seconds = [], [], []
     for x in grid:
         t0 = time.monotonic()
         try:
             results.append(point(x))
-        except BudgetError as exc:
-            return GridRun(done, results, seconds, str(exc))
+        except (BudgetError, CoverError) as exc:
+            return GridRun(done, results, seconds, exc)
         seconds.append(time.monotonic() - t0)
         done.append(x)
     return GridRun(done, results, seconds, None)
@@ -858,7 +857,7 @@ class SweepReport:
     name: str
     grid: List = field(default_factory=list)
     seconds: List[float] = field(default_factory=list)
-    refusal: Optional[str] = None
+    refusal: Optional[RuntimeError] = None
     values: List[float] = field(default_factory=list)
     values_exact: List[str] = field(default_factory=list)
     targets: List[float] = field(default_factory=list)
@@ -917,8 +916,9 @@ def orthogonality_sweep(
     reference rate eps/2.
 
     Slot pairs shared between cases are evaluated once: each radius costs
-    one phi_r_pairs call.  A BudgetError while building the weights stops
-    the sweep: the reports keep the radii before it, partial and failed.
+    one phi_r_pairs call.  A BudgetError or CoverError while building the
+    weights stops the sweep: the reports keep the radii before it, partial
+    and failed.
     """
     if weights_kind not in ("sphere", "shadow"):
         raise ValueError(f"unknown weights kind {weights_kind!r}")
@@ -1136,7 +1136,7 @@ class ConvolutionCheck:
     max_restricted_ratio: float
     max_full_ratio_over_1pR: float
     seconds: List[float]
-    refusal: Optional[str]
+    refusal: Optional[RuntimeError]
 
 
 def empty_annulus_error(triple: Sequence, ctx: GroupContext) -> Optional[str]:

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .words import (
     GroupContext,
     Letter,
@@ -23,7 +21,6 @@ from .words import (
     ReducedWord,
     canonical_letters,
     common_prefix_letters,
-    hat_projection,
     invert_letters,
     letter_from_str,
     letter_to_str,
@@ -157,13 +154,6 @@ def visual_distance(xi, eta, ctx: GroupContext) -> float:
     if p is math.inf:
         return 0.0
     return math.exp(-float(ctx.epsilon) * float(p))
-
-
-def retract(x):
-    """The retraction of the compactification onto the boundary."""
-    if isinstance(x, BoundaryPoint):
-        return x
-    return hat_projection(x)
 
 
 @dataclass(frozen=True, order=False)
@@ -389,23 +379,6 @@ def shadow_stems(letters: Letters, units, cut) -> Tuple[Letters, Letters]:
     step, den, offset = cut
     need = den * units - offset
     return _prefix_reaching(letters, need, step), _prefix_reaching(invert_letters(letters), need, step)
-
-
-def shadow_intervals(w: np.ndarray, lengths: np.ndarray, cut, grid) -> Tuple[np.ndarray, ...]:
-    """shadow_stems of the words in the rows of w (int8 letters, one length,
-    lengths in units) as (lo, hi, stem) over g, then over g^-1: the count of
-    prefix sums of the cut's steps short of den*L - offset, each added in
-    letter order, and the stem's SphereGrid interval [lo, hi) in grid."""
-    step, den, offset = cut
-    steps = np.array([step[c >> 1] for c in range(2 * grid.k)], lengths.dtype)
-    g, need = np.vstack([w, w[:, ::-1] ^ 1]), np.tile(den * lengths - offset, 2)
-    stem = (need > 0) + np.count_nonzero(np.cumsum(steps[g[:, :-1]], axis=1) < need[:, None], axis=1)
-    head = g[:, : grid.m]
-    ranks = head.astype(np.int64)  # a letter's rank among its siblings: its code, less one past the parent's inverse
-    ranks[:, 1:] -= head[:, 1:] > head[:, :-1] ^ 1
-    weights = (2 * grid.k - 1) ** (grid.m - 1 - np.arange(head.shape[1]))
-    lo = (ranks * weights * (np.arange(head.shape[1]) < stem[:, None])).sum(axis=1)
-    return lo, lo + np.where(stem, (2 * grid.k - 1) ** (grid.m - stem), grid.size), stem
 
 
 def shadow_pair(g: ReducedWord, ctx: GroupContext) -> CylinderRectangle:

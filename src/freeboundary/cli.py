@@ -453,16 +453,22 @@ class Emitter:
 
     def sweep(self, stage: str, axis: str, run) -> int:
         """Time a sweep's points done as stages ``<stage>_<axis>=<x>`` and ``<stage>``;
-        3 if it was refused, else 0.  A refusal at the first point is raised: nothing is written."""
+        the refusal's exit code (see refuse) if it stopped, else 0.  A refusal at
+        the first point is raised: nothing is written."""
         if run.refusal is not None and not run.grid:
-            raise BudgetError(run.refusal)
+            raise run.refusal
         for x, seconds in zip(run.grid, run.seconds):
             self.timings[f"{stage}_{axis}={x}"] = seconds
         self.timings[stage] = sum(run.seconds)
         return 0 if run.refusal is None else self.refuse(run.refusal)
 
-    def refuse(self, message: str) -> int:
-        print(f"budget exceeded: {message}", file=sys.stderr)
+    def refuse(self, exc: RuntimeError) -> int:
+        """Report a stop on stderr: a BudgetError sets the budget_exceeded
+        flag and exits 3, a CoverError exits 2."""
+        if isinstance(exc, CoverError):
+            print(f"cover failure: {exc}", file=sys.stderr)
+            return 2
+        print(f"budget exceeded: {exc}", file=sys.stderr)
         self.flags["budget_exceeded"] = True
         return 3
 
@@ -963,11 +969,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         code = 1
-    except BudgetError as exc:
-        code = emit.refuse(str(exc))
-    except CoverError as exc:
-        print(f"cover failure: {exc}", file=sys.stderr)
-        code = 2
+    except (BudgetError, CoverError) as exc:
+        code = emit.refuse(exc)
     emit.finish(code)
     return code
 

@@ -385,9 +385,6 @@ class FirstPassage:
     iterations: int
     residual: float
 
-    def __getitem__(self, s: Letter):
-        return self.values[s]
-
     def green_metric(self) -> MetricSpec:
         """The walk's Green metric (see green_metric_of_walk)."""
         k = len(self.values) // 2

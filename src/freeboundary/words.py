@@ -118,9 +118,6 @@ class ReducedWord:
     def __invert__(self) -> "ReducedWord":
         return ReducedWord(invert_letters(self.letters), _reduced=True)
 
-    def prefix(self, n: int) -> "ReducedWord":
-        return ReducedWord(self.letters[:n], _reduced=True)
-
 
 @dataclass(frozen=True)
 class MetricSpec:
@@ -280,25 +277,6 @@ def sphere_size(n: int, k: int) -> int:
     if n == 0:
         return 1
     return 2 * k * (2 * k - 1) ** (n - 1)
-
-
-def geodesic_point(g: ReducedWord, t, m: MetricSpec) -> ReducedWord:
-    """Longest prefix u of g with metric_length(u) <= t.
-
-    The pair (u, ~u * g) splits g along its geodesic with additive error 0
-    in the word metric and at most one letter length otherwise.
-    """
-    total = m.length_of(g.letters)
-    if t < 0 or t > total:
-        raise ValueError(f"t={t} outside [0, {total}]")
-    length = 0
-    cut = 0
-    for i, s in enumerate(g.letters):
-        length += m.letter_length(s)
-        if length > t:
-            break
-        cut = i + 1
-    return g.prefix(cut)
 
 
 def cyclic_reduction(g: ReducedWord) -> ReducedWord:

@@ -54,7 +54,6 @@ from freeboundary import (
 from freeboundary import asymptotics, boundary
 from freeboundary.asymptotics import (
     CoverReport,
-    SphereGrid,
     WeightFamily,
     _cancellation_norms,
     _cylinder_masses,
@@ -62,27 +61,28 @@ from freeboundary.asymptotics import (
     _grid_depth,
     _junctions,
     _resolution_depth,
+    _stem_intervals,
     _sweep_cover,
     _sweep_partition,
     _table_rectangle_error,
+    _unrank,
     l2_norm_sq,
     sphere_class_table,
 )
-from freeboundary.boundary import shadow_cut, shadow_intervals, shadow_stems
+from freeboundary.boundary import shadow_cut, shadow_stems
 from freeboundary.words import annulus_units, canonical_letters, enumerate_annulus, multiply_letters, reduce_letters
 
 W = ReducedWord.from_str
 
 
 def test_sphere_grid_ranking():
-    grid = SphereGrid(2, 3)
     words = [g.letters for g in enumerate_sphere(3, MetricSpec.word(2))]
-    assert grid.size == len(words)
+    assert sphere_size(3, 2) == len(words)
     for i, w in enumerate(words):
-        assert grid.interval(w)[0] == i
-        assert grid.unrank(i) == w
+        assert _PerWordSweep.interval(w, 2, 3)[0] == i
+        assert _unrank(i, 2, 3) == w
     ab = W("ab").letters
-    lo, hi = grid.interval(ab)
+    lo, hi = _PerWordSweep.interval(ab, 2, 3)
     assert [words[i][:2] for i in range(lo, hi)] == [ab] * (hi - lo)
 
 
@@ -351,15 +351,32 @@ def test_dense_contexts_and_budgets_match_sweep(word_ctx):
 class _PerWordSweep:
     """The dense sweep one annulus word at a time, the oracle for the block
     sweep: every word's shadow stems (shadow_stems) and grid block
-    (SphereGrid.interval), claimed in canonical order, and the rest of
-    the annulus only counted once every cell is claimed."""
+    (interval), claimed in canonical order, and the rest of the annulus
+    only counted once every cell is claimed."""
 
     def __init__(self, R, ctx, budget, what):
         self.R, self.ctx, self.budget = R, ctx, budget
-        self.grid = SphereGrid(ctx.k, _grid_depth(R, ctx, budget, what))
-        self.occupied = np.zeros((self.grid.size, self.grid.size), dtype=bool)
+        self.m = _grid_depth(R, ctx, budget, what)
+        size = sphere_size(self.m, ctx.k)
+        self.occupied = np.zeros((size, size), dtype=bool)
         self.count = 0
         self.claimed = 0
+
+    @staticmethod
+    def interval(stem, k, m):
+        """The canonical indices [lo, hi) of the depth-m words below stem,
+        one word at a time: a letter's rank among its siblings is its code,
+        less one past the parent's inverse, which no child may be."""
+        if len(stem) > m:
+            raise ValueError("stem deeper than the grid")
+        if not stem:
+            return 0, sphere_size(m, k)
+        weights = [(2 * k - 1) ** (m - 1 - i) for i in range(m)]
+        lo = stem[0] * weights[0]
+        for i in range(1, len(stem)):
+            c = stem[i]
+            lo += (c - (c > stem[i - 1] ^ 1)) * weights[i]
+        return lo, lo + (2 * k - 1) ** (m - len(stem))
 
     @property
     def full(self):
@@ -374,8 +391,8 @@ class _PerWordSweep:
             if self.full:
                 continue
             first, second = shadow_stems(letters, units, cut)
-            rlo, rhi = self.grid.interval(first)
-            clo, chi = self.grid.interval(second)
+            rlo, rhi = self.interval(first, self.ctx.k, self.m)
+            clo, chi = self.interval(second, self.ctx.k, self.m)
             sub = self.occupied[rlo:rhi, clo:chi]
             taken = sub.size - int(np.count_nonzero(sub))
             if taken:
@@ -391,15 +408,15 @@ def _per_word_cover(R, ctx, budget):
     witness = None
     if not sweep.full:
         i, j = np.argwhere(~sweep.occupied)[0]
-        witness = CylinderRectangle(Cylinder(sweep.grid.unrank(int(i))), Cylinder(sweep.grid.unrank(int(j))))
-    return CoverReport(sweep.full, witness, R, ctx.rho, ctx.h, sweep.grid.m, sweep.count)
+        witness = CylinderRectangle(*(Cylinder(_unrank(int(x), ctx.k, sweep.m)) for x in (i, j)))
+    return CoverReport(sweep.full, witness, R, ctx.rho, ctx.h, sweep.m, sweep.count)
 
 
 def _per_word_partition(R, ctx, budget):
     sweep = _PerWordSweep(R, ctx, budget, "partition")
-    grid, exact = sweep.grid, ctx.mu.exact
-    cell = Fraction(1, 2 * ctx.k) * Fraction(1, 2 * ctx.k - 1) ** (grid.m - 1)
-    cell_masses = None if exact else np.array([ctx.mu.mass_letters(grid.unrank(i)) for i in range(grid.size)])
+    m, exact = sweep.m, ctx.mu.exact
+    cell = Fraction(1, 2 * ctx.k) * Fraction(1, 2 * ctx.k - 1) ** (m - 1)
+    cell_masses = None if exact else np.array([ctx.mu.mass_letters(_unrank(i, ctx.k, m)) for i in range(len(sweep.occupied))])
     words, masses = [], []
     for letters, (rlo, rhi), (clo, chi), sub, taken in sweep:
         words.append(letters)
@@ -470,8 +487,8 @@ def test_cell_masses_are_mass_letters(metric):
     # one depth at a time, each float bit-equal to the per-cell Markov walk
     mu = GroupContext(metric).mu
     for m in range(1, 6 if metric.k == 2 else 5):
-        grid = SphereGrid(metric.k, m)
-        assert mu.sphere_masses(m).tolist() == [mu.mass_letters(grid.unrank(i)) for i in range(grid.size)]
+        cells = range(sphere_size(m, metric.k))
+        assert mu.sphere_masses(m).tolist() == [mu.mass_letters(_unrank(i, metric.k, m)) for i in cells]
 
 
 def test_block_sweep_past_int64_matches_per_word_sweep():
@@ -486,12 +503,12 @@ def test_block_sweep_past_int64_matches_per_word_sweep():
 
 
 def test_block_sweep_takes_no_per_word_path(monkeypatch):
-    # weighted covers and partitions never reach the per-word stems, grid
-    # intervals or annulus stream
+    # weighted covers and partitions never reach the per-word stems or
+    # annulus stream
     def refuse(*args, **kwargs):
         raise AssertionError("per-word path")
 
-    per_word = [(boundary, "shadow_stems"), (boundary, "_prefix_reaching"), (SphereGrid, "interval")]
+    per_word = [(boundary, "shadow_stems"), (boundary, "_prefix_reaching")]
     for owner, name in per_word + [(asymptotics, "annulus_units")]:
         monkeypatch.setattr(owner, name, refuse)
     ctx = GroupContext(MetricSpec.weighted(2, [1, Fraction(11, 8)]), rho=1)
@@ -513,15 +530,14 @@ _metrics = st.one_of(
 def test_stem_intervals_match_shadow_stems(metric, n, rho, data):
     # random reduced words of one length, each drawn by its index in S_n
     k, cut = metric.k, shadow_cut(metric, rho)
-    index = st.integers(0, sphere_size(n, k) - 1).map(SphereGrid(k, n).unrank)
+    index = st.integers(0, sphere_size(n, k) - 1).map(lambda i: _unrank(i, k, n))
     words = data.draw(st.lists(index, min_size=1, max_size=8))
-    grid = SphereGrid(k, n + 1)
     lengths = np.array([metric.units_of(w) for w in words], np.float64 if metric.kind == "green" else np.int64)
-    lows, highs, stems = shadow_intervals(np.array(words, np.int8).reshape(len(words), n), lengths, cut, grid)
+    lows, highs, stems = _stem_intervals(np.array(words, np.int8).reshape(len(words), n), lengths, cut, k, n + 1)
     for i, w in enumerate(words):
         first, second = shadow_stems(w, metric.units_of(w), cut)
         for j, stem in ((i, first), (i + len(words), second)):
-            assert (lows[j], highs[j], stems[j]) == (*grid.interval(stem), len(stem)), (w, stem)
+            assert (lows[j], highs[j], stems[j]) == (*_PerWordSweep.interval(stem, k, n + 1), len(stem)), (w, stem)
 
 
 @pytest.mark.parametrize("k, r_max", [(2, 8), (3, 5)], ids=["k2", "k3"])
@@ -714,6 +730,22 @@ def test_phi_shadow_weights_matches_brute_force(word_ctx, word_mu, one, ind_a):
     assert wf.mass_of(W("a")) == 0  # not in the annulus support
 
 
+def test_shadow_mass_of_reads_no_entries(word_ctx, monkeypatch):
+    # S_14 at stem depth a has |S_a|^2 support words; mass_of finds a word's
+    # mass without them: 1/|S_a|^2 on the least word of each (g[:a], g[14-a:])
+    # class, 0 on the rest of the class and off the sphere
+    wf = build_partition_weights(14, word_ctx)
+    a = wf.stem
+    assert a == 6
+    monkeypatch.setattr(WeightFamily, "entries", lambda self: pytest.fail("mass_of read entries()"))
+    middles = [u.letters for u in enumerate_sphere(14 - 2 * a, word_ctx.metric)]
+    for p, s in [("ababab", "BaBABa"), ("AAAAAA", "bbbbbb"), ("abABab", "aaaaaa")]:
+        p, s = W(p).letters, W(s).letters
+        members = sorted(w for u in middles for w in [p + u + s] if reduce_letters(w) == w)
+        assert [wf.mass_of(ReducedWord(w)) for w in members] == [Fraction(1, sphere_size(a, 2) ** 2)] + [0] * (len(members) - 1)
+    assert wf.mass_of(W("ab")) == 0 and wf.mass_of(W("ab" * 8)) == 0
+
+
 def test_weighted_metric_shadow_partition(weighted_ctx):
     # float backend of the cover check and the greedy partition
     rep0 = check_shadow_cover(6, GroupContext(MetricSpec.weighted(2, [1, 2]), rho=0))
@@ -797,7 +829,7 @@ def test_orthogonality_sweep_keeps_the_radii_before_a_refusal(word_ctx, one):
     (done,) = orthogonality_sweep(f, f, [case], [4], word_ctx, weights_kind="shadow", budget=150)
     (report,) = orthogonality_sweep(f, f, [case], [4, 6], word_ctx, weights_kind="shadow", budget=150)
     assert done.refusal is None and done.summary()["partial"] is False
-    assert report.refusal == "partition grid 108^2 exceeds budget"
+    assert str(report.refusal) == "partition grid 108^2 exceeds budget"
     assert report.grid == [4] and len(report.seconds) == 1 and report.seconds[0] > 0
     assert report.values_exact == done.values_exact and report.rel_errors == done.rel_errors
     assert report.summary()["partial"] is True and not report.passed and report.verdict == "FAIL"

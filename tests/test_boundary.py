@@ -16,7 +16,6 @@ from freeboundary import (
     boundary_gromov,
     enumerate_annulus,
     hat_projection,
-    retract,
     shadow_pair,
     translate_cylinder_set,
     visual_distance,
@@ -98,14 +97,11 @@ def test_visual_ultrametric():
         assert dxz <= max(visual_distance(x, y, CTX), visual_distance(y, z, CTX)) + 1e-15
 
 
-def test_retract():
-    assert retract(W("ab")) == P("ab|b")
-    xi = P("b|Ab")
-    assert retract(xi) is xi
-    # continuity along a prefix sequence: products with the limit grow
+def test_hat_projection_is_continuous():
+    # along a prefix sequence the projections' products with the limit grow
     target = P("a|b")
     prods = [
-        boundary_gromov(retract(ReducedWord(target.prefix_letters(n))), target, WORD)
+        boundary_gromov(hat_projection(ReducedWord(target.prefix_letters(n))), target, WORD)
         for n in range(1, 8)
     ]
     assert prods == sorted(prods) and prods[-1] >= 6

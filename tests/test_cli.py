@@ -222,6 +222,9 @@ def test_budget_exit_code(tmp_path):
     assert manifest["files"] == []
 
 
+_UNCOVERED_AT_4 = {"rho": "1/2"}  # F_2's shadows cover S_1 and S_3, not S_4
+
+
 @pytest.mark.parametrize(
     "subcommand, extra, key, done, refused, budget",
     [
@@ -229,24 +232,32 @@ def test_budget_exit_code(tmp_path):
         ("equidist", {}, "grid", [4], [4, 6], "150"),
         ("orth", {"weights": "shadow"}, "grid", [4], [4, 6], "150"),
         ("conv", {}, "triples", [[2, 2, 2]], [[2, 2, 2], [4, 4, 4]], "1000"),
+        ("equidist", _UNCOVERED_AT_4, "grid", [1, 3], [1, 3, 4], None),
+        ("orth", {**_UNCOVERED_AT_4, "weights": "shadow"}, "grid", [1, 3], [1, 3, 4], None),
     ],
-    ids=["cover", "equidist", "orth", "conv"],
+    ids=["cover", "equidist", "orth", "conv", "equidist-uncovered", "orth-uncovered"],
 )
 def test_refusal_keeps_the_points_done(tmp_path, capsys, subcommand, extra, key, done, refused, budget):
-    # the second point is over the budget: the run writes what the run of
-    # the first point alone writes, but fails, and exits 3
+    # the last point is over the budget, or its shadows do not cover: the
+    # run writes what the run of the points before it writes, but fails,
+    # and exits 3 on the budget, 2 on the cover
     def run(name: str, points: list):
         cfg = write_config(tmp_path, f"{name}.json", {**BASE, **extra, key: points})
-        code = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / name), "--budget", budget])
+        limit = [] if budget is None else ["--budget", budget]
+        code = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / name), *limit])
         manifest = json.loads((tmp_path / name / "run_manifest.json").read_text())
         return code, capsys.readouterr(), tmp_path / name, manifest
 
     done_code, done_io, done_out, done_manifest = run("done", done)
     code, io, out, manifest = run("refused", refused)
     assert done_code in (0, 2) and done_manifest["flags"] == {}
-    assert code == 3 and manifest["exit_code"] == 3
-    assert manifest["flags"] == {"budget_exceeded": True}
-    assert "budget exceeded: " in io.err
+    if budget is None:
+        assert code == 2 and manifest["exit_code"] == 2 and manifest["flags"] == {}
+        assert "cover failure: " in io.err
+    else:
+        assert code == 3 and manifest["exit_code"] == 3
+        assert manifest["flags"] == {"budget_exceeded": True}
+        assert "budget exceeded: " in io.err
     assert io.out == done_io.out  # the printed lines name the last point done
     files = [f["path"] for f in manifest["files"]]
     assert files == [f["path"] for f in done_manifest["files"]]

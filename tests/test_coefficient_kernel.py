@@ -179,7 +179,7 @@ def _reference_sphere_sum_sq(v, w, n, ctx):
 def _reference_phi_r_pairs(f1, f2, pairs, weights):
     """Phi_R for every slot combination, each normalized coefficient the
     quotient matrix_coefficient / harish_chandra of two QSqrts (or floats)."""
-    d = max(1, f1.depth(), f2.depth(), max(max(v.depth(), w.depth()) for v, w in pairs))
+    d = max(1, f1.boundary.depth(), f2.boundary.depth(), max(max(v.depth(), w.depth()) for v, w in pairs))
     mu = weights.ctx.mu
     out = [[mu.zero for _ in pairs] for _ in pairs]
 

@@ -13,7 +13,6 @@ from freeboundary import (
     ReducedWord,
     enumerate_annulus,
     enumerate_sphere,
-    geodesic_point,
     gromov_product,
     hat_projection,
     metric_length,
@@ -330,23 +329,13 @@ def test_sphere_size_formula():
             assert len(list(enumerate_sphere(n, m))) == sphere_size(n, k)
 
 
-def test_geodesic_point():
-    assert geodesic_point(W("abab"), 2, WORD) == W("ab")
-    assert geodesic_point(W("bbA"), 0, WORD) == W("")
-    assert geodesic_point(W("abab"), Fraction(5, 2), WEIGHTED) == W("a")
-    with pytest.raises(ValueError):
-        geodesic_point(W("ab"), 3, WORD)
-    with pytest.raises(ValueError):
-        geodesic_point(W("ab"), -1, WORD)
-
-
 def test_geodesic_decomposition_is_exact():
     rng = random.Random(3)
     for _ in range(50):
         g = random_word(rng, 10)
         n = metric_length(g, WORD)
         for t in range(n + 1):
-            u = geodesic_point(g, t, WORD)
+            u = ReducedWord(g.letters[:t])
             v = ~u * g
             assert metric_length(u, WORD) == t
             assert u * v == g

@@ -296,23 +296,31 @@ def _grid_depth(R, ctx: GroupContext, budget: int, what: str) -> int:
     return m
 
 
-def _stem_intervals(w: np.ndarray, lengths: np.ndarray, cut, k: int, m: int) -> Tuple[np.ndarray, ...]:
-    """shadow_stems of the words in the rows of w (int8 letters, one length,
-    lengths in units) as (lo, hi, stem) over g, then over g^-1: the count of
-    prefix sums of the cut's steps short of den*L - offset, each added in
-    letter order, and the stem's interval [lo, hi) of canonical indices in
-    S_m: descendants are contiguous in canonical order."""
+_STEM_CHUNK = 1024  # words per chunk of the stem pass
+
+
+def _stem_intervals(g: np.ndarray, lengths: np.ndarray, cut, k: int, m: int) -> Tuple[np.ndarray, ...]:
+    """shadow_stems of the words in the columns of g (int8 letters, -1 past
+    a word's end; lengths in units) as (lo, hi, stem): the count of prefix
+    sums of the cut's steps short of den*L - offset, added in letter order,
+    and the stem's interval [lo, hi) of canonical indices in S_m.  Chunks of
+    _STEM_CHUNK words keep the temporaries under 48 * _STEM_CHUNK * len(g)
+    bytes (int64 or float64 sums; object sums add their Python ints)."""
     step, den, offset = cut
     b = 2 * k - 1
-    steps = np.array([step[c >> 1] for c in range(2 * k)], lengths.dtype)
-    g, need = np.vstack([w, w[:, ::-1] ^ 1]), np.tile(den * lengths - offset, 2)
-    stem = (need > 0) + np.count_nonzero(np.cumsum(steps[g[:, :-1]], axis=1) < need[:, None], axis=1)
-    head = g[:, :m]
-    ranks = head.astype(np.int64)  # a letter's rank among its siblings: its code, less one past the parent's inverse
-    ranks[:, 1:] -= head[:, 1:] > head[:, :-1] ^ 1
-    weights = b ** (m - 1 - np.arange(head.shape[1]))
-    lo = (ranks * weights * (np.arange(head.shape[1]) < stem[:, None])).sum(axis=1)
-    return lo, lo + np.where(stem, b ** (m - stem), sphere_size(m, k)), stem
+    # the pad steps 0, so sums past a word's end stay at 2*den*L: never short, as rho >= 0
+    steps = np.array([step[c >> 1] for c in range(2 * k)] + [0], lengths.dtype)
+    depth = np.arange(min(m, len(g)))[:, None]
+    out = []
+    for i in range(0, max(g.shape[1], 1), _STEM_CHUNK):
+        w, need = g[:, i : i + _STEM_CHUNK], den * lengths[i : i + _STEM_CHUNK] - offset
+        stem = (need > 0) + np.count_nonzero(np.cumsum(steps[w[:-1]], axis=0) < need, axis=0)
+        head = w[:m]
+        ranks = head.astype(np.int64)  # a letter's rank among its siblings: its code, less one past the parent's inverse
+        ranks[1:] -= head[1:] > head[:-1] ^ 1
+        lo = (ranks * b ** (m - 1 - depth) * (depth < stem)).sum(axis=0)
+        out.append((lo, lo + np.where(stem, b ** (m - stem), sphere_size(m, k)), stem))
+    return tuple(np.concatenate(e) for e in zip(*out))
 
 
 def _unrank(idx: int, k: int, m: int) -> Letters:
@@ -326,11 +334,11 @@ def _unrank(idx: int, k: int, m: int) -> Letters:
     return tuple(out)
 
 
-def _first_blocks(R, ctx: GroupContext, m: int, budget: int) -> Tuple[int, List]:
-    """(annulus size, [(letters as bytes, (rlo, rhi, clo, chi))]) for the
-    first word of each block of the depth-m grid, one numpy pass per word
-    length (bytes sort canonically); words grow as in annulus_units, pruned
-    past hi."""
+def _first_blocks(R, ctx: GroupContext, m: int, budget: int) -> Tuple[int, np.ndarray, Tuple[np.ndarray, ...]]:
+    """(annulus size, rows, (rlo, rhi, clo, chi)): the first word of each
+    block C_p x C_q of the depth-m grid in canonical order, as int8 rows
+    padded with -1, and the block's intervals.  Words grow one length at a
+    time as in annulus_units, pruned past hi; one stem pass serves them all."""
     metric, cut, size = ctx.metric, shadow_cut(ctx.metric, ctx.rho), sphere_size(m, ctx.k)
     lo, hi = metric.unit_bounds(R - ctx.h, R + ctx.h)
     fits = 2 * cut[1] * max(hi, 1, *metric.units) + cut[2] < 2**62  # every sum below fits int64
@@ -338,61 +346,59 @@ def _first_blocks(R, ctx: GroupContext, m: int, budget: int) -> Tuple[int, List]
     codes = np.arange(2 * ctx.k, dtype=np.int8)
     units = np.array([metric.units[c >> 1] for c in range(2 * ctx.k)], dtype)
     words, lengths = np.zeros((int(hi >= 0), 0), np.int8), np.zeros(int(hi >= 0), dtype)
-    count, firsts = 0, []
+    count, kept_words, kept_lengths = 0, [], [np.zeros(0, dtype)]
     while len(words):
         n, kept = words.shape[1], lengths >= lo
-        w = words[kept]
-        count += len(w)
+        kept_words.append(words[kept])
+        kept_lengths.append(lengths[kept])
+        count += len(kept_words[-1])
         if count > budget:
             raise BudgetError(f"annulus at R={R} exceeds budget {budget}")
-        if len(w):
-            lows, highs, stems = _stem_intervals(w, lengths[kept], cut, ctx.k, m)
-            p, q = (lows * (m + 1) + stems).reshape(2, -1)  # a stem by its interval start and length
-            block = (p * size * (m + 1) + q)[::-1].tolist()
-            first = np.fromiter(dict(zip(block, range(len(w) - 1, -1, -1))).values(), np.intp)
-            keys = w[first].view(f"V{n}").ravel().tolist() if n else [b""]
-            firsts += zip(keys, zip(*(e[i].tolist() for i in (first, first + len(w)) for e in (lows, highs))))
         last = words[:, -1:] ^ 1 if n else -1
         rows, cols = np.nonzero((codes != last) & (lengths[:, None] + units <= hi))
         words, lengths = np.hstack([words[rows], codes[cols, None]]), lengths[rows] + units[cols]
-    return count, firsts
-
-
-def _claim_blocks(R, ctx: GroupContext, budget: int, what: str, pricer: Optional[Callable] = None):
-    """The dense sweep: the occupancy grid of depth-m cylinder pairs, claimed
-    by blocks.  Words with the same shadow stems p, q share the block
-    C_p x C_q, and only the first in canonical order can claim cells, so
-    the blocks are claimed in the order of their first words until the grid
-    is full.  With a pricer, price = pricer(m) is called as
-    price(rlo, rhi, clo, chi, sub, taken) on each block sub with taken > 0
-    unclaimed cells, before they are marked.
-
-    Returns (m, annulus size, grid, full, [(first word, price)])."""
-    m = _grid_depth(R, ctx, budget, what)
-    count, firsts = _first_blocks(R, ctx, m, budget)
-    price = pricer(m) if pricer else lambda *block: None
-    size = sphere_size(m, ctx.k)
-    occupied, claimed, claims = np.zeros((size, size), dtype=bool), 0, []
-    for key, (rlo, rhi, clo, chi) in sorted(firsts):
-        if claimed == occupied.size:
-            break
-        sub = occupied[rlo:rhi, clo:chi]
-        taken = sub.size - int(np.count_nonzero(sub))
-        if taken:
-            claims.append((tuple(key), price(rlo, rhi, clo, chi, sub, taken)))
-            sub[:] = True
-            claimed += taken
-    return m, count, occupied, claimed == occupied.size, claims
+    width = max((w.shape[1] for w in kept_words), default=0)
+    annulus = np.full((width, 2 * count), -1, np.int8)  # a column per word g, then per g^-1
+    start = 0
+    for w in kept_words:
+        annulus[: w.shape[1], start : start + len(w)] = w.T
+        annulus[: w.shape[1], count + start : count + start + len(w)] = w.T[::-1] ^ 1
+        start += len(w)
+    lengths = np.concatenate(kept_lengths)
+    lows, highs, stems = _stem_intervals(annulus, np.tile(lengths, 2), cut, ctx.k, m)
+    p, q = (lows * (m + 1) + stems).reshape(2, -1)  # a stem by its interval start and length
+    # canonical order: the first letter first, the pad -1 (a prefix) before every letter
+    order = np.lexsort(annulus[::-1, :count]) if width else np.arange(count)
+    _, first = np.unique((p * size * (m + 1) + q)[order], return_index=True)
+    first = order[np.sort(first)]
+    return count, annulus[:, first].T, tuple(e[first + j] for j in (0, count) for e in (lows, highs))
 
 
 def _sweep_cover(R, ctx: GroupContext, budget: int) -> CoverReport:
-    """check_shadow_cover by the dense sweep; the witness is the first
-    uncovered cell in row-major order."""
-    m, count, occupied, full, _ = _claim_blocks(R, ctx, budget, "cover")
+    """check_shadow_cover by the dense sweep: the union of the blocks on the
+    grid of depth-m cylinder pairs (claim order does not matter); the
+    witness is the first uncovered cell in row-major order.  A block sets
+    its columns on the first row of its row cylinder, and each depth ORs a
+    cylinder's first row into its children's, so depth m holds the union."""
+    m = _grid_depth(R, ctx, budget, "cover")
+    count, _, (rlo, rhi, clo, chi) = _first_blocks(R, ctx, m, budget)
+    k, size = ctx.k, sphere_size(m, ctx.k)
+    grid = np.zeros((size, size), dtype=bool)
+    tall, wide = rhi - rlo, chi - clo
+    for a in range(m + 1):
+        height = size // sphere_size(a, k)  # rows of a depth-a cylinder
+        if a:
+            firsts = grid.reshape(sphere_size(a - 1, k), -1, height, size)[:, :, 0]
+            firsts[:, 1:] |= firsts[:, :1]
+        at = tall == height
+        for width in np.unique(wide[at]).tolist():
+            sel = at & (wide == width)
+            grid.reshape(-1, height, size // width, width)[rlo[sel] // height, 0, clo[sel] // width] = True
+    full = bool(grid.all())
     witness = None
     if not full:
-        i, j = divmod(int(np.argmin(occupied)), len(occupied))  # the first False
-        witness = CylinderRectangle(Cylinder(_unrank(i, ctx.k, m)), Cylinder(_unrank(j, ctx.k, m)))
+        i, j = divmod(int(np.argmin(grid)), size)  # the first False
+        witness = CylinderRectangle(Cylinder(_unrank(i, k, m)), Cylinder(_unrank(j, k, m)))
     return CoverReport(full, witness, R, ctx.rho, ctx.h, m, count)
 
 
@@ -404,21 +410,28 @@ def _cover_error(R, ctx: GroupContext) -> CoverError:
 
 
 def _sweep_partition(R, ctx: GroupContext, budget: int) -> WeightFamily:
-    """build_partition_weights by the dense sweep: each block's first word
-    gets the product mass of the cells it claims."""
-    exact = ctx.mu.exact
-
-    def pricer(m: int) -> Callable:
-        if exact:
-            cell_sq = Fraction(1, 2 * ctx.k) ** 2 * Fraction(1, 2 * ctx.k - 1) ** (2 * m - 2)
-            return lambda rlo, rhi, clo, chi, sub, taken: taken * cell_sq
-        cells = ctx.mu.sphere_masses(m)
-        return lambda rlo, rhi, clo, chi, sub, taken: float(np.outer(cells[rlo:rhi], cells[clo:chi])[~sub].sum())
-
-    _, count, _, full, claims = _claim_blocks(R, ctx, budget, "partition", pricer)
-    if not full:
+    """build_partition_weights by the dense sweep: blocks claim the grid in
+    the canonical order of their first words until it is full, each first
+    word getting the product mass of its cells, priced before marking."""
+    m = _grid_depth(R, ctx, budget, "partition")
+    count, rows, blocks = _first_blocks(R, ctx, m, budget)
+    exact, size = ctx.mu.exact, sphere_size(m, ctx.k)
+    cell_sq = Fraction(1, 2 * ctx.k) ** 2 * Fraction(1, 2 * ctx.k - 1) ** (2 * m - 2)
+    cells = None if exact else ctx.mu.sphere_masses(m)
+    occupied, claimed, words, masses = np.zeros((size, size), dtype=bool), 0, [], []
+    for i, (rlo, rhi, clo, chi) in enumerate(zip(*(e.tolist() for e in blocks))):
+        if claimed == occupied.size:
+            break
+        sub = occupied[rlo:rhi, clo:chi]
+        taken = sub.size - int(np.count_nonzero(sub))
+        if taken:
+            words.append(tuple(c for c in rows[i].tolist() if c >= 0))
+            masses.append(taken * cell_sq if exact else float(np.outer(cells[rlo:rhi], cells[clo:chi])[~sub].sum()))
+            sub[:] = True
+            claimed += taken
+    if claimed < occupied.size:
         raise _cover_error(R, ctx)
-    fam = WeightFamily(R, ctx, [w for w, _ in claims], [mass for _, mass in claims], annulus_size=count)
+    fam = WeightFamily(R, ctx, words, masses, annulus_size=count)
     assert not exact or fam.total() == 1
     return fam
 

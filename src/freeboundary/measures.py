@@ -54,6 +54,7 @@ def _spectral_radius(M: np.ndarray) -> float:
 _PERRON_ITERS = 5000  # power-iteration steps at most
 _PERRON_TOL = 1e-16  # sup-norm step size that stops the power iteration
 _BISECTION_TOL = 1e-13  # width of the final bracket of the critical exponent
+_SIGN_GUARD = 1e-13  # |F(s) - 1| up to which the bisection asks the spectral radius
 _FIRST_PASSAGE_TOL = 1e-15  # sup-norm step size that stops the first-passage iteration
 _FIRST_PASSAGE_MAX_ITER = 1_000_000
 
@@ -82,12 +83,14 @@ def critical_exponent(m: MetricSpec) -> Tuple[float, BoundaryMeasure]:
         trans = {(s, t): Fraction(1, omega) for s in letters for t in letters if t != s ^ 1}
         return alpha, BoundaryMeasure(m, alpha, omega, vector, pi0, trans)
 
-    min_len = float(m.min_letter_length)
-    lo, hi = 0.0, math.log(2 * k - 1) / min_len
-    # spectral radius is strictly decreasing in s; rho(lo) = 2k-1, rho(hi) <= 1
+    lengths = [float(m.letter_length(t)) for t in letters]
+    lo, hi = 0.0, math.log(2 * k - 1) / min(lengths)
+    # rho(M(s)) falls from 2k-1 at lo to <= 1 at hi, with the sign of F(s) - 1,
+    # F(s) = sum_t y_t/(1+y_t), y_t = e^(-s len(t)); eigvals only near F = 1
     while hi - lo > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        if _spectral_radius(_transfer_matrix(m, mid)) >= 1.0:
+        f = sum(y / (1.0 + y) for y in (math.exp(-mid * x) for x in lengths)) - 1.0
+        if f > 0 if abs(f) > _SIGN_GUARD else _spectral_radius(_transfer_matrix(m, mid)) >= 1.0:
             lo = mid
         else:
             hi = mid

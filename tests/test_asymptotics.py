@@ -2,6 +2,7 @@ import functools
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -58,6 +59,7 @@ from freeboundary.asymptotics import (
     _cancellation_norms,
     _cylinder_masses,
     _fiber_count,
+    _first_blocks,
     _grid_depth,
     _junctions,
     _resolution_depth,
@@ -70,7 +72,14 @@ from freeboundary.asymptotics import (
     sphere_class_table,
 )
 from freeboundary.boundary import shadow_cut, shadow_stems
-from freeboundary.words import annulus_units, canonical_letters, enumerate_annulus, multiply_letters, reduce_letters
+from freeboundary.words import (
+    annulus_units,
+    canonical_letters,
+    enumerate_annulus,
+    invert_letters,
+    multiply_letters,
+    reduce_letters,
+)
 
 W = ReducedWord.from_str
 
@@ -448,6 +457,9 @@ _BLOCK_CASES = (
     + [("wt3-1-2-5_2", lambda: MetricSpec.weighted(3, [1, 2, Fraction(5, 2)]), None, (4,))]
     + [(f"green-{p}-{q}", lambda p=p, q=q: _green(p, q), None, (4, 5)) for p, q in [("1/5", "3/10"), ("1/8", "3/8")]]
     + [("word-h1", lambda: MetricSpec.word(2), 1, (Fraction(9, 2),))]
+    # at rho 1/2 and 1 the cover fails off the grid's first cell, at C_aaaa x C_baaa
+    + [("wt-2-1-h0", lambda: MetricSpec.weighted(2, [2, 1]), 0, (5,))]
+    + [("wt3-2-2-2-empty", lambda: MetricSpec.weighted(3, [2, 2, 2]), 0, (3,))]  # only even radii hold words
 )
 
 
@@ -517,6 +529,27 @@ def test_block_sweep_takes_no_per_word_path(monkeypatch):
     assert not check_shadow_cover(5, ctx.with_rho(0)).covered
 
 
+def test_union_cover_witness_off_the_first_cell():
+    # keeps the wt-2-1-h0 block case a failed cover with covered cells
+    # before its witness, in the witness's row
+    ctx = GroupContext(MetricSpec.weighted(2, [2, 1]), rho=1, h=0)
+    assert str(_sweep_cover(5, ctx, 10_000_000).witness) == "C_aaaa x C_baaa"
+
+
+def test_union_cover_memory_stays_bounded():
+    # no per-block copies: the chunked stem pass and the one grid peak
+    # below 1.5x the 363 KB of the claim-loop sweep it replaced
+    ctx = GroupContext(MetricSpec.weighted(2, [1, Fraction(11, 8)]), rho=0)
+    _sweep_cover(5, ctx, 10_000_000)  # warm: first-call allocations are not the sweep's
+    tracemalloc.start()
+    try:
+        _sweep_cover(5, ctx, 10_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 363_000, peak
+
+
 _metrics = st.one_of(
     st.tuples(st.sampled_from([2, 3]), st.fractions(Fraction(1, 2), 3, max_denominator=7)).map(
         lambda kl: MetricSpec.weighted(kl[0], [1] + [kl[1]] * (kl[0] - 1))
@@ -525,19 +558,70 @@ _metrics = st.one_of(
 )
 
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
-@given(_metrics, st.integers(0, 9), st.fractions(0, 4, max_denominator=6), st.data())
-def test_stem_intervals_match_shadow_stems(metric, n, rho, data):
-    # random reduced words of one length, each drawn by its index in S_n
-    k, cut = metric.k, shadow_cut(metric, rho)
-    index = st.integers(0, sphere_size(n, k) - 1).map(lambda i: _unrank(i, k, n))
-    words = data.draw(st.lists(index, min_size=1, max_size=8))
-    lengths = np.array([metric.units_of(w) for w in words], np.float64 if metric.kind == "green" else np.int64)
-    lows, highs, stems = _stem_intervals(np.array(words, np.int8).reshape(len(words), n), lengths, cut, k, n + 1)
+def _assert_stem_batch(metric, rho, words, dtype):
+    # the words and then their inverses as the columns of one padded batch,
+    # with m one past the longest, against shadow_stems one word at a time
+    k, cut, m = metric.k, shadow_cut(metric, rho), max(map(len, words)) + 1
+    columns = words + [invert_letters(w) for w in words]
+    g = np.array([w + (-1,) * (m - 1 - len(w)) for w in columns], np.int8).reshape(len(columns), m - 1).T
+    lengths = np.array([metric.units_of(w) for w in columns], dtype)
+    lows, highs, stems = _stem_intervals(g, lengths, cut, k, m)
     for i, w in enumerate(words):
         first, second = shadow_stems(w, metric.units_of(w), cut)
         for j, stem in ((i, first), (i + len(words), second)):
-            assert (lows[j], highs[j], stems[j]) == (*_PerWordSweep.interval(stem, k, n + 1), len(stem)), (w, stem)
+            assert (lows[j], highs[j], stems[j]) == (*_PerWordSweep.interval(stem, k, m), len(stem)), (w, stem)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_metrics, st.fractions(0, 4, max_denominator=6), st.data())
+def test_stem_intervals_match_shadow_stems(metric, rho, data):
+    # random reduced words of 0-9 letters in one batch, each drawn by its
+    # length and its index in the sphere of that length
+    k = metric.k
+    word = st.integers(0, 9).flatmap(lambda n: st.integers(0, sphere_size(n, k) - 1).map(lambda i: _unrank(i, k, n)))
+    words = data.draw(st.lists(word, min_size=1, max_size=12))
+    _assert_stem_batch(metric, rho, words, np.float64 if metric.kind == "green" else np.int64)
+
+
+def test_stem_intervals_past_int64_match_shadow_stems():
+    # Python-int sums: a rho of denominator 2^61, a letter 10^20 units long
+    words = [_unrank(i, 2, n) for n in range(7) for i in range(0, sphere_size(n, 2), 5)]
+    for metric, rho in [
+        (MetricSpec.word(2), Fraction(1, 2**61) + 1),
+        (MetricSpec.weighted(2, [1, 10**20]), 1),
+        (MetricSpec.weighted(2, [10**20, 3]), Fraction(1, 2**61)),
+    ]:
+        _assert_stem_batch(metric, rho, words, object)
+
+
+@pytest.mark.parametrize(
+    "ctx, R",
+    [
+        (GroupContext(MetricSpec.weighted(2, [1, Fraction(11, 8)]), rho=1), 5),
+        (GroupContext(MetricSpec.weighted(3, [1, 2, Fraction(5, 2)]), rho=0), 4),
+        (GroupContext(_green("1/5", "3/10"), rho=2), 4),
+        (GroupContext(MetricSpec.word(2), rho=1, h=1), Fraction(9, 2)),
+        (GroupContext(MetricSpec.weighted(2, [1, 10**20]), rho=1, h=1), 5),
+    ],
+    ids=["wt", "wt3", "green", "word-h1", "past-int64"],
+)
+def test_first_blocks_are_the_first_words_in_canonical_order(ctx, R):
+    # the annulus grows one length at a time and is put in canonical order
+    # by one lexsort: it must equal sorted() of the letter tuples, and each
+    # block's first word must be the first in the canonical stream
+    m, cut = _grid_depth(R, ctx, 10_000_000, "cover"), shadow_cut(ctx.metric, ctx.rho)
+    stream = list(annulus_units(R, ctx.h, ctx.metric))
+    assert [w for w, _ in stream] == sorted(w for w, _ in stream)
+    first = {}
+    for letters, units in stream:
+        stems = shadow_stems(letters, units, cut)
+        blocks = tuple(x for stem in stems for x in _PerWordSweep.interval(stem, ctx.k, m))
+        first.setdefault((blocks, tuple(map(len, stems))), (letters, blocks))
+    count, rows, blocks = _first_blocks(R, ctx, m, 10_000_000)
+    words = [tuple(c for c in row if c >= 0) for row in rows.tolist()]
+    assert count == len(stream)
+    assert list(zip(words, zip(*(e.tolist() for e in blocks)))) == list(first.values())
+    assert words == sorted(words)
 
 
 @pytest.mark.parametrize("k, r_max", [(2, 8), (3, 5)], ids=["k2", "k3"])

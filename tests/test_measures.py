@@ -31,9 +31,12 @@ from freeboundary import (
     translate_cylinder_set,
 )
 from freeboundary.measures import (
+    _BISECTION_TOL,
     MCEstimate,
     _run_walks,
+    _spectral_radius,
     _step_cum,
+    _transfer_matrix,
     mc_cylinder_counts,
     sample_boundary_prefixes,
 )
@@ -150,6 +153,46 @@ def test_critical_exponent_weighted_poincare_scan():
 
     assert tail_ratio(alpha - 0.2) > 1.5
     assert tail_ratio(alpha + 0.2) < 0.8
+
+
+def _eigvals_bisection(m: MetricSpec) -> float:
+    """The critical exponent by bisection on numpy eigvals spectral radii
+    alone, the oracle of critical_exponent's sign test."""
+    lo, hi = 0.0, math.log(2 * m.k - 1) / float(m.min_letter_length)
+    while hi - lo > _BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if _spectral_radius(_transfer_matrix(m, mid)) >= 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+_length = st.fractions(Fraction(1, 4), 12, max_denominator=16)
+_walk_probs = st.lists(st.integers(1, 20), min_size=2, max_size=3).map(
+    lambda ws: [Fraction(w, 2 * sum(ws)) for w in ws]
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    st.one_of(
+        st.lists(_length, min_size=2, max_size=4).map(lambda ls: MetricSpec.weighted(len(ls), ls)),
+        _walk_probs.map(lambda ps: green_metric_of_walk(WalkSpec.from_generator_probs(ps))),
+    )
+)
+@example(MetricSpec.weighted(2, [1, 2]))
+@example(MetricSpec.weighted(3, [1, 2, Fraction(5, 2)]))
+@example(GREEN_METRIC)
+@example(MetricSpec.weighted(2, [2, 1]))
+@example(MetricSpec.weighted(3, [Fraction(7, 9), Fraction(6, 5), Fraction(40, 3)]))
+def test_critical_exponent_matches_eigvals_bisection(metric):
+    # the sign test picks the same half at every step: alpha bit for bit.
+    # On the last two examples F alone, without eigvals near F = 1, would
+    # pick another half at some step
+    alpha, mu = critical_exponent(metric)
+    assert alpha == _eigvals_bisection(metric)
+    assert mu.eigenvalue_residual == abs(_spectral_radius(_transfer_matrix(metric, alpha)) - 1.0)
 
 
 def test_critical_exponent_green_simple():

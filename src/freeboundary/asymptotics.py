@@ -780,8 +780,8 @@ def _integer_class_sums(b1: StepFunction, b2: StepFunction, pairs, entries, mden
                     sums[i][j] += weight * ns[i] * ns[j]
     out = [[Fraction(0) for _ in size] for _ in size]
     for gl, sums, dens in lengths.values():
-        _, D, tails, _ = mu.geodesic_integrals(gl, len(gl))
-        base = mden * fden1 * fden2 * tails[0] ** 2
+        _, D, integral = mu.geodesic_integrals(gl, len(gl))
+        base = mden * fden1 * fden2 * integral((), 0) ** 2
         for i in size:
             for j in size:
                 out[i][j] += Fraction(sums[i][j] * D * D, base * dens[i] * dens[j])

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .words import (
     GroupContext,
@@ -197,29 +197,40 @@ def allowed_children(stem: Letters, k: int) -> List[Letter]:
     return [c for c in canonical_letters(k) if not stem or c != stem[-1] ^ 1]
 
 
+PrefixIndex = Tuple[Dict[Letters, int], Dict[Letters, List[int]]]
+
+
+def _prefix_index(stems: Sequence[Letters]) -> PrefixIndex:
+    """(at, below): the first position of each stem, and for every proper
+    prefix of a stem the positions of the stems below it, in order."""
+    at: Dict[Letters, int] = {}
+    below: Dict[Letters, List[int]] = {}
+    for i, stem in enumerate(stems):
+        at.setdefault(stem, i)
+        for j in range(len(stem)):
+            below.setdefault(stem[:j], []).append(i)
+    return at, below
+
+
+def _uncovered(index: PrefixIndex, k: int) -> List[Letters]:
+    """The boundary outside the indexed cylinders: the unused children of
+    the prefixes that lie in none of them, in sorted stem order."""
+    at, below = index
+    out, stack = [], [()]
+    while stack:
+        node = stack.pop()
+        if node in at:
+            continue
+        if node in below:
+            stack.extend(node + (s,) for s in reversed(allowed_children(node, k)))
+        else:
+            out.append(node)
+    return out
+
+
 def _normalize_stems(stems: Iterable[Letters], k: int) -> Tuple[Letters, ...]:
-    pool = set(stems)
-    # drop stems absorbed by an ancestor already in the pool
-    pruned = set()
-    for w in pool:
-        if not any(w[:i] in pool for i in range(len(w))):
-            pruned.add(w)
-    # merge complete sibling families upward to keep stems maximal
-    changed = True
-    while changed:
-        changed = False
-        for w in list(pruned):
-            if not w:
-                continue
-            parent = w[:-1]
-            siblings = {parent + (s,) for s in allowed_children(parent, k)}
-            if siblings <= pruned:
-                pruned -= siblings
-                pruned.add(parent)
-                changed = True
-    if () in pruned:
-        return ((),)
-    return tuple(sorted(pruned))
+    """The maximal cylinders inside the union: the complement of its complement."""
+    return tuple(_uncovered(_prefix_index(_uncovered(_prefix_index(tuple(stems)), k)), k))
 
 
 class CylinderSet:
@@ -256,22 +267,7 @@ class CylinderSet:
         return any(c.contains_point(xi) for c in self.parts)
 
     def complement(self) -> "CylinderSet":
-        stems = {c.stem for c in self.parts}
-        max_depth = max((len(w) for w in stems), default=0)
-
-        def walk(node: Letters) -> List[Cylinder]:
-            if node in stems:
-                return []
-            if not any(w[: len(node)] == node for w in stems):
-                return [Cylinder(node)]
-            if len(node) >= max_depth:
-                return []
-            out: List[Cylinder] = []
-            for s in allowed_children(node, self.k):
-                out.extend(walk(node + (s,)))
-            return out
-
-        return CylinderSet(walk(()), self.k)
+        return CylinderSet(map(Cylinder, _uncovered(_prefix_index([c.stem for c in self.parts]), self.k)), self.k)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, CylinderSet):

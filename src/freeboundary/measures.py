@@ -200,24 +200,26 @@ class BoundaryMeasure:
         return math.exp(self.alpha * float(two_j_minus_n))
 
     def geodesic_integrals(self, gl: Letters, deepest: int):
-        """(L, D, tails, off): the coefficient kernel's table along g, in
+        """(L, D, integral): the coefficient kernel's integrals along g, in
         this measure's arithmetic.  L is |g| in the metric and e_t =
         omega^|g[:t]| the weight of the points that leave g after t letters;
-        tails[j] is D times the integral of e_t over C_{g[:j]}, and off(c, t)
-        D times its integral over a cylinder C_c that leaves g after t < |c|
-        letters.  Word metric: integers over D = 2k q^M, q = 2k-1, M =
-        ``deepest`` >= every |c| asked for; tails[|g|] = q^(M+1), each step
-        back adds (q-1) q^M, the root q^(M+1) more (tails[0] = D when g = e),
-        and off(c, t) = q^(t+M-|c|+1).  Other metrics: floats, D = 1.
+        integral(c, t) is D times the integral of e_t over a cylinder C_c
+        that leaves g after t letters, the tail integral T_t when t = |c|
+        (c = g[:t]).  Word metric, in closed form: integers over D = 2k q^M,
+        q = 2k-1, M = ``deepest`` >= every |c| asked for; T_t =
+        (q + (|g|-t)(q-1)) q^M for t >= 1, the root T_0 =
+        (2q + (|g|-1)(q-1)) q^M (= D when g = e), and q^(M+t+1-|c|) for
+        t < |c|.  Other metrics: floats, D = 1, T_t from the prefix-mass
+        table along g.
         """
         n = len(gl)
         if self.exact:
             q = int(self.omega)
             top = q**deepest
-            scale = 2 * self.k * top
-            tails = [q * top + (n - j) * (q - 1) * top for j in range(n + 1)]
-            tails[0] = tails[1] + q * top if n else scale
-            return n, scale, tails, lambda c, t: q ** (t + deepest + 1 - len(c))
+            root = (2 * q + (n - 1) * (q - 1)) * top
+            return n, 2 * self.k * top, lambda c, t: (
+                top // q ** (len(c) - t - 1) if t < len(c) else (q + (n - t) * (q - 1)) * top if t else root
+            )
         m = self.metric
         masses = self.prefix_masses(gl)
         lengths = [0]
@@ -227,7 +229,11 @@ class BoundaryMeasure:
         tails = [None] * n + [weights[n] * masses[n]]
         for j in range(n - 1, -1, -1):
             tails[j] = weights[j] * (masses[j] - masses[j + 1]) + tails[j + 1]
-        return lengths[n], 1, tails, lambda c, t: weights[t] * self.prefix_masses(c, t, masses[t])[-1]
+
+        def integral(c: Letters, t: int) -> float:
+            return tails[t] if t == len(c) else weights[t] * self.prefix_masses(c, t, masses[t])[-1]
+
+        return lengths[n], 1, integral
 
     def markov_rows(self) -> List[dict]:
         letters = canonical_letters(self.k)

@@ -7,6 +7,7 @@ word metric, within 1e-12 on float backends.  ``phi_r_pairs`` and
 oracles, ``_reference_*``, multiply and divide the QSqrt coefficients.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,9 +37,9 @@ from freeboundary.asymptotics import (
     sphere_sum_sq,
     sphere_weights,
 )
-from freeboundary.boundary import allowed_children
-from freeboundary.representation import coefficient_sum, harish_chandra, normalized_coefficient
-from freeboundary.words import enumerate_annulus, hat_projection
+from freeboundary.boundary import CylinderSet, allowed_children, cylinder_image
+from freeboundary.representation import _refine, coefficient_sum, harish_chandra, normalized_coefficient
+from freeboundary.words import _hat_prefix, common_prefix_letters, enumerate_annulus, hat_projection
 
 FLOAT_TOL = 1e-12
 VALUES = [Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(5, 7), Fraction(0)]
@@ -384,3 +385,259 @@ def test_phi_r_pairs_kernel_calls_do_not_grow_with_the_sphere(monkeypatch, radiu
     f = TestFunction.one(2)
     phi_r_pairs(f, f, [(vs[2], one), (StepFunction.indicator("Ba", 2), one)], sphere_weights(radius, WORD_CTX[2]))
     assert len(calls) == 24
+
+
+# -- the prefix-index kernel against its oracles ------------------------------
+
+
+@settings(max_examples=20, **SETTINGS)
+@given(data=st.data(), k=st.sampled_from([2, 3]), depth=st.sampled_from([3, 4]))
+def test_deep_vectors_on_long_words_exact(data, k, depth):
+    # zero cells and an unsplit root come from step_vectors' random splits
+    g = data.draw(reduced_words(k, 40))
+    v = data.draw(step_vectors(k, depth))
+    w = data.draw(step_vectors(k, depth, RATIONALS))
+    assert_exact_match(g, v, w, WORD_MU[k])
+
+
+@settings(max_examples=20, **SETTINGS)
+@given(data=st.data(), kind=st.sampled_from(sorted(FLOAT_MU)), depth=st.sampled_from([3, 4]))
+def test_deep_vectors_on_long_words_close(data, kind, depth):
+    g = data.draw(reduced_words(2, 40))
+    v = data.draw(step_vectors(2, depth, RATIONALS))
+    w = data.draw(step_vectors(2, depth))
+    assert_close(g, v, w, FLOAT_MU[kind])
+
+
+# (g, a, whether g C_a is a complement): the cell C_a of v meets the tail of g in each way
+CANCELLATIONS = {
+    "one-letter-of-a-cancels": ("abAb", "BB", False),
+    "all-of-a-cancels": ("abAb", "B", True),
+    "a-is-g-inverse": ("abAb", "BaBA", True),  # |a| = |g|: the complement of C_a
+    "all-of-g-cancels": ("ab", "BAbb", False),  # |a| > |g|
+    "nothing-cancels": ("ab", "aab", False),
+    "g-is-e": ("", "aB", False),
+    "a-is-e": ("abAb", "", False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CANCELLATIONS))
+@pytest.mark.parametrize("k", [2, 3])
+def test_cancellation_cases_exact(case, k):
+    word, stem, complement = CANCELLATIONS[case]
+    g = ReducedWord.from_str(word)
+    u, complemented = cylinder_image(g.letters, Cylinder.from_str(stem).stem)
+    assert complemented == complement and (u == ()) == (not stem)
+    mu = WORD_MU[k]
+    v = StepFunction.indicator(stem, k, Fraction(-5, 3)) if stem else StepFunction.constant(Fraction(2, 7), k)
+    for w in pool(k) + exact_depths(k) + [StepFunction.indicator(stem or "a", k), StepFunction.indicator("abab", k)]:
+        assert_exact_match(g, v, w, mu)
+        assert_exact_match(g, w, v, mu)
+
+
+def _pairwise_coefficient_sum(g, v, w, mu):
+    """coefficient_sum by every pair of cells of v and w: C_b inside the
+    image of C_a, the image inside C_b, or the two disjoint."""
+    gl = g.letters
+    length, scale, integral = mu.geodesic_integrals(gl, len(gl) + v.depth() + w.depth())
+    v_den, alphas = v.terms(mu.exact)
+    w_den, betas = w.terms(mu.exact)
+
+    def cell(c):
+        return integral(c, common_prefix_letters(gl, c))
+
+    total = 0
+    for (ca, _), alpha in zip(v.cells, alphas):
+        u, complemented = cylinder_image(gl, ca.stem)
+        for (cb, _), beta in zip(w.cells, betas):
+            b = cb.stem
+            if not (alpha and beta):
+                continue
+            if b[: len(u)] == u:  # C_b inside C_u
+                if complemented:
+                    continue
+                part = cell(b)
+            elif u[: len(b)] == b:  # C_u strictly inside C_b
+                part = cell(b) - cell(u) if complemented else cell(u)
+            elif complemented:  # C_b disjoint from C_u
+                part = cell(b)
+            else:
+                continue
+            total = total + alpha * beta * part
+    return length, total, scale * v_den * w_den
+
+
+def _full_vector(rng, k, depth):
+    """Every cell of the given depth, with random rational values (zeros too)."""
+    cells = []
+
+    def grow(stem):
+        if len(stem) == depth:
+            cells.append((Cylinder(stem), Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+        else:
+            for s in allowed_children(stem, k):
+                grow(stem + (s,))
+
+    grow(())
+    return StepFunction(cells, k)
+
+
+def test_108_cell_vectors_match_the_pairwise_kernel():
+    rng = random.Random(4)
+    mu = WORD_MU[2]
+    for trial in range(4):
+        v, w = _full_vector(rng, 2, 4), _full_vector(rng, 2, 4)
+        assert len(v.cells) == len(w.cells) == 108
+        for length in (0, 1, 3, 4, 5, 9, 30):
+            letters = ()
+            while len(letters) < length:
+                letters += (rng.choice(allowed_children(letters, 2)),)
+            g = ReducedWord(letters, _reduced=True)
+            assert coefficient_sum(g, v, w, mu) == _pairwise_coefficient_sum(g, v, w, mu), (trial, g)
+            if length <= 5 and trial == 0:
+                assert_exact_match(g, v, w, mu)
+
+
+@settings(max_examples=25, **SETTINGS)
+@given(data=st.data(), k=st.sampled_from([2, 3]))
+def test_homomorphism(data, k):
+    # <pi(gh) v, w> = <pi(h) v, pi(g^-1) w>, with the product reduced
+    g, h = data.draw(reduced_words(k, 6)), data.draw(reduced_words(k, 6))
+    v, w = data.draw(step_vectors(k, 2, RATIONALS)), data.draw(step_vectors(k, 2, RATIONALS))
+    mu = WORD_MU[k]
+    want = inner_product(apply_pi(h, v, mu), apply_pi(~g, w, mu), mu)
+    assert matrix_coefficient(g * h, v, w, mu) == want
+    length, total, den = coefficient_sum(g * h, v, w, mu)
+    assert mu.sqrt_rn_factor(-length) * Fraction(total, den) == want
+
+
+# -- step functions built and checked through the prefix index ------------------
+
+
+def _prune_and_merge(stems, k):
+    """The cylinder-set normal form by rewriting: drop the stems below
+    another stem, then merge complete sibling families upward."""
+    pool = set(stems)
+    pruned = {w for w in pool if not any(w[:i] in pool for i in range(len(w)))}
+    changed = True
+    while changed:
+        changed = False
+        for w in [w for w in pruned if w]:
+            siblings = {w[:-1] + (s,) for s in allowed_children(w[:-1], k)}
+            if siblings <= pruned:
+                pruned = (pruned - siblings) | {w[:-1]}
+                changed = True
+    return ((),) if () in pruned else tuple(sorted(pruned))
+
+
+def _walk_complement(stems, k):
+    """The stems outside C_stems, by a walk from the root that stops at stems."""
+    out = []
+
+    def walk(node):
+        if node in stems:
+            return
+        if not any(w[: len(node)] == node for w in stems):
+            out.append(node)
+            return
+        for s in allowed_children(node, k):
+            walk(node + (s,))
+
+    walk(())
+    return _prune_and_merge(out, k)
+
+
+def _cylinder_set_from_pairs(pairs, k, constant):
+    """The cells from_pairs built from the rewritten normal form and the walk."""
+    cells = [(c, constant + v) for c, v in pairs]
+    rest = _walk_complement(_prune_and_merge([c.stem for c, _ in pairs], k), k) if pairs else ((),)
+    return cells + [(Cylinder(stem), constant) for stem in rest]
+
+
+def _pairwise_refusal(cells, k):
+    """The refusal of the rewritten cover check and the pairwise overlap check."""
+    if _prune_and_merge([c.stem for c, _ in cells], k) != ((),):
+        return "cells do not cover the boundary"
+    for i in range(len(cells)):
+        for j in range(i + 1, len(cells)):
+            if not cells[i][0].disjoint(cells[j][0]):
+                return f"cells {cells[i][0]} and {cells[j][0]} overlap"
+    return None
+
+
+@settings(max_examples=80, **SETTINGS)
+@given(data=st.data(), k=st.sampled_from([1, 2, 3]))
+def test_cylinder_set_normal_form_is_prune_and_merge(data, k):
+    letters = st.lists(st.integers(0, 2 * k - 2), max_size=4)
+    stems = []
+    for choices in data.draw(st.lists(letters, max_size=10)):
+        stem = ()
+        for c in choices:
+            options = allowed_children(stem, k)
+            stem += (options[c % len(options)],)
+        stems.append(stem)
+    if data.draw(st.booleans()):  # a complete sibling family
+        stems += [stems[0][:-1] + (s,) for s in allowed_children(stems[0][:-1], k)] if stems and stems[0] else []
+    cset = CylinderSet([Cylinder(stem) for stem in stems], k)
+    assert tuple(c.stem for c in cset.parts) == _prune_and_merge(stems, k)
+    assert tuple(c.stem for c in cset.complement().parts) == _walk_complement(_prune_and_merge(stems, k), k)
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(data=st.data(), k=st.sampled_from([2, 3]))
+def test_from_pairs_matches_the_cylinder_set_complement(data, k):
+    cells = data.draw(step_vectors(k, 3, RATIONALS)).cells
+    pairs = [cells[i] for i in sorted(data.draw(st.sets(st.integers(0, len(cells) - 1))))]
+    pairs = data.draw(st.permutations(pairs))
+    constant = data.draw(RATIONALS)
+    assert StepFunction.from_pairs(pairs, k, constant).cells == tuple(_cylinder_set_from_pairs(pairs, k, constant))
+
+
+@settings(max_examples=80, **SETTINGS)
+@given(data=st.data(), k=st.sampled_from([2, 3]))
+def test_validation_refuses_as_the_pairwise_check(data, k):
+    # cells of two partitions mixed, some dropped, some repeated: overlaps,
+    # gaps and duplicates, alone and together
+    first, second = data.draw(step_vectors(k, 3)).cells, data.draw(step_vectors(k, 3)).cells
+    pool_cells = list(first) + list(second)
+    cells = data.draw(st.lists(st.sampled_from(pool_cells), max_size=12))
+    want = _pairwise_refusal(cells, k)
+    if want is None:
+        StepFunction(cells, k)
+    else:
+        with pytest.raises(ValueError) as err:
+            StepFunction(cells, k)
+        assert str(err.value) == want
+    pairs = [(c, v) for c, v in cells if c.stem]
+    want = _pairwise_refusal(_cylinder_set_from_pairs(pairs, k, Fraction(0)), k)
+    if want is None:
+        StepFunction.from_pairs(pairs, k)
+    else:
+        with pytest.raises(ValueError) as err:
+            StepFunction.from_pairs(pairs, k)
+        assert str(err.value) == want
+
+
+def _pairwise_refine(a, b):
+    for c1, v1 in a:
+        for c2, v2 in b:
+            if c1.contains(c2):
+                yield c2, v1, v2
+            elif c2.contains(c1):
+                yield c1, v1, v2
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(data=st.data(), k=st.sampled_from([2, 3]))
+def test_refinement_is_the_pairwise_sequence(data, k):
+    v, w = data.draw(step_vectors(k, 3, RATIONALS)), data.draw(step_vectors(k, 3, RATIONALS))
+    assert list(_refine(v.cells, w)) == list(_pairwise_refine(v.cells, w.cells))
+    mu = FLOAT_MU["weighted"]
+    if k == 2:  # the same sums in the same order: bit-equal floats
+        want = mu.zero
+        for c, x, y in _pairwise_refine(v.cells, w.cells):
+            want = want + x * y * mu.mass(c)
+        assert inner_product(v, w, mu) == want
+    for c, _ in v.cells + w.cells:
+        hat = _hat_prefix(c.stem, v.depth())
+        assert v.value_at_hat(c.stem) == next(val for cell, val in v.cells if cell.stem == hat[: len(cell.stem)])

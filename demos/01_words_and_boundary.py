@@ -11,17 +11,16 @@ from fractions import Fraction
 from freeboundary import (
     BoundaryPoint,
     Cylinder,
-    CylinderSet,
     GroupContext,
     MetricSpec,
     ReducedWord,
     boundary_gromov,
+    cylinder_image,
     gromov_product,
     hat_projection,
     metric_length,
     shadow_pair,
     sphere_size,
-    translate_cylinder_set,
     translation_length,
     visual_distance,
 )
@@ -54,10 +53,9 @@ print(f"(ab.b^inf, a.b^-1... ) visual distance:",
 print(f"(xi, xi) = {boundary_gromov(xi, xi, word)}")
 
 print("\n== the group moves cylinders around ==")
-k = 2
-S = CylinderSet.of(Cylinder.from_str("A"), k)
-print(f"a . C_A = {translate_cylinder_set(W('a'), S)}   (complement of C_a)")
-print(f"a . C_b = {translate_cylinder_set(W('a'), CylinderSet.of(Cylinder.from_str('b'), k))}")
+for g, stem in (("a", "A"), ("a", "b")):
+    u, complemented = cylinder_image(W(g).letters, Cylinder.from_str(stem).stem)
+    print(f"{g} . C_{stem} = {'complement of ' if complemented else ''}{Cylinder(u)}")
 
 print("\n== double shadows are cylinder rectangles ==")
 ctx0 = GroupContext(word, rho=0)

@@ -12,16 +12,15 @@ from fractions import Fraction
 
 from freeboundary import (
     Cylinder,
-    CylinderSet,
     GroupContext,
     MetricSpec,
     ReducedWord,
     ahlfors_profile,
     critical_exponent,
+    cylinder_image,
     ps_measure,
     rn_derivative,
     rn_integral,
-    translate_cylinder_set,
 )
 
 W = ReducedWord.from_str
@@ -37,8 +36,9 @@ print("\n== conformality: pushforward ratio equals omega^(2(g,xi)-|g|) ==")
 g = W("a")
 for stem in ("ab", "ba", "Ab"):
     cyl = C(stem)
-    image = translate_cylinder_set(~g, CylinderSet.of(cyl, 2))
-    ratio = mu.mass_set(image) / mu.mass(cyl)
+    u, complemented = cylinder_image((~g).letters, cyl.stem)  # g^-1 C is C_u or its complement
+    image_mass = 1 - mu.mass(Cylinder(u)) if complemented else mu.mass(Cylinder(u))
+    ratio = image_mass / mu.mass(cyl)
     print(f"g=a, C_{stem}: ratio {ratio} = rn {rn_derivative(g, cyl, mu)}")
 print(f"integral of rn(ab, .) dmu = {rn_integral(W('ab'), mu)} (exactly 1)")
 

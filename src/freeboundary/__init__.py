@@ -27,10 +27,9 @@ from .boundary import (
     BoundaryPoint,
     Cylinder,
     CylinderRectangle,
-    CylinderSet,
     boundary_gromov,
+    cylinder_image,
     shadow_pair,
-    translate_cylinder_set,
     visual_distance,
 )
 from .measures import (

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .words import (
     GroupContext,
@@ -24,6 +24,7 @@ from .words import (
     invert_letters,
     letter_from_str,
     letter_to_str,
+    letters_from_str,
     multiply_letters,
     reduce_letters,
 )
@@ -164,11 +165,13 @@ class Cylinder:
 
     def __post_init__(self):
         if not _is_reduced(self.stem):
-            raise ValueError("cylinder stem must be reduced")
+            raise ValueError(f"cylinder stem {''.join(letter_to_str(s) for s in self.stem)!r} is not reduced")
 
     @classmethod
     def from_str(cls, text: str) -> "Cylinder":
-        return cls(ReducedWord.from_str(text).letters)
+        """C_w for the word ``text`` as written: text that free reduction
+        would shorten is refused, not read as another cylinder."""
+        return cls(letters_from_str(text))
 
     @property
     def is_all(self) -> bool:
@@ -228,64 +231,6 @@ def _uncovered(index: PrefixIndex, k: int) -> List[Letters]:
     return out
 
 
-def _normalize_stems(stems: Iterable[Letters], k: int) -> Tuple[Letters, ...]:
-    """The maximal cylinders inside the union: the complement of its complement."""
-    return tuple(_uncovered(_prefix_index(_uncovered(_prefix_index(tuple(stems)), k)), k))
-
-
-class CylinderSet:
-    """Normalized finite disjoint union of cylinders.
-
-    Complements reduce to finite unions on the tree, so one normal form
-    (maximal pairwise-disjoint stems) covers both shapes the group action
-    produces.
-    """
-
-    __slots__ = ("parts", "k")
-
-    def __init__(self, cylinders: Iterable[Cylinder], k: int):
-        self.k = k
-        self.parts = tuple(Cylinder(w) for w in _normalize_stems((c.stem for c in cylinders), k))
-
-    @classmethod
-    def whole(cls, k: int) -> "CylinderSet":
-        return cls([Cylinder(())], k)
-
-    @classmethod
-    def of(cls, cylinder: Cylinder, k: int) -> "CylinderSet":
-        return cls([cylinder], k)
-
-    @property
-    def is_all(self) -> bool:
-        return len(self.parts) == 1 and self.parts[0].is_all
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.parts
-
-    def contains_point(self, xi: BoundaryPoint) -> bool:
-        return any(c.contains_point(xi) for c in self.parts)
-
-    def complement(self) -> "CylinderSet":
-        return CylinderSet(map(Cylinder, _uncovered(_prefix_index([c.stem for c in self.parts]), self.k)), self.k)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, CylinderSet):
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __str__(self) -> str:
-        if self.is_empty:
-            return "{}"
-        return " + ".join(str(c) for c in self.parts)
-
-    def __repr__(self) -> str:
-        return f"CylinderSet({self})"
-
-
 def cylinder_image(g: Letters, stem: Letters) -> Tuple[Letters, bool]:
     """The set g*C_stem as (u, complemented): C_u, or its complement.
 
@@ -300,17 +245,6 @@ def cylinder_image(g: Letters, stem: Letters) -> Tuple[Letters, bool]:
     if len(v) < len(g) and g[: len(v)] == v:
         return g[: len(v) + 1], True
     return v, False
-
-
-def translate_cylinder(g: ReducedWord, c: Cylinder, k: int) -> CylinderSet:
-    """The set g*C_w in F_k, exactly (shape from ``cylinder_image``)."""
-    stem, complemented = cylinder_image(g.letters, c.stem)
-    image = CylinderSet.of(Cylinder(stem), k)
-    return image.complement() if complemented else image
-
-
-def translate_cylinder_set(g: ReducedWord, S: CylinderSet) -> CylinderSet:
-    return CylinderSet((part for c in S.parts for part in translate_cylinder(g, c, S.k).parts), S.k)
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,7 @@ from .words import (
     check_rank,
     enumerate_annulus,
     letter_to_str,
+    letters_from_str,
     sphere_size,
 )
 
@@ -219,9 +220,12 @@ def _parse_function(spec, k: int, path: str) -> TestFunction:
         raise ConfigError(f"{path}.interior", "expected an object")
     for word, value in interior_spec.items():
         try:
-            g = ReducedWord.from_str(word)
+            letters = letters_from_str(word)
         except ValueError as exc:
             raise ConfigError(f"{path}.interior.{word}", str(exc)) from None
+        g = ReducedWord(letters)
+        if len(g) < len(letters):  # two spellings of one g would keep only the last value
+            raise ConfigError(f"{path}.interior.{word}", f"word {word!r} is not reduced (it reduces to {g})")
         _check_rank(g.letters, k, f"{path}.interior.{word}")
         interior[g] = _parse_fraction(value, f"{path}.interior.{word}")
     return TestFunction(boundary, interior)

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .boundary import Cylinder, CylinderSet, allowed_children, boundary_common_letters
+from .boundary import Cylinder, allowed_children, boundary_common_letters
 from .scalars import QSqrt
 from .words import (
     GroupContext,
@@ -179,12 +179,6 @@ class BoundaryMeasure:
 
     def mass(self, c: Cylinder):
         return self.mass_letters(c.stem)
-
-    def mass_set(self, S: CylinderSet):
-        total = self.zero
-        for part in S.parts:
-            total += self.mass_letters(part.stem)
-        return total
 
     # -- Radon-Nikodym helpers ------------------------------------------
 

@@ -20,8 +20,10 @@ factor stays apart: ``matrix_coefficient`` multiplies it in once, as one
 QSqrt; it cancels in the normalized coefficients, whose Xi(g) carries it
 too, and squares to the rational q^(-n) in the sphere sums, so neither
 builds a QSqrt.  ``apply_pi`` builds pi(g)v explicitly, as the common
-refinement of depth at most |g| + depth(v) + 1, and with
-``inner_product`` is the reference the kernel is tested against.
+refinement of depth at most |g| + depth(v) + 1: each cell's image is
+read from ``cylinder_image``, C_u or the sibling cells along u's path
+that cover its complement, then split by the level cells.  With
+``inner_product`` it is the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .boundary import BoundaryPoint, Cylinder, PrefixIndex, _prefix_index, _uncovered, translate_cylinder
+from .boundary import BoundaryPoint, Cylinder, PrefixIndex, _prefix_index, _uncovered, cylinder_image
 from .measures import BoundaryMeasure, gromov_level_cells
 from .scalars import QSqrt, as_float
 from .words import Letters, ReducedWord, _hat_prefix, check_rank, common_prefix_letters, invert_letters
@@ -197,8 +199,9 @@ def apply_pi(g: ReducedWord, v: StepFunction, mu: BoundaryMeasure) -> StepFuncti
 
     translated: List[Tuple[Cylinder, Value]] = []
     for c, val in v.cells:
-        for part in translate_cylinder(g, c, k).parts:
-            translated.append((part, val))
+        stem, complemented = cylinder_image(g.letters, c.stem)
+        stems = _uncovered(_prefix_index([stem]), k) if complemented else [stem]
+        translated.extend((Cylinder(s), val) for s in stems)
 
     levels: List[Tuple[Cylinder, Value]] = []
     for stem, c_letters in gromov_level_cells(g, k):

@@ -43,6 +43,14 @@ def letter_from_str(s: str) -> Letter:
     return 2 * i + s.isupper()
 
 
+def letters_from_str(text: str) -> Letters:
+    """The letters of ``text`` as written, unreduced ("", "e" and "1" are the identity)."""
+    text = text.replace(" ", "")
+    if text in ("", "e", "1"):
+        return ()
+    return tuple(letter_from_str(c) for c in text)
+
+
 def check_rank(letters: Letters, k: int) -> None:
     """Refuse a letter that is no code of F_k (outside 0..2k-1)."""
     for c in letters:
@@ -90,10 +98,7 @@ class ReducedWord:
 
     @classmethod
     def from_str(cls, text: str) -> "ReducedWord":
-        text = text.replace(" ", "")
-        if text in ("", "e", "1"):
-            return cls(())
-        return cls(tuple(letter_from_str(c) for c in text))
+        return cls(letters_from_str(text))
 
     def __str__(self) -> str:
         return "".join(letter_to_str(s) for s in self.letters) if self.letters else "e"

@@ -9,20 +9,19 @@ from hypothesis import strategies as st
 from freeboundary import (
     BoundaryPoint,
     Cylinder,
-    CylinderSet,
     GroupContext,
     MetricSpec,
     ReducedWord,
     boundary_gromov,
+    cylinder_image,
     enumerate_annulus,
     hat_projection,
     shadow_pair,
-    translate_cylinder_set,
     visual_distance,
 )
-from freeboundary.boundary import ball_cylinder, translate_cylinder
+from freeboundary.boundary import _prefix_index, _uncovered, ball_cylinder
 from freeboundary.measures import WalkSpec, green_metric_of_walk
-from freeboundary.words import canonical_letters, reduce_letters
+from freeboundary.words import canonical_letters, invert_letters, reduce_letters
 
 W = ReducedWord.from_str
 P = BoundaryPoint.from_str
@@ -30,15 +29,9 @@ WORD = MetricSpec.word(2)
 CTX = GroupContext(MetricSpec.word(2))
 
 
-def seeded_points(depth=3):
-    """Boundary points with every depth<=3 stem and a canonical tail."""
-    out = []
-    from freeboundary import enumerate_annulus
-
-    for d in range(depth + 1):
-        for g in enumerate_annulus(d, 0, WORD):
-            out.append(hat_projection(g))
-    return out
+def seeded_points(depth=3, k=2):
+    """Boundary points of F_k with every stem of length <= depth and a canonical tail."""
+    return [hat_projection(g) for d in range(depth + 1) for g in enumerate_annulus(d, 0, MetricSpec.word(k))]
 
 
 def test_canonical_form():
@@ -107,71 +100,86 @@ def test_hat_projection_is_continuous():
     assert prods == sorted(prods) and prods[-1] >= 6
 
 
+def in_image(image, xi):
+    """xi lies in the image (u, complemented) of cylinder_image: in C_u, or outside it."""
+    stem, complemented = image
+    return Cylinder(stem).contains_point(xi) != complemented
+
+
+def translate_image(g, image):
+    """g applied to C_u or to its complement: the image of C_u, complemented once more."""
+    stem, complemented = image
+    u, flip = cylinder_image(g.letters, stem)
+    return u, flip != complemented
+
+
 def test_translate_cylinder_examples():
-    k = 2
-    assert translate_cylinder(W("a"), Cylinder.from_str("b"), k) == CylinderSet.of(
-        Cylinder.from_str("ab"), k
-    )
-    image = translate_cylinder(W("a"), Cylinder.from_str("A"), k)
-    assert image == CylinderSet.of(Cylinder.from_str("a"), k).complement()
-    assert translate_cylinder(W("ba"), Cylinder(()), k).is_all
+    assert cylinder_image(W("a").letters, W("b").letters) == (W("ab").letters, False)
+    # a C_A is the complement of C_a
+    assert cylinder_image(W("a").letters, W("A").letters) == (W("a").letters, True)
+    assert cylinder_image(W("ba").letters, ()) == ((), False)
 
 
 def test_translate_membership_oracle():
-    # g xi lies in g S exactly when xi lies in S, over a dense sample
-    k = 2
+    # g xi lies in g C_w exactly when xi lies in C_w, over a dense sample
     pts = seeded_points()
-    rng = random.Random(1)
-    sets = [
-        CylinderSet.of(Cylinder.from_str("a"), k),
-        CylinderSet([Cylinder.from_str("ab"), Cylinder.from_str("B")], k),
-        CylinderSet.of(Cylinder.from_str("ba"), k).complement(),
-    ]
     words = [W("a"), W("A"), W("ba"), W("aB"), W("bAb")]
-    for S in sets:
+    for w in ("e", "a", "ab", "B", "ba", "bAb"):
+        c = Cylinder.from_str(w)
         for g in words:
-            gS = translate_cylinder_set(g, S)
+            image = cylinder_image(g.letters, c.stem)
             for xi in pts:
-                assert gS.contains_point(xi.translate(g)) == S.contains_point(xi)
+                assert in_image(image, xi.translate(g)) == c.contains_point(xi)
 
 
 def test_translate_is_an_action():
-    k = 2
-    S = CylinderSet([Cylinder.from_str("ab"), Cylinder.from_str("B")], k)
     rng = random.Random(2)
-    letters = canonical_letters(k)
-    for _ in range(40):
-        g = W("".join(rng.choice("abAB") for _ in range(3)))
-        h = W("".join(rng.choice("abAB") for _ in range(3)))
-        assert translate_cylinder_set(g, translate_cylinder_set(h, S)) == translate_cylinder_set(g * h, S)
-    assert translate_cylinder_set(W(""), S) == S
+    for w in ("ab", "B"):
+        stem = W(w).letters
+        for _ in range(40):
+            g = W("".join(rng.choice("abAB") for _ in range(3)))
+            h = W("".join(rng.choice("abAB") for _ in range(3)))
+            assert translate_image(g, cylinder_image(h.letters, stem)) == cylinder_image((g * h).letters, stem)
+        assert cylinder_image((), stem) == (stem, False)
 
 
 def test_translate_preserves_complements():
+    # the images of the cells outside C_ab cover exactly the points outside g C_ab, once each
     k = 2
-    S = CylinderSet([Cylinder.from_str("ab")], k)
     g = W("bA")
-    assert translate_cylinder_set(g, S.complement()) == translate_cylinder_set(g, S).complement()
+    image = cylinder_image(g.letters, W("ab").letters)
+    outside = [cylinder_image(g.letters, stem) for stem in _uncovered(_prefix_index([W("ab").letters]), k)]
+    for xi in seeded_points(4):
+        assert sum(in_image(part, xi) for part in outside) == (not in_image(image, xi))
 
 
-def test_normalization_merges_and_absorbs():
-    k = 2
-    whole = CylinderSet(
-        [Cylinder.from_str(s) for s in ("a", "A", "b", "B")], k
-    )
-    assert whole.is_all
-    nested = CylinderSet([Cylinder.from_str("a"), Cylinder.from_str("ab")], k)
-    assert nested == CylinderSet.of(Cylinder.from_str("a"), k)
-    # complete sibling family below a stem merges up
-    sibs = CylinderSet([Cylinder.from_str("a" + c) for c in ("a", "b", "B")], k)
-    assert sibs == CylinderSet.of(Cylinder.from_str("a"), k)
+def reduced_letters(k, max_len):
+    return st.lists(st.sampled_from(canonical_letters(k)), max_size=max_len).map(reduce_letters)
 
 
-def test_complement_roundtrip():
-    k = 2
-    S = CylinderSet([Cylinder.from_str("ab"), Cylinder.from_str("B")], k)
-    assert S.complement().complement() == S
-    assert CylinderSet.whole(k).complement().is_empty
+POINTS = {k: seeded_points(3, k) for k in (2, 3)}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.data(), st.sampled_from([2, 3]))
+def test_translate_as_an_action_on_points(data, k):
+    # the stem may cancel into h's tail and g into h's head, so complemented images are common
+    h = data.draw(reduced_letters(k, 6))
+    inverse = invert_letters(h)
+    stem = reduce_letters(inverse[: data.draw(st.integers(0, len(h)))] + data.draw(reduced_letters(k, 3)))
+    g = ReducedWord(data.draw(reduced_letters(k, 4)) + inverse[len(h) - data.draw(st.integers(0, len(h))) :])
+    h = ReducedWord(h)
+    image_h = cylinder_image(h.letters, stem)
+    image_gh = cylinder_image((g * h).letters, stem)
+    assert translate_image(g, image_h) == image_gh
+    for xi in POINTS[k]:
+        inside = Cylinder(stem).contains_point(xi)
+        h_xi = xi.translate(h)
+        gh_xi = h_xi.translate(g)
+        assert gh_xi == xi.translate(g * h)
+        assert in_image(image_h, h_xi) == inside
+        assert in_image(translate_image(g, image_h), gh_xi) == inside
+        assert in_image(image_gh, gh_xi) == inside
 
 
 def test_shadow_pair_examples():

@@ -548,6 +548,10 @@ _WALK = {"a": "1/4", "b": "1/4"}  # the simple random walk on F_2
         ("spec", {"metric": {"kind": "word", "lengths": {"a": "1", "b": "2"}}}, "metric.lengths"),
         ("spec", {"metric": {"kind": "weighted", "lengths": {"a": "1", "b": "2"}, "walk": _WALK}}, "metric.walk"),
         ("spec", {"metric": {"kind": "green", "walk": _WALK, "lengths": {"a": "1", "b": "2"}}}, "metric.lengths"),
+        # text that free reduction would shorten names another cylinder or word: C_Aa would be C_e,
+        # and interior abBb would be ab, whose value it would overwrite
+        ("orth", {"grid": [2], "vectors": {"v": {"cells": [["Aa", "1"]]}}}, "vectors.v.cells[0]"),
+        ("orth", {"grid": [2], "functions": {"f1": {"interior": {"ab": "1", "abBb": "2"}}}}, "functions.f1.interior.abBb"),
     ],
 )
 def test_bad_config_values_are_field_anchored(tmp_path, capsys, subcommand, patch, path):

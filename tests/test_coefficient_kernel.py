@@ -37,7 +37,7 @@ from freeboundary.asymptotics import (
     sphere_sum_sq,
     sphere_weights,
 )
-from freeboundary.boundary import CylinderSet, allowed_children, cylinder_image
+from freeboundary.boundary import allowed_children, cylinder_image
 from freeboundary.representation import _refine, coefficient_sum, harish_chandra, normalized_coefficient
 from freeboundary.words import _hat_prefix, common_prefix_letters, enumerate_annulus, hat_projection
 
@@ -515,8 +515,8 @@ def test_homomorphism(data, k):
 
 
 def _prune_and_merge(stems, k):
-    """The cylinder-set normal form by rewriting: drop the stems below
-    another stem, then merge complete sibling families upward."""
+    """The normal form of a union of cylinders by rewriting: drop the stems
+    below another stem, then merge complete sibling families upward."""
     pool = set(stems)
     pruned = {w for w in pool if not any(w[:i] in pool for i in range(len(w)))}
     changed = True
@@ -563,24 +563,6 @@ def _pairwise_refusal(cells, k):
             if not cells[i][0].disjoint(cells[j][0]):
                 return f"cells {cells[i][0]} and {cells[j][0]} overlap"
     return None
-
-
-@settings(max_examples=80, **SETTINGS)
-@given(data=st.data(), k=st.sampled_from([1, 2, 3]))
-def test_cylinder_set_normal_form_is_prune_and_merge(data, k):
-    letters = st.lists(st.integers(0, 2 * k - 2), max_size=4)
-    stems = []
-    for choices in data.draw(st.lists(letters, max_size=10)):
-        stem = ()
-        for c in choices:
-            options = allowed_children(stem, k)
-            stem += (options[c % len(options)],)
-        stems.append(stem)
-    if data.draw(st.booleans()):  # a complete sibling family
-        stems += [stems[0][:-1] + (s,) for s in allowed_children(stems[0][:-1], k)] if stems and stems[0] else []
-    cset = CylinderSet([Cylinder(stem) for stem in stems], k)
-    assert tuple(c.stem for c in cset.parts) == _prune_and_merge(stems, k)
-    assert tuple(c.stem for c in cset.complement().parts) == _walk_complement(_prune_and_merge(stems, k), k)
 
 
 @settings(max_examples=60, **SETTINGS)

@@ -80,6 +80,15 @@ def test_apply_pi_identity(word_mu, one, ind_a):
         assert inner_product(image, v, word_mu) == norm_sq(v, word_mu)
 
 
+def test_apply_pi_complemented_image_cells(word_mu):
+    # a C_A is the complement of C_a: its cells come first, in sorted order, at
+    # rn(a, .)^(1/2) = 3^(-1/2) off C_a; then a C_a, a C_b, a C_B, where pi(a) 1_A is 0
+    image = apply_pi(W("a"), StepFunction.indicator("A", 2), word_mu)
+    off, zero = QSqrt.root_power(-1, 3), QSqrt(0, 0, 3)
+    want = [("A", off), ("b", off), ("B", off), ("aa", zero), ("ab", zero), ("aB", zero)]
+    assert image.cells == tuple((Cylinder.from_str(stem), val) for stem, val in want)
+
+
 def test_apply_pi_constant_values(word_mu, one):
     image = apply_pi(W("a"), one, word_mu)
     root3 = QSqrt.root_power(1, 3)
